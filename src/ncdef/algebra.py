@@ -80,9 +80,6 @@ class AlgebraPresentation:
                 out[tuple(w)] = c
         return AlgebraElement(self, out)
 
-    def is_normal(self, word):
-        return all((word[k], word[k + 1]) not in self.rules for k in range(len(word) - 1))
-
     def normal_words(self, max_degree):
         """All normal words of degree <= max_degree, in (degree, lex) order."""
         key = max_degree

@@ -159,15 +159,6 @@ def kernel_basis(vectors, tags=None):
     return kernel
 
 
-def rank_of(vectors):
-    ech = Echelon(priority=_prio)
-    n = 0
-    for v in vectors:
-        if ech.add(v) is not None:
-            n += 1
-    return n
-
-
 def _prio(col):
     # total order for heterogeneous labels
     return (repr(type(col)), repr(col))

@@ -191,7 +191,7 @@ def advance_order(state):
                 vec[R.index[x]] = coeffs[tag.l - 1]
         if vec:
             vectors.append(vec)
-    H, eliminated, _ = quotient_by_vectors(R, vectors, prefer_tags=True)
+    H, eliminated, _ = quotient_by_vectors(R, vectors)
     if H.tags():
         raise FlatnessViolated("relation tags survived the order collapse")
 

@@ -6,11 +6,19 @@ dimensional pointed quotients are built by exact Gaussian elimination of a
 two-sided ideal together with all monomials of degree >= cutoff.
 
 The elimination order is degree first (lower degree wins), then, within a
-degree, the largest word under a fixed arrow key is removed from the basis.
+degree, words whose two length-(d-1) faces were both eliminated go first,
+then the largest word under a fixed arrow key is removed from the basis.
 The arrow key is (source, |source-target|, target, index): sorting arrows by
 block distance before target makes the surviving bases of the shipped
 truncations reproducible and matches the hand-picked bases of the flagship
 example.
+
+Rows are eliminated one degree layer at a time.  Reduction never lowers a
+row's least degree, so when layer d starts every pivot below degree d is
+final, and the face test of a degree-d word reads only degree-(d-1) pivots:
+the column order is fixed before any degree-d pivot is chosen.  For a fixed
+column order the fully reduced echelon of a span does not depend on the
+order its rows arrive in, so the basis and expansions are unique.
 """
 
 from __future__ import annotations
@@ -417,31 +425,36 @@ class FiniteDimPointedAlgebra:
         return not current
 
 
-class _Eliminator:
-    """Graded elimination with lazy divisor flags.
+def _least_degree(row):
+    """Least degree of a monomial in the row; tag-only rows come last."""
+    return min((c.degree for c in row if isinstance(c, Monomial)),
+               default=float("inf"))
 
-    Rows are inserted lowest-degree-pivot first, so when a degree-d pivot is
-    chosen all lower degrees are already sealed and the divisor constraint
-    can consult the surviving degree-(d-1) monomials.
+
+class _Eliminator(Echelon):
+    """Graded echelon with lazy divisor flags, filled one degree layer at a time.
+
+    Each pass of insert_all reduces the pending rows once, then adds those
+    of the least degree d left, deferring any that a new pivot reduces past
+    d; tag-only rows come last.  The flag cache is cleared once per layer:
+    flags of degree-d columns read only the sealed degree-(d-1) pivots.
     """
 
-    def __init__(self, enforce_divisors=True):
-        self.enforce_divisors = enforce_divisors
-        self.ech = Echelon(priority=self._priority)
+    def __init__(self):
+        super().__init__(priority=self._priority)
         self._flag_cache = {}
 
     def _priority(self, col):
         if isinstance(col, RelTag):
             return (-(10 ** 9), 0, (col.i, col.j, col.l))
-        lacks = self._lacks_divisor(col) if self.enforce_divisors else False
-        return (-col.degree, 1 if lacks else 0, col.key())
+        return (-col.degree, 1 if self._lacks_divisor(col) else 0, col.key())
 
     def _lacks_divisor(self, mono):
         if mono.degree < 2:
             return False
         flag = self._flag_cache.get(mono)
         if flag is None:
-            pivots = self.ech.pivots()
+            pivots = self.pivots()
             faces = [Monomial.from_arrows(mono.arrows[:-1]),
                      Monomial.from_arrows(mono.arrows[1:])]
             flag = all(f in pivots for f in faces)
@@ -449,25 +462,21 @@ class _Eliminator:
         return flag
 
     def insert_all(self, rows):
-        pending = [dict(r) for r in rows]
+        pending = rows
         while pending:
             self._flag_cache.clear()
-            keyed = []
+            pending = [r for r in map(self.reduce, pending) if r]
+            layer = min(map(_least_degree, pending), default=None)
+            deferred = []
             for r in pending:
-                r = self.ech.reduce(r)
+                if _least_degree(r) == layer:
+                    r = self.reduce(r)
+                    if r and _least_degree(r) == layer:
+                        self.add(r)
+                        continue
                 if r:
-                    keyed.append((max(self._priority(c) for c in r), r))
-            if not keyed:
-                break
-            keyed.sort(key=lambda kr: kr[0], reverse=True)
-            self.ech.add(keyed[0][1])
-            pending = [r for _, r in keyed[1:]]
-
-    def reduce(self, vec):
-        return self.ech.reduce(vec)
-
-    def pivots(self):
-        return self.ech.pivots()
+                    deferred.append(r)
+            pending = deferred
 
 
 def _ideal_rows(table, relations, cutoff, exclude_unit=False):
@@ -535,7 +544,7 @@ def _assemble(table, cutoff, elim, extra_tags):
                                    cutoff=cutoff, table=table)
 
 
-def build_quotient(table, relations, cutoff, enforce_divisors=True):
+def build_quotient(table, relations, cutoff):
     """Quotient of the free matrix ring by relations plus all degree >= cutoff.
 
     Returns a FiniteDimPointedAlgebra whose basis is the surviving monomials;
@@ -543,20 +552,13 @@ def build_quotient(table, relations, cutoff, enforce_divisors=True):
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    elim = _Eliminator(enforce_divisors)
+    elim = _Eliminator()
     elim.insert_all(_ideal_rows(table, relations, cutoff))
     return _assemble(table, cutoff, elim, [])
 
 
-def build_tagged_truncation(table, series, cutoff, enforce_divisors=True):
-    """Truncation of T1 / (I*f + f*I + I^cutoff) with tagged series classes.
-
-    ``series`` maps RelTag -> MatricPoly.  Each nonzero truncated series
-    joins the basis as a tagged vector identified with its residue class;
-    the bookkeeping ring of the order step has exactly this mixed basis of
-    monomials and truncated series.
-    """
-    elim = _Eliminator(enforce_divisors)
+def _tagged_rows(table, series, cutoff):
+    """Ideal rows, then a row f - tag per nonzero truncated series; and tags."""
     relations = [f for f in series.values() if not f.is_zero()]
     rows = _ideal_rows(table, relations, cutoff, exclude_unit=True)
     tags = []
@@ -568,6 +570,19 @@ def build_tagged_truncation(table, series, cutoff, enforce_divisors=True):
         vec[tag] = Fraction(-1)
         rows.append(vec)
         tags.append(tag)
+    return rows, tags
+
+
+def build_tagged_truncation(table, series, cutoff):
+    """Truncation of T1 / (I*f + f*I + I^cutoff) with tagged series classes.
+
+    ``series`` maps RelTag -> MatricPoly.  Each nonzero truncated series
+    joins the basis as a tagged vector identified with its residue class;
+    the bookkeeping ring of the order step has exactly this mixed basis of
+    monomials and truncated series.
+    """
+    rows, tags = _tagged_rows(table, series, cutoff)
+    elim = _Eliminator()
     elim.insert_all(rows)
     return _assemble(table, cutoff, elim, tags)
 
@@ -579,14 +594,14 @@ def _type_split(basis, vec):
     return [parts[t] for t in sorted(parts)]
 
 
-def quotient_by_vectors(algebra, vectors, prefer_tags=True):
+def quotient_by_vectors(algebra, vectors):
     """Quotient an algebra by the two-sided ideal spanned by the vectors.
 
     Vectors are index coordinates.  Returns (quotient, eliminated, push)
     where eliminated maps each removed basis label to its expansion over the
     surviving basis and push sends old index coords to new index coords.
-    Tag columns are eliminated first when present so the result has a
-    monomial basis whenever possible.
+    Tag columns are eliminated first so the result has a monomial basis
+    whenever possible.
     """
     seeds = []
     for v in vectors:
@@ -596,7 +611,7 @@ def quotient_by_vectors(algebra, vectors, prefer_tags=True):
     def priority(col):
         label = algebra.basis[col]
         if isinstance(label, RelTag):
-            return ((1 if prefer_tags else -1), 0, (0,), (label.i, label.j, label.l))
+            return (1, 0, (0,), (label.i, label.j, label.l))
         return (0, -label.degree, label.key(), (0, 0, 0))
 
     ech = Echelon(priority=priority)
@@ -748,7 +763,7 @@ def factor_small_surjections(u):
         vectors = [v for v in vectors if v]
         if not vectors:
             continue
-        quot, _, push = quotient_by_vectors(prev_alg, vectors, prefer_tags=True)
+        quot, _, push = quotient_by_vectors(prev_alg, vectors)
         images = {label: push({prev_alg.index[label]: Fraction(1)})
                   for label in prev_alg.basis}
         step = AlgebraMap(prev_alg, quot, images)

@@ -92,9 +92,6 @@ class Mat:
         return Mat(self.nrows, self.ncols,
                    {rc: v.scale(c) for rc, v in self.entries.items()})
 
-    def neg(self):
-        return self.scale(-1)
-
     def mul(self, other):
         if self.ncols != other.nrows:
             raise ShapeMismatch("multiplying %dx%d by %dx%d"
@@ -135,6 +132,9 @@ class FreeResolution:
     def __init__(self, pres, ideal_gens, ranks, diffs, name=None):
         if not ranks or ranks[0] != 1:
             raise ValidationError("cyclic module resolutions start with L_0 = A")
+        if len(ranks) < 2 or len(diffs) != len(ranks) - 1:
+            raise ValidationError("need d_0 : L_1 -> L_0 and exactly one "
+                                  "differential per adjacent pair")
         self.pres = pres
         self.module = QuotientModule(pres, ideal_gens, name=name)
         self.ranks = list(ranks)
@@ -148,8 +148,6 @@ class FreeResolution:
                                     % (m, d.nrows, d.ncols,
                                        self.ranks[m + 1], self.ranks[m]))
             self.diffs.append(d)
-        if len(self.diffs) != len(self.ranks) - 1:
-            raise ValidationError("need exactly one differential per adjacent pair")
         for m in range(len(self.diffs) - 1):
             if not self.diffs[m + 1].mul(self.diffs[m]).is_zero():
                 raise ValidationError(
@@ -252,9 +250,6 @@ class Cochain:
     def _compat(self, other):
         if (self.degree, self.type) != (other.degree, other.type):
             raise ShapeMismatch("cochain degree/type mismatch")
-
-    def max_entry_degree(self):
-        return max((m.max_degree() for m in self.mats), default=-1)
 
     def __repr__(self):
         return "Cochain(n=%d, type=(%d,%d))" % (self.degree, self.i, self.j)
@@ -563,18 +558,6 @@ class ExtComputer:
 
 # ---------------------------------------------------------------------------
 # cochain equation solving
-
-def _cochain_variables(bundle, i, j, words):
-    out = []
-    for m in range(bundle.mmax):
-        nrows = bundle.res(j).rank(m + 1)
-        ncols = bundle.res(i).rank(m)
-        for r in range(nrows):
-            for c in range(ncols):
-                for w in words:
-                    out.append(("a", m, r, c, w))
-    return out
-
 
 def _assemble_d_alpha(bundle, i, j, words):
     """Sparse rows of the map alpha -> d(alpha), indexed by output coords."""

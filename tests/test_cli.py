@@ -72,6 +72,22 @@ def test_spec_without_modules_fails(tmp_path):
     assert main(["run", "--spec", str(spec)]) == 2
 
 
+def test_spec_without_differential_fails_validation(tmp_path, capsys):
+    # a module resolved by L_0 = A alone has no d_0 to check or pad
+    spec = {
+        "schema": "ncdef-problem/1",
+        "name": "free-line",
+        "algebra": {"generators": ["x"], "rules": [], "weights": {"x": 1}},
+        "modules": [{"name": "A", "ideal": [], "ranks": [1], "diffs": []}],
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err
+
+
 def test_inline_spec_round_trip(tmp_path, capsys):
     # the two point modules over the one-variable Weyl algebra: a rank-one
     # extension in each direction, no obstructions

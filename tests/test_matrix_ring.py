@@ -1,14 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from ncdef.errors import NotSurjective, ValidationError
 from ncdef.matrix_ring import (AlgebraMap, GeneratorTable, MatricPoly, Monomial,
-                               RelTag, build_quotient, build_tagged_truncation,
-                               concat, divides, divisor_monomials,
-                               factor_small_surjections, factorizations,
-                               format_monomial, monomials_of_degree,
-                               parse_monomial, quotient_by_vectors)
+                               RelTag, _Eliminator, _tagged_rows, build_quotient,
+                               build_tagged_truncation, concat, divides,
+                               divisor_monomials, factor_small_surjections,
+                               factorizations, format_monomial,
+                               monomials_of_degree, parse_monomial,
+                               quotient_by_vectors)
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +157,43 @@ def test_tagged_truncation(weyl_table):
         faces = [Monomial.from_arrows(m.arrows[:-1]),
                  Monomial.from_arrows(m.arrows[1:])]
         assert any(f in deg2_set for f in faces)
+
+
+def test_elimination_ignores_row_order(weyl_table):
+    # the flagship's bookkeeping ring at order 5 (cutoff 6)
+    rows, _ = _tagged_rows(weyl_table, relation_series(weyl_table), 6)
+    shuffled = list(rows)
+    random.Random(7).shuffle(shuffled)
+    probes = [{m: Fraction(1)} for d in range(6)
+              for m in monomials_of_degree(weyl_table, d)]
+    results = []
+    for order in (rows, rows[::-1], shuffled):
+        elim = _Eliminator()
+        elim.insert_all(order)
+        # each pivot leads its row under the final, sealed divisor flags
+        elim._flag_cache.clear()
+        for pivot, row in elim.rows.items():
+            assert max(row, key=elim._priority) == pivot
+        results.append((elim.pivots(), [elim.reduce(v) for v in probes]))
+    assert results[0][0]
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+def _flagship_truncations(weyl_table):
+    """Bookkeeping rings of the flagship hull steps at orders 2 through 7."""
+    zero = {tag: MatricPoly((tag.i, tag.j)) for tag in weyl_table.rel_tags()}
+    yield build_tagged_truncation(weyl_table, zero, 3)
+    for order in range(3, 8):
+        yield build_tagged_truncation(weyl_table, relation_series(weyl_table),
+                                      order + 1)
+
+
+def test_truncation_bases_closed_under_divisors(weyl_table):
+    for ring in _flagship_truncations(weyl_table):
+        basis = set(ring.monomial_basis())
+        for m in basis:
+            assert set(divisor_monomials(m)) <= basis, m
 
 
 def _truncation_map(table, src_cutoff, dst_cutoff):
