@@ -14,13 +14,13 @@ only, making it an independent cross-check of the order-by-order engine.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotACocycle, ShapeMismatch, ValidationError
 from .linalg import solve_sparse
 from .matrix_ring import (GeneratorTable, Monomial, build_quotient, label_sort_key,
                           label_type)
-from .yoneda import Cochain, Mat, is_cocycle, multiply, zero_mat
+from .yoneda import (DEFAULT_BOUND, MAX_BOUND, RETRY_STEP, Cochain, Mat,
+                     SparseSystem, bound_ladder, compose_cochains, decode_entries,
+                     is_cocycle, multiply)
 
 
 def curvature(algebra, system, bundle):
@@ -48,15 +48,15 @@ def curvature(algebra, system, bundle):
             coords = algebra.product(ia, ib)
             if not coords:
                 continue
-            terms = [cb.mats[m + 1].mul(ca.mats[m]) for m in range(ncomp)]
+            terms = compose_cochains(ca, cb).mats
             if all(t.is_zero() for t in terms):
                 continue
             for zidx, coeff in coords.items():
                 zlabel = algebra.basis[zidx]
                 if zlabel not in acc:
                     zi, zj = label_type(zlabel)
-                    acc[zlabel] = [zero_mat(bundle.res(zj).rank(m + 2),
-                                            bundle.res(zi).rank(m))
+                    acc[zlabel] = [Mat(bundle.res(zj).rank(m + 2),
+                                       bundle.res(zi).rank(m))
                                    for m in range(ncomp)]
                 slot = acc[zlabel]
                 for m in range(ncomp):
@@ -111,7 +111,7 @@ def verify_lifted_complex(complex_):
     return False, (z, m)
 
 
-def test_algebra_deformation(cocycle, bundle, p=None):
+def test_algebra_deformation(cocycle, bundle):
     """Lifted complex over the one-arrow test algebra defined by a 1-cocycle.
 
     The test algebra for the pair (a, b) is the free matrix ring on a single
@@ -122,9 +122,8 @@ def test_algebra_deformation(cocycle, bundle, p=None):
         raise ShapeMismatch("test-algebra deformations take 1-cochains")
     if not is_cocycle(cocycle):
         raise NotACocycle("test-algebra deformations need a cocycle")
-    p = p or bundle.p
     a, b = cocycle.type
-    table = GeneratorTable(p, {(a, b): 1})
+    table = GeneratorTable(bundle.p, {(a, b): 1})
     algebra = build_quotient(table, [], 2)
     eps = Monomial.from_arrows([(a, b, 1)])
     return LiftedComplex(algebra, bundle, {eps: cocycle})
@@ -134,136 +133,92 @@ def test_algebra_deformation(cocycle, bundle, p=None):
 test_algebra_deformation.__test__ = False
 
 
-def equivalence_check(c1, c2, degree_bound=4, retry_step=2, max_bound=12):
+def equivalence_check(c1, c2, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
+                      max_bound=MAX_BOUND):
     """Search for an M-free isomorphism over R intertwining two complexes.
 
     The unknown is a family of degree-0 cochains q(X) over the radical
     basis, extended by the identity on idempotents; the chain-map condition
     is a linear system solved with bounded-degree entries.  A True answer is
-    exact; False certifies no intertwiner with entries up to max_bound.
+    exact; False certifies no intertwiner with entries up to the last bound
+    of the ladder.
     """
     if c1.algebra is not c2.algebra and c1.algebra.basis != c2.algebra.basis:
         raise ValidationError("complexes live over different algebras")
     algebra = c1.algebra
     bundle = c1.bundle
     pres = bundle.pres
-    mmax = bundle.mmax
     sys1 = c1.system()
     sys2 = c2.system()
-    unknown_labels = [lab for lab in algebra.basis
-                      if not (isinstance(lab, Monomial) and lab.degree == 0)]
-    bound = degree_bound
-    while True:
+    for bound in bound_ladder(degree_bound, retry_step, max_bound):
         words = pres.normal_words(bound)
-        equations = {}
-
-        def emit(eq_key, var_key, coeff):
-            row = equations.setdefault(eq_key, [{}, Fraction(0)])
-            cur = row[0].get(var_key, Fraction(0)) + coeff
-            if cur:
-                row[0][var_key] = cur
-            else:
-                row[0].pop(var_key, None)
-
-        def emit_rhs(eq_key, value):
-            row = equations.setdefault(eq_key, [{}, Fraction(0)])
-            row[1] += value
-
+        # equation (Z, m, r, c, w): word w of entry (r, c) of component m of
+        # the Z-part of alpha1 * q - q * alpha2; q of an idempotent is 1
+        system = SparseSystem()
         for zidx, zlabel in enumerate(algebra.basis):
             zi, zj = label_type(zlabel)
             for aidx, alabel in enumerate(algebra.basis):
                 for bidx, blabel in enumerate(algebra.basis):
-                    coeff_map = algebra.product(aidx, bidx)
-                    coeff = coeff_map.get(zidx)
+                    coeff = algebra.product(aidx, bidx).get(zidx)
                     if not coeff:
                         continue
-                    # term alpha1(X'')_m * q(X')_m  minus  q(X'')_{m+1} * alpha2(X')_m
-                    ai, at = label_type(alabel)
-                    ti, tj = label_type(blabel)
                     a_id = isinstance(alabel, Monomial) and alabel.degree == 0
                     b_id = isinstance(blabel, Monomial) and blabel.degree == 0
                     phi1 = sys1.get(blabel)
                     phi2 = sys2.get(alabel)
-                    for m in range(mmax):
+                    for m in range(bundle.mmax):
                         rows_out = bundle.res(zj).rank(m + 1)
                         cols_out = bundle.res(zi).rank(m)
                         if rows_out == 0 or cols_out == 0:
                             continue
                         # alpha1(b)_m * q(a)_m
-                        if phi1 is not None and not phi1.mats[m].is_zero():
-                            if a_id:
-                                for (r, t), v in phi1.mats[m].entries.items():
-                                    for w, cf in v.terms.items():
-                                        emit_rhs((zidx, m, r, t, w), -coeff * cf)
-                            else:
-                                for (r, t), v in phi1.mats[m].entries.items():
+                        if phi1 is not None:
+                            for (r, t), v in phi1.mats[m].entries.items():
+                                if a_id:
+                                    system.add((zidx, m, r, t), v, scale=-coeff)
+                                    continue
+                                for w in words:
+                                    prod = multiply(v, pres.element({w: 1}))
                                     for c in range(cols_out):
-                                        for w in words:
-                                            prod = multiply(v, pres.element({w: 1}))
-                                            for w2, cf in prod.terms.items():
-                                                emit((zidx, m, r, c, w2),
-                                                     ("q", aidx, m, t, c, w),
-                                                     coeff * cf)
+                                        system.add((zidx, m, r, c), prod,
+                                                   ("q", aidx, m, t, c, w), coeff)
                         # - q(b)_{m+1} * alpha2(a)_m
-                        if phi2 is not None and not phi2.mats[m].is_zero():
-                            if b_id:
-                                for (t, c), v in phi2.mats[m].entries.items():
-                                    for w, cf in v.terms.items():
-                                        emit_rhs((zidx, m, t, c, w), coeff * cf)
-                            else:
-                                for (t, c), v in phi2.mats[m].entries.items():
-                                    for r in range(bundle.res(zj).rank(m + 1)):
-                                        for w in words:
-                                            prod = multiply(pres.element({w: 1}), v)
-                                            for w2, cf in prod.terms.items():
-                                                emit((zidx, m, r, c, w2),
-                                                     ("q", bidx, m + 1, r, t, w),
-                                                     -coeff * cf)
-        system = []
-        for key in sorted(equations):
-            coeffs, rhs = equations[key]
-            if coeffs or rhs:
-                system.append((coeffs, rhs))
-        sol = solve_sparse(system)
-        if sol is not None and _verify_intertwiner(c1, c2, sol, unknown_labels):
+                        if phi2 is not None:
+                            for (t, c), v in phi2.mats[m].entries.items():
+                                if b_id:
+                                    system.add((zidx, m, t, c), v, scale=coeff)
+                                    continue
+                                for w in words:
+                                    prod = multiply(pres.element({w: 1}), v)
+                                    for r in range(rows_out):
+                                        system.add((zidx, m, r, c), prod,
+                                                   ("q", bidx, m + 1, r, t, w), -coeff)
+        sol = solve_sparse(system.equations())
+        if sol is not None and _intertwines(c1, c2, decode_entries(sol, "q", pres)):
             return True
-        if bound >= max_bound:
-            return False
-        bound = min(bound + retry_step, max_bound)
+    return False
 
 
-def _verify_intertwiner(c1, c2, sol, unknown_labels):
+def _intertwines(c1, c2, q_entries):
+    """Exact check that q (entries keyed (label index, m)) is a chain map."""
     bundle = c1.bundle
     algebra = c1.algebra
     pres = bundle.pres
-    mmax = bundle.mmax
-    qmats = {}
-    for lab in unknown_labels:
-        li, lj = label_type(lab)
-        lidx = algebra.index[lab]
-        mats = []
-        for m in range(mmax + 1):
-            entries = {}
-            for var, cf in sol.items():
-                if var[0] == "q" and var[1] == lidx and var[2] == m:
-                    _, _, _, r, c, w = var
-                    cur = entries.get((r, c), pres.zero())
-                    entries[(r, c)] = cur + pres.element({w: cf})
-            mats.append(Mat(bundle.res(lj).rank(m), bundle.res(li).rank(m), entries))
-        qmats[lab] = mats
 
     def qmat(label, m):
         if isinstance(label, Monomial) and label.degree == 0:
             rank = bundle.res(label.i).rank(m)
             return Mat(rank, rank, {(t, t): pres.one() for t in range(rank)})
-        return qmats[label][m]
+        li, lj = label_type(label)
+        return Mat(bundle.res(lj).rank(m), bundle.res(li).rank(m),
+                   q_entries.get((algebra.index[label], m), {}))
 
     sys1 = c1.system()
     sys2 = c2.system()
     for zidx, zlabel in enumerate(algebra.basis):
         zi, zj = label_type(zlabel)
-        for m in range(mmax):
-            total = zero_mat(bundle.res(zj).rank(m + 1), bundle.res(zi).rank(m))
+        for m in range(bundle.mmax):
+            total = Mat(bundle.res(zj).rank(m + 1), bundle.res(zi).rank(m))
             for aidx, alabel in enumerate(algebra.basis):
                 for bidx, blabel in enumerate(algebra.basis):
                     coeff = algebra.product(aidx, bidx).get(zidx)

@@ -58,8 +58,9 @@ def _ext_setup(problem):
     computer = ExtComputer(problem.bundle, degree_bound=opts.degree_bound,
                            retry_step=opts.retry_step, max_bound=opts.max_bound)
     if problem.preset_basis is not None and not opts.use_computed_basis:
-        basis = problem.preset_basis
-        basis.bound = opts.degree_bound
+        preset = problem.preset_basis
+        basis = ExtBasis(preset.bundle, preset.ext1, preset.ext2, opts.degree_bound,
+                         preset.source)
     else:
         basis = ExtBasis.computed(computer)
     basis.certify(computer)

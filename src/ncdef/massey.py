@@ -26,7 +26,7 @@ from .matrix_ring import (MatricPoly, Monomial, RelTag, build_quotient,
                           build_tagged_truncation, concat, divisor_monomials,
                           divisor_truncation, factorizations, format_monomial,
                           format_tag, quotient_by_vectors)
-from .yoneda import (Cochain, is_cocycle, project_ext2, solve_coboundary, zero_mat)
+from .yoneda import compose_cochains, is_cocycle, project_ext2, solve_coboundary
 
 
 @dataclass
@@ -287,7 +287,6 @@ def check_stabilized(state):
 def _raw_products(state):
     """Free-ring components of d*d before reduction, for the certificate."""
     from .algebra import format_element
-    bundle = state.bundle
     items = [(label, phi) for label, phi in sorted(state.system.items(),
                                                    key=lambda kv: kv[0].key())
              if not phi.is_zero()]
@@ -297,15 +296,12 @@ def _raw_products(state):
             m = concat(la, lb)
             if m is None or m.degree == 0:
                 continue
-            terms = [cb.mats[k + 1].mul(ca.mats[k])
-                     for k in range(bundle.mmax - 1)]
-            if all(t.is_zero() for t in terms):
-                continue
-            slot = acc.setdefault(m, [zero_mat(t.nrows, t.ncols) for t in terms])
-            acc[m] = [s.add(t) for s, t in zip(slot, terms)]
+            prod = compose_cochains(ca, cb)
+            if not prod.is_zero():
+                acc[m] = acc[m].add(prod) if m in acc else prod
     out = {}
     for m in sorted(acc, key=Monomial.key):
-        mats = acc[m]
+        mats = acc[m].mats
         if all(t.is_zero() for t in mats):
             continue
         out[format_monomial(m)] = [
@@ -387,9 +383,7 @@ def immediate_massey(x, cochains, ext, options):
             cb = system.get(right)
             if ca is None or cb is None or left.degree == 0 or right.degree == 0:
                 continue
-            terms = [cb.mats[m + 1].mul(ca.mats[m])
-                     for m in range(bundle.mmax - 1)]
-            comp = Cochain(bundle, 2, z.i, z.j, terms)
+            comp = compose_cochains(ca, cb)
             total = comp if total is None else total.add(comp)
         return total if total is not None \
             else bundle.zero_cochain(2, z.i, z.j)

@@ -11,8 +11,7 @@ from dataclasses import asdict, dataclass
 
 from .algebra import AlgebraPresentation, preset_presentation
 from .errors import ValidationError
-from .yoneda import (Cochain, ExtBasis, FreeResolution, Mat, ResolutionBundle,
-                     zero_mat)
+from .yoneda import Cochain, ExtBasis, FreeResolution, Mat, ResolutionBundle
 
 SCHEMA_PROBLEM = "ncdef-problem/1"
 
@@ -76,13 +75,12 @@ def _cochain_from_mats(bundle, degree, i, j, mats_rows):
         if rows is None or nrows == 0 or ncols == 0:
             # zero-rank components serialize as empty lists and lose their
             # shape; rebuild them from the resolution ranks
-            mats.append(zero_mat(nrows, ncols))
+            mats.append(Mat(nrows, ncols))
         else:
             mats.append(Mat.from_rows(rows, bundle.pres))
     while len(mats) < bundle.mmax - degree + 1:
         m = len(mats)
-        mats.append(zero_mat(bundle.res(j).rank(m + degree),
-                             bundle.res(i).rank(m)))
+        mats.append(Mat(bundle.res(j).rank(m + degree), bundle.res(i).rank(m)))
     return Cochain(bundle, degree, i, j, mats)
 
 

@@ -13,9 +13,15 @@ D_{n+m,j} * phi_m + (-1)^(n+1) phi_{m+1} * D_{m,i}.
 Ext^n(M_j, M_i) is computed from the complex Hom(L_{*,j}, M_i) with all
 module coefficients truncated at a filtration degree B: cocycles are taken
 with entries of degree <= B while coboundaries come from potentials of
-degree <= B + slack, and the resulting dimension must agree at B and B+1 to
-be certified.  Classes are then lifted through the projectives to Yoneda
-cochains by bounded-degree solves.
+degree <= B + BOUNDARY_SLACK, and the resulting dimension must agree at B
+and B+1 to be certified.  Classes are then lifted through the projectives to
+Yoneda cochains by bounded-degree solves.
+
+Every bounded-degree solve -- the lifts here, coboundary primitives and
+Ext^2 projections below, and the equivalence intertwiners of the checker --
+follows one path: for each rung of ``bound_ladder`` it builds a
+``SparseSystem``, solves it with ``solve_sparse``, turns the solution into
+matrix entries with ``decode_entries`` and verifies the result exactly.
 """
 
 from __future__ import annotations
@@ -117,10 +123,6 @@ class Mat:
         return "Mat(%dx%d, %r)" % (self.nrows, self.ncols, self.entries)
 
 
-def zero_mat(nrows, ncols):
-    return Mat(nrows, ncols)
-
-
 class FreeResolution:
     """Free resolution of a cyclic module A / (left ideal of generators).
 
@@ -169,31 +171,27 @@ class FreeResolution:
     def diff(self, m):
         if 0 <= m < len(self.diffs):
             return self.diffs[m]
-        return zero_mat(self.rank(m + 1), self.rank(m))
+        return Mat(self.rank(m + 1), self.rank(m))
 
 
 class ResolutionBundle:
-    """The fixed family of resolutions, padded to a common length."""
+    """The fixed family of resolutions and their common length mmax (>= 2).
+
+    The resolutions are not modified: past its own length a resolution's
+    ranks and differentials read as zero through ``rank`` and ``diff``.
+    """
 
     def __init__(self, pres, resolutions):
         self.pres = pres
-        self.resolutions = {}
-        mmax = max(res.mmax for res in resolutions)
-        mmax = max(mmax, 2)
-        for k, res in enumerate(resolutions, start=1):
-            res.ranks.extend([0] * (mmax - res.mmax))
-            while len(res.diffs) < mmax:
-                m = len(res.diffs)
-                res.diffs.append(zero_mat(res.rank(m + 1), res.rank(m)))
-            self.resolutions[k] = res
+        self.resolutions = dict(enumerate(resolutions, start=1))
         self.p = len(resolutions)
-        self.mmax = mmax
+        self.mmax = max(max(res.mmax for res in resolutions), 2)
 
     def res(self, i):
         return self.resolutions[i]
 
     def zero_cochain(self, n, i, j):
-        mats = tuple(zero_mat(self.res(j).rank(m + n), self.res(i).rank(m))
+        mats = tuple(Mat(self.res(j).rank(m + n), self.res(i).rank(m))
                      for m in range(self.mmax - n + 1))
         return Cochain(self, n, i, j, mats)
 
@@ -297,12 +295,11 @@ class ExtComputer:
     """Dimensions and Yoneda representatives of Ext^1 and Ext^2."""
 
     def __init__(self, bundle, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
-                 max_bound=MAX_BOUND, slack=BOUNDARY_SLACK):
+                 max_bound=MAX_BOUND):
         self.bundle = bundle
         self.degree_bound = degree_bound
         self.retry_step = retry_step
         self.max_bound = max_bound
-        self.slack = slack
         self._dim_cache = {}
 
     # -- Hom complex plumbing -------------------------------------------
@@ -335,9 +332,6 @@ class ExtComputer:
                         out.pop(key, None)
         return out
 
-    def _word_degree(self, i, w):
-        return self.bundle.pres.word_degree(w)
-
     def _hom_dims(self, i, j, n, bound):
         """(kernel dim, boundary dim) at the given truncation bound."""
         cocycle_coords = self._coords(i, j, n, bound)
@@ -348,7 +342,7 @@ class ExtComputer:
         boundary_dim = 0
         if n >= 1:
             pres = self.bundle.pres
-            bd_sources = self._coords(i, j, n - 1, bound + self.slack)
+            bd_sources = self._coords(i, j, n - 1, bound + BOUNDARY_SLACK)
             in_b = Echelon(priority=lambda c: (c[0], c[1]))
             out_b = Echelon(priority=lambda c: (c[0], c[1]))
             total = 0
@@ -390,14 +384,14 @@ class ExtComputer:
     def _boundary_echelon(self, i, j, n, bound):
         """Echelon of the boundaries supported inside the bound-B window.
 
-        Boundary generators come from potentials at bound + slack; a column
-        sweep removes every outside-window coordinate first, leaving a
+        Boundary generators come from potentials at bound + BOUNDARY_SLACK; a
+        column sweep removes every outside-window coordinate first, leaving a
         spanning set of (image intersect window), which is then echelonized.
         """
         pres = self.bundle.pres
         rows = []
         if n >= 1:
-            for lab in self._coords(i, j, n - 1, bound + self.slack):
+            for lab in self._coords(i, j, n - 1, bound + BOUNDARY_SLACK):
                 v = self._apply_d(i, j, n - 1, {lab: Fraction(1)})
                 if v:
                     rows.append(dict(v))
@@ -434,8 +428,8 @@ class ExtComputer:
             resid = boundaries.reduce(vec)
             resid = chosen_ech.reduce(resid)
             if resid:
-                lead = min(resid, key=lambda lab: (self._word_degree(i, lab[1]),
-                                                   lab[1], lab[0]))
+                lead = min(resid, key=lambda lab: (
+                    self.bundle.pres.word_degree(lab[1]), lab[1], lab[0]))
                 resid = {k: c / resid[lead] for k, c in resid.items()}
                 chosen.append(resid)
                 chosen_ech.add(dict(resid))
@@ -464,7 +458,7 @@ class ExtComputer:
             target_rows = res_j.rank(n + m + 1)
             target_cols = res_i.rank(m + 1)
             if target_rows == 0 or target_cols == 0 or res_i.rank(m) == 0:
-                mats.append(zero_mat(target_rows, target_cols))
+                mats.append(Mat(target_rows, target_cols))
                 continue
             sol = self._solve_unknown_times_known(
                 target_rows, target_cols, res_i.diff(m), rhs.scale(sign))
@@ -479,57 +473,24 @@ class ExtComputer:
         pres = self.bundle.pres
         if ncols != known.nrows:
             raise ShapeMismatch("inner dimensions differ")
-        for bound in self._bound_ladder():
+        for bound in bound_ladder(self.degree_bound, self.retry_step, self.max_bound):
             words = pres.normal_words(bound)
-            # effect of variable u[r,t] carrying word w on output entry (r,c)
-            template = {}  # (t, w) -> {(c, w2): coeff}
+            system = SparseSystem()
+            # variable u[r,t] carrying word w feeds output entry (r, c)
             for (t, c), a in known.entries.items():
                 for w in words:
                     prod = multiply(pres.element({w: 1}), a)
-                    cell = template.setdefault((t, w), {})
-                    for w2, cf in prod.terms.items():
-                        cell[(c, w2)] = cell.get((c, w2), Fraction(0)) + cf
-            eq_keys = set()
-            for (t, w), cell in template.items():
-                for (c, w2) in cell:
                     for r in range(nrows):
-                        eq_keys.add((r, c, w2))
+                        system.add((r, c), prod, ("u", r, t, w))
             for (r, c), v in rhs.entries.items():
-                for w2 in v.terms:
-                    eq_keys.add((r, c, w2))
-            system = []
-            for key in sorted(eq_keys):
-                r, c, w2 = key
-                coeffs = {}
-                for (t, w), cell in template.items():
-                    cf = cell.get((c, w2))
-                    if cf:
-                        coeffs[("u", r, t, w)] = cf
-                rv = rhs.get(r, c)
-                rhs_val = rv.terms.get(w2, Fraction(0)) if rv is not None else Fraction(0)
-                if coeffs or rhs_val:
-                    system.append((coeffs, rhs_val))
-            sol = solve_sparse(system)
+                system.add((r, c), v)
+            sol = solve_sparse(system.equations())
             if sol is None:
                 continue
-            entries = {}
-            for var, cf in sol.items():
-                _, r, t, w = var
-                cur = entries.get((r, t), pres.zero())
-                entries[(r, t)] = cur + pres.element({w: cf})
-            out = Mat(nrows, ncols, entries)
+            out = Mat(nrows, ncols, decode_entries(sol, "u", pres).get((), {}))
             if out.mul(known) == rhs:
                 return out
         raise SolverBoundError("no bounded-degree solution for the lift")
-
-    def _bound_ladder(self):
-        bound = self.degree_bound
-        while bound <= self.max_bound:
-            yield bound
-            bound += self.retry_step
-        # allow equality with max_bound when the ladder overshoots
-        if (self.max_bound - self.degree_bound) % self.retry_step:
-            yield self.max_bound
 
     def ext_basis(self, i, j, n, degree_bound=None):
         """Deterministic Yoneda representatives spanning Ext^n(M_j, M_i)."""
@@ -558,112 +519,130 @@ class ExtComputer:
 
 # ---------------------------------------------------------------------------
 # cochain equation solving
+#
+# Each solve enumerates the normal words once per rung; a rung without a
+# solution that passes the exact check moves on to the next.  Variables are
+# keyed (kind, *component, row, col, word).  solve_sparse pivots on the
+# least variable, so the key order decides which particular solution is
+# returned (and so the report bytes); the order of the equations does not.
 
-def _assemble_d_alpha(bundle, i, j, words):
-    """Sparse rows of the map alpha -> d(alpha), indexed by output coords."""
-    pres = bundle.pres
-    res_i, res_j = bundle.res(i), bundle.res(j)
-    rows = {}
+def bound_ladder(degree_bound, retry_step, max_bound):
+    """The degree bounds of one bounded solve, each tried once.
 
-    def emit(eq_key, var_key, coeff):
-        rows.setdefault(eq_key, {})
-        cur = rows[eq_key].get(var_key, Fraction(0)) + coeff
-        if cur:
-            rows[eq_key][var_key] = cur
-        else:
-            rows[eq_key].pop(var_key, None)
-
-    for m in range(bundle.mmax - 1):
-        D_j = res_j.diff(m + 1)
-        D_i = res_i.diff(m)
-        # D_{m+1,j} * alpha_m : entry (r2, c2) sums D[r2,t] * alpha_m[t,c2]
-        for (r2, t), a in D_j.entries.items():
-            for c2 in range(res_i.rank(m)):
-                for w in words:
-                    prod = multiply(a, pres.element({w: 1}))
-                    for w2, c in prod.terms.items():
-                        emit((m, r2, c2, w2), ("a", m, t, c2, w), c)
-        # alpha_{m+1} * D_{m,i} : entry (r2, c2) sums alpha[r2,t] * D[t,c2]
-        for (t, c2), a in D_i.entries.items():
-            for r2 in range(res_j.rank(m + 2)):
-                for w in words:
-                    prod = multiply(pres.element({w: 1}), a)
-                    for w2, c in prod.terms.items():
-                        emit((m, r2, c2, w2), ("a", m + 1, r2, t, w), c)
-    return rows
+    degree_bound, degree_bound + retry_step, ..., capped at
+    max(degree_bound, max_bound): a degree_bound above max_bound is tried
+    alone.
+    """
+    cap = max(degree_bound, max_bound)
+    bound = degree_bound
+    while bound < cap:
+        yield bound
+        bound += retry_step
+    yield cap
 
 
-def _solve_cochain_equation(bundle, i, j, target, basis=None,
-                            degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
-                            max_bound=MAX_BOUND):
+class SparseSystem:
+    """Linear equations over the rationals, accumulated term by term."""
+
+    def __init__(self):
+        self.rows = {}  # equation key -> [coefficient vector, rhs]
+
+    def add(self, eq, elem, var=None, scale=1):
+        """Add scale * elem to the equations eq + (word,), one per term of elem.
+
+        The term goes to the coefficient of ``var``, or to the right-hand side
+        when ``var`` is None; coefficients that cancel are dropped.
+        """
+        for w, c in elem.terms.items():
+            row = self.rows.setdefault(eq + (w,), [{}, Fraction(0)])
+            if var is None:
+                row[1] += scale * c
+                continue
+            coeff = row[0].get(var, 0) + scale * c
+            if coeff:
+                row[0][var] = coeff
+            else:
+                row[0].pop(var, None)
+
+    def equations(self):
+        """The nonzero (coefficients, rhs) rows in sorted equation order."""
+        rows = (self.rows[eq] for eq in sorted(self.rows))
+        return [(coeffs, rhs) for coeffs, rhs in rows if coeffs or rhs]
+
+
+def decode_entries(sol, kind, pres):
+    """Matrix entries of the solution variables (kind, *component, row, col, word).
+
+    Returns {component: {(row, col): AlgebraElement}}; variables absent from
+    ``sol`` (free or zero) contribute nothing.
+    """
+    out = {}
+    for var, c in sol.items():
+        if var[0] != kind:
+            continue
+        entries = out.setdefault(var[1:-3], {})
+        rc = var[-3:-1]
+        term = pres.element({var[-1]: c})
+        entries[rc] = entries[rc] + term if rc in entries else term
+    return out
+
+
+def _solve_cochain_equation(target, basis, degree_bound, retry_step, max_bound):
     """Solve  sum_l c_l basis_l + d(alpha) = target  exactly.
 
     Returns (coeffs, alpha) or None if infeasible at every allowed bound.
     ``target`` is a degree-2 cochain; ``basis`` a list of degree-2 cochains.
+    Equation (m, r, c, w) is the coefficient of word w in entry (r, c) of
+    component m.
     """
+    bundle, i, j = target.bundle, target.i, target.j
     pres = bundle.pres
-    basis = basis or []
-    bound = degree_bound
-    while True:
+    res_i, res_j = bundle.res(i), bundle.res(j)
+    given = [(None, target)] + [(("c", l), b) for l, b in enumerate(basis)]
+    for bound in bound_ladder(degree_bound, retry_step, max_bound):
         words = pres.normal_words(bound)
-        rows = _assemble_d_alpha(bundle, i, j, words)
-        eq_keys = set(rows)
-        for m, mat in enumerate(target.mats):
-            for (r, c), v in mat.entries.items():
-                for w in v.terms:
-                    eq_keys.add((m, r, c, w))
-        for l, b in enumerate(basis):
-            for m, mat in enumerate(b.mats):
+        system = SparseSystem()
+        for m in range(bundle.mmax - 1):
+            # D_{m+1,j} * alpha_m : entry (r2, c2) sums D[r2,t] * alpha_m[t,c2]
+            for (r2, t), a in res_j.diff(m + 1).entries.items():
+                for w in words:
+                    prod = multiply(a, pres.element({w: 1}))
+                    for c2 in range(res_i.rank(m)):
+                        system.add((m, r2, c2), prod, ("a", m, t, c2, w))
+            # alpha_{m+1} * D_{m,i} : entry (r2, c2) sums alpha[r2,t] * D[t,c2]
+            for (t, c2), a in res_i.diff(m).entries.items():
+                for w in words:
+                    prod = multiply(pres.element({w: 1}), a)
+                    for r2 in range(res_j.rank(m + 2)):
+                        system.add((m, r2, c2), prod, ("a", m + 1, r2, t, w))
+        for var, phi in given:
+            for m, mat in enumerate(phi.mats):
                 for (r, c), v in mat.entries.items():
-                    for w in v.terms:
-                        eq_keys.add((m, r, c, w))
-        system = []
-        for key in sorted(eq_keys):
-            m, r, c, w = key
-            coeffs = dict(rows.get(key, {}))
-            for l, b in enumerate(basis):
-                entry = b.mats[m].get(r, c) if m < len(b.mats) else None
-                if entry is not None and w in entry.terms:
-                    coeffs[("c", l)] = entry.terms[w]
-            tv = target.mats[m].get(r, c) if m < len(target.mats) else None
-            rhs = tv.terms.get(w, Fraction(0)) if tv is not None else Fraction(0)
-            if coeffs or rhs:
-                system.append((coeffs, rhs))
-        sol = solve_sparse(system)
-        if sol is not None:
-            coeffs = [sol.get(("c", l), Fraction(0)) for l in range(len(basis))]
-            mats = []
-            for m in range(bundle.mmax):
-                entries = {}
-                for var, c in sol.items():
-                    if var[0] != "a" or var[1] != m:
-                        continue
-                    _, _, r, cc, w = var
-                    key = (r, cc)
-                    cur = entries.get(key, pres.zero())
-                    entries[key] = cur + pres.element({w: c})
-                mats.append(Mat(bundle.res(j).rank(m + 1), bundle.res(i).rank(m),
-                                entries))
-            alpha = Cochain(bundle, 1, i, j, mats)
-            combo = yoneda_differential(alpha)
-            for l, b in enumerate(basis):
-                combo = combo.add(b.scale(coeffs[l]))
-            if combo == target:
-                return coeffs, alpha
-        if bound >= max_bound:
-            return None
-        bound = min(bound + retry_step, max_bound)
+                    system.add((m, r, c), v, var)
+        sol = solve_sparse(system.equations())
+        if sol is None:
+            continue
+        coeffs = [sol.get(("c", l), Fraction(0)) for l in range(len(basis))]
+        entries = decode_entries(sol, "a", pres)
+        alpha = Cochain(bundle, 1, i, j,
+                        [Mat(res_j.rank(m + 1), res_i.rank(m), entries.get((m,), {}))
+                         for m in range(bundle.mmax)])
+        combo = yoneda_differential(alpha)
+        for l, b in enumerate(basis):
+            combo = combo.add(b.scale(coeffs[l]))
+        if combo == target:
+            return coeffs, alpha
+    return None
 
 
 def solve_coboundary(y, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
                      max_bound=MAX_BOUND):
     """Find a 1-cochain alpha with d(alpha) = -y, verified exactly."""
-    result = _solve_cochain_equation(y.bundle, y.i, y.j, y.scale(-1),
-                                     degree_bound=degree_bound,
-                                     retry_step=retry_step, max_bound=max_bound)
+    result = _solve_cochain_equation(y.scale(-1), [], degree_bound, retry_step,
+                                     max_bound)
     if result is None:
         raise NotACoboundary("no bounded-degree primitive up to bound %d"
-                             % max_bound)
+                             % max(degree_bound, max_bound))
     _, alpha = result
     return alpha
 
@@ -674,14 +653,12 @@ def project_ext2(y, basis_cochains, degree_bound=DEFAULT_BOUND,
 
     Returns (coefficient list, witness alpha), both verified symbolically.
     """
-    result = _solve_cochain_equation(y.bundle, y.i, y.j, y,
-                                     basis=list(basis_cochains),
-                                     degree_bound=degree_bound,
-                                     retry_step=retry_step, max_bound=max_bound)
+    result = _solve_cochain_equation(y, list(basis_cochains), degree_bound,
+                                     retry_step, max_bound)
     if result is None:
         raise ProjectionFailed(
             "2-cocycle of type (%d,%d) not in span + coboundaries up to bound %d"
-            % (y.i, y.j, max_bound))
+            % (y.i, y.j, max(degree_bound, max_bound)))
     return result
 
 

@@ -1,4 +1,8 @@
+import itertools
+import random
 from fractions import Fraction
+
+import pytest
 
 from ncdef.linalg import Echelon, kernel_basis, solve_sparse, vec_add
 from ncdef.matrix_ring import AlgebraMap, divisor_truncation, parse_monomial
@@ -38,6 +42,49 @@ def test_solve_sparse_underdetermined_free_vars_zero():
 
 def test_solve_sparse_inconsistent():
     assert solve_sparse([({"x": F(1)}, F(1)), ({"x": F(1)}, F(2))]) is None
+
+
+def _random_system(rng):
+    """A small sparse rational system; some rows combine earlier rows, and
+    some of those get a shifted right-hand side, which makes it inconsistent."""
+    nvars = rng.randint(1, 6)
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        if rows and rng.random() < 0.4:
+            (va, ra), (vb, rb) = rng.choice(rows), rng.choice(rows)
+            ca, cb = F(rng.randint(-3, 3)), F(rng.randint(-3, 3), 2)
+            vec = {v: ca * va.get(v, 0) + cb * vb.get(v, 0) for v in set(va) | set(vb)}
+            rhs = ca * ra + cb * rb + (1 if rng.random() < 0.3 else 0)
+        else:
+            support = rng.sample(range(nvars), rng.randint(1, min(3, nvars)))
+            vec = {("x", v): F(rng.randint(-4, 4), rng.randint(1, 3)) for v in support}
+            rhs = F(rng.randint(-5, 5), rng.randint(1, 4))
+        rows.append(({v: c for v, c in vec.items() if c}, rhs))
+    return nvars, rows
+
+
+def test_solve_sparse_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(80):
+        nvars, rows = _random_system(rng)
+        names = [("x", v) for v in range(nvars)]
+        A = sympy.Matrix([[sympy.Rational(vec.get(v, 0)) for v in names]
+                          for vec, _ in rows])
+        b = sympy.Matrix([sympy.Rational(rhs) for _, rhs in rows])
+        consistent = A.rank() == A.row_join(b).rank()
+        sol = solve_sparse(rows)
+        assert (sol is not None) == consistent
+        outcomes.add(consistent)
+        if sol is not None:
+            for vec, rhs in rows:
+                assert sum(c * sol.get(v, 0) for v, c in vec.items()) == rhs
+        for perm in itertools.permutations(rows):
+            other = solve_sparse(list(perm))
+            assert other == sol
+            assert other is None or list(other.items()) == list(sol.items())
+    assert outcomes == {True, False}
 
 
 def test_kernel_basis():

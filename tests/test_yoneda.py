@@ -6,8 +6,9 @@ import pytest
 from ncdef.algebra import preset_presentation
 from ncdef.errors import NotACoboundary, ShapeMismatch
 from ncdef.yoneda import (Cochain, ExtComputer, FreeResolution, Mat,
-                          ResolutionBundle, compose_cochains, is_cocycle,
-                          project_ext2, solve_coboundary, yoneda_differential)
+                          ResolutionBundle, SparseSystem, bound_ladder,
+                          compose_cochains, is_cocycle, project_ext2,
+                          solve_coboundary, yoneda_differential)
 
 NONZERO_EXT1 = [(1, 2), (1, 3), (2, 1), (2, 4), (3, 1), (3, 4), (4, 2), (4, 3)]
 NONZERO_EXT2 = [(1, 4), (2, 3), (3, 2), (4, 1)]
@@ -189,6 +190,41 @@ def test_ext_basis_weyl(weyl_computer, weyl_computed_basis, weyl):
     preset_y14 = weyl.preset_basis.ext2_rep(1, 4, 1)
     coeffs, witness = project_ext2(preset_y14, weyl_computed_basis.ext2[(1, 4)])
     assert len(coeffs) == 1 and coeffs[0] != 0
+
+
+@pytest.mark.parametrize("args, rungs", [
+    ((4, 2, 12), [4, 6, 8, 10, 12]),
+    ((5, 2, 12), [5, 7, 9, 11, 12]),
+    ((13, 2, 12), [13]),
+])
+def test_bound_ladder_rungs(args, rungs):
+    assert list(bound_ladder(*args)) == rungs
+
+
+def test_lift_tries_a_degree_bound_above_max_bound(weyl):
+    computer = ExtComputer(weyl.bundle, degree_bound=6, retry_step=2, max_bound=4)
+    (rep,) = computer.ext_basis(1, 2, 1)
+    assert is_cocycle(rep)
+
+
+def test_sparse_system_adds_cancels_and_sorts(weyl):
+    pres = weyl.bundle.pres
+    system = SparseSystem()
+    system.add((1,), pres.parse("x + 2*y"), "u")
+    system.add((0,), pres.parse("x"), "v", scale=3)
+    system.add((1,), pres.parse("x"), "u", scale=-1)
+    system.add((1,), pres.parse("y"))
+    assert system.equations() == [({"v": 3}, 0), ({"u": 2}, 1)]
+
+
+def test_bundle_leaves_resolutions_unchanged():
+    pres = preset_presentation("poly1")
+    res = FreeResolution(pres, ["x"], [1, 1], [[["x"]]], name="M")
+    diffs = list(res.diffs)
+    bundle = ResolutionBundle(pres, [res])
+    assert bundle.mmax == 2
+    assert (res.ranks, res.diffs, res.mmax) == ([1, 1], diffs, 1)
+    assert bundle.res(1).diff(1) == Mat(0, 1)
 
 
 def test_solve_coboundary_zero(weyl):
