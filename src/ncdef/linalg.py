@@ -4,6 +4,13 @@ Vectors are dicts mapping hashable column labels to nonzero Fractions.
 Column labels need not be integers; an Echelon is parametrized by a pivot
 priority function so quotient constructions can steer which coordinates get
 eliminated.
+
+``Echelon`` holds the only row-reduction loop.  ``solve_sparse`` and
+``kernel_basis`` run on it with augmented columns: extra columns appended
+to every row (a right-hand side, or the combination of inputs that produced
+the row) that are equal only to themselves, so no column label can collide
+with them, and that rank below every real column, so they pivot only in a
+row whose real part has reduced to zero.
 """
 
 from __future__ import annotations
@@ -33,9 +40,12 @@ class Echelon:
     """Reduced row echelon span with a configurable pivot priority.
 
     ``priority(col)`` returns a sortable key; within a row's support the
-    column with the largest key becomes the pivot.  Rows are normalized to
-    pivot coefficient 1 and fully reduced against each other, so reduction
-    against the echelon is canonical for a fixed priority.
+    column with the largest key becomes the pivot (the first such column of
+    the reduced row on a tie).  Rows are normalized to pivot coefficient 1
+    and fully reduced against each other, so for a priority that orders
+    every column strictly, reduction against the echelon is canonical.  An
+    augmented column pivots only when its priority is the largest left in
+    the reduced row, i.e. when every real column in it has been eliminated.
     """
 
     def __init__(self, priority=None):
@@ -75,90 +85,60 @@ class Echelon:
         return set(self.rows)
 
 
+class _Augmented:
+    """An augmented column: hashed by identity, so equal to no column label."""
+
+    __slots__ = ("index",)
+
+    def __init__(self, index):
+        self.index = index
+
+
 def solve_sparse(equations):
     """Solve a sparse linear system given as (coeff_vec, rhs) pairs.
 
-    Returns a dict of variable -> Fraction with free variables omitted
-    (treated as 0), or None when inconsistent.  Deterministic: equations are
-    consumed in the given order and pivots are the smallest variable key in
-    the reduced support.
+    Returns a dict of variable -> Fraction in sorted variable order with free
+    variables omitted (treated as 0), or None when inconsistent.  Each
+    right-hand side rides in its row as one augmented column ranked below
+    every variable, and the least variable of a row pivots, so the solution
+    depends only on the system, not on the order of its equations; a row
+    that pivots on the right-hand side means the system is inconsistent.
     """
-    rows = {}  # pivot var -> (vec, rhs)
+    variables = sorted({var for vec, _ in equations for var in vec})
+    rhs_col = _Augmented(len(variables))
+    priority = {var: -k for k, var in enumerate(variables)}
+    priority[rhs_col] = -rhs_col.index
+    ech = Echelon(priority=priority.__getitem__)
     for vec, rhs in equations:
-        vec = dict(vec)
-        rhs = Fraction(rhs)
-        while True:
-            hit = None
-            for var in vec:
-                if var in rows:
-                    hit = var
-                    break
-            if hit is None:
-                break
-            pvec, prhs = rows[hit]
-            c = vec[hit]
-            vec = vec_add(vec, pvec, -c)
-            rhs -= c * prhs
-        if not vec:
-            if rhs:
-                return None
-            continue
-        pivot = min(vec)
-        inv = Fraction(1) / vec[pivot]
-        vec = vec_scale(vec, inv)
-        rhs *= inv
-        for p, (other, orhs) in list(rows.items()):
-            if pivot in other:
-                c = other[pivot]
-                rows[p] = (vec_add(other, vec, -c), orhs - c * rhs)
-        rows[pivot] = (vec, rhs)
-    solution = {}
-    for pivot in sorted(rows):
-        vec, rhs = rows[pivot]
-        val = rhs - sum(c * solution.get(v, Fraction(0))
-                        for v, c in vec.items() if v != pivot)
-        if val:
-            solution[pivot] = val
-    # one back-substitution pass suffices: rows are fully reduced, so every
-    # non-pivot entry refers to a free variable (value 0)
-    return solution
+        row = dict(vec)
+        if rhs:
+            row[rhs_col] = Fraction(rhs)
+        if ech.add(row) is rhs_col:
+            return None
+    # rows are fully reduced, so every non-pivot variable of a row is free
+    # (value 0) and the augmented column holds the pivot's value
+    rows = ech.rows
+    return {var: rows[var][rhs_col] for var in variables
+            if var in rows and rhs_col in rows[var]}
 
 
 def kernel_basis(vectors, tags=None):
     """Basis of linear relations among ``vectors``.
 
-    Feeds each vector into an echelon while tracking the combination that
-    produced it; vectors that reduce to zero yield kernel elements expressed
-    over ``tags`` (defaults to list indices).  Deterministic.
+    Vector k carries one augmented column, of coefficient 1, that ranks
+    below every real column and above the augmented columns of the vectors
+    before it.  A vector that reduces into the span of the earlier ones
+    therefore pivots on its own augmented column, and its augmented part is
+    the unique relation expressing it over the earlier independent vectors,
+    returned over ``tags`` (defaults to list indices).  Deterministic.
     """
     if tags is None:
         tags = list(range(len(vectors)))
-    ech = {}  # pivot -> (vec, comb)
+    real = len(vectors)
+    ech = Echelon(priority=lambda c: c.index if type(c) is _Augmented else real)
     kernel = []
-    for tag, vec in zip(tags, vectors):
-        vec = dict(vec)
-        comb = {tag: Fraction(1)}
-        while True:
-            hit = None
-            for col in vec:
-                if col in ech:
-                    hit = col
-                    break
-            if hit is None:
-                break
-            pvec, pcomb = ech[hit]
-            c = vec[hit]
-            vec = vec_add(vec, pvec, -c)
-            comb = vec_add(comb, pcomb, -c)
-        if not vec:
-            kernel.append(comb)
-            continue
-        pivot = min(vec, key=_prio)
-        inv = Fraction(1) / vec[pivot]
-        ech[pivot] = (vec_scale(vec, inv), vec_scale(comb, inv))
+    for k, vec in enumerate(vectors):
+        pivot = ech.add({**vec, _Augmented(k): Fraction(1)})
+        if type(pivot) is _Augmented:
+            kernel.append({tags[c.index]: v for c, v in ech.rows[pivot].items()})
     return kernel
-
-
-def _prio(col):
-    # total order for heterogeneous labels
-    return (repr(type(col)), repr(col))

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .algebra import QuotientModule, multiply
 from .errors import (NotACoboundary, NotStabilized, ProjectionFailed, ShapeMismatch,
                      SolverBoundError, ValidationError)
-from .linalg import Echelon, kernel_basis, solve_sparse, vec_add, vec_scale
+from .linalg import Echelon, kernel_basis, solve_sparse
 
 DEFAULT_BOUND = 4
 RETRY_STEP = 2
@@ -339,26 +339,7 @@ class ExtComputer:
         ech = Echelon(priority=lambda c: (c[0], c[1]))
         rank = sum(1 for v in images if v and ech.add(v) is not None)
         kernel_dim = len(cocycle_coords) - rank
-        boundary_dim = 0
-        if n >= 1:
-            pres = self.bundle.pres
-            bd_sources = self._coords(i, j, n - 1, bound + BOUNDARY_SLACK)
-            in_b = Echelon(priority=lambda c: (c[0], c[1]))
-            out_b = Echelon(priority=lambda c: (c[0], c[1]))
-            total = 0
-            outside = 0
-            for lab in bd_sources:
-                v = self._apply_d(i, j, n - 1, {lab: Fraction(1)})
-                if not v:
-                    continue
-                if in_b.add(dict(v)) is not None:
-                    total += 1
-                proj = {k: c for k, c in v.items()
-                        if pres.word_degree(k[1]) > bound}
-                if proj and out_b.add(proj) is not None:
-                    outside += 1
-            boundary_dim = total - outside
-        return kernel_dim, boundary_dim
+        return kernel_dim, self._boundary_echelon(i, j, n, bound).rank
 
     def ext_dimension(self, i, j, n, degree_bound=None):
         """Certified dim Ext^n(M_j, M_i); stable at two consecutive bounds."""
@@ -384,35 +365,22 @@ class ExtComputer:
     def _boundary_echelon(self, i, j, n, bound):
         """Echelon of the boundaries supported inside the bound-B window.
 
-        Boundary generators come from potentials at bound + BOUNDARY_SLACK; a
-        column sweep removes every outside-window coordinate first, leaving a
-        spanning set of (image intersect window), which is then echelonized.
+        Boundary generators come from potentials at bound + BOUNDARY_SLACK
+        and go into one echelon in which every column of degree > bound
+        outranks every column inside the window.  A row is led by its
+        highest column, so the rows that pivot inside the window have no
+        outside column; since each outside pivot occurs in its own row only,
+        they span (image intersect window), and they are its reduced echelon
+        for the priority (row, word).  The outside-pivot rows are dropped, so
+        ``rank`` is the boundary dimension in the window.
         """
-        pres = self.bundle.pres
-        rows = []
+        degree = self.bundle.pres.word_degree
+        ech = Echelon(priority=lambda c: (degree(c[1]) > bound, c[0], c[1]))
         if n >= 1:
             for lab in self._coords(i, j, n - 1, bound + BOUNDARY_SLACK):
-                v = self._apply_d(i, j, n - 1, {lab: Fraction(1)})
-                if v:
-                    rows.append(dict(v))
-        out_cols = sorted({k for v in rows for k in v
-                           if pres.word_degree(k[1]) > bound})
-        for col in out_cols:
-            pivot_row = None
-            for r in rows:
-                if col in r:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            rows.remove(pivot_row)
-            pivot_row = vec_scale(pivot_row, Fraction(1) / pivot_row[col])
-            rows = [vec_add(r, pivot_row, -r[col]) if col in r else r for r in rows]
-            rows = [r for r in rows if r]
-        inside = Echelon(priority=lambda c: (c[0], c[1]))
-        for r in rows:
-            inside.add(r)
-        return inside
+                ech.add(self._apply_d(i, j, n - 1, {lab: Fraction(1)}))
+        ech.rows = {p: row for p, row in ech.rows.items() if degree(p[1]) <= bound}
+        return ech
 
     def _hom_representatives(self, i, j, n, bound):
         dim = self.ext_dimension(i, j, n, bound)
@@ -531,8 +499,11 @@ def bound_ladder(degree_bound, retry_step, max_bound):
 
     degree_bound, degree_bound + retry_step, ..., capped at
     max(degree_bound, max_bound): a degree_bound above max_bound is tried
-    alone.
+    alone.  A retry_step below 1 never reaches the cap and is rejected when
+    the first rung is drawn.
     """
+    if retry_step < 1:
+        raise ValidationError("retry_step must be at least 1, got %r" % (retry_step,))
     cap = max(degree_bound, max_bound)
     bound = degree_bound
     while bound < cap:

@@ -16,12 +16,15 @@ GOLDEN = HERE / "golden"
 CASES = {
     "weyl2-simple4": ["--preset", "weyl2-simple4"],
     "weyl2-simple4-computed": ["--preset", "weyl2-simple4", "--computed-basis"],
+    "weyl2-simple4-computed-b6": ["--preset", "weyl2-simple4", "--computed-basis",
+                                  "--degree-bound", "6"],
     "weyl2-simple4-order6": ["--preset", "weyl2-simple4", "--no-early-stop",
                              "--max-order", "6"],
     "poly1-point": ["--preset", "poly1-point"],
     "poly1-point-order6": ["--preset", "poly1-point", "--no-early-stop",
                            "--max-order", "6"],
     "poly3": ["--spec", str(HERE / "specs" / "poly3.json")],
+    "poly3-computed": ["--spec", str(HERE / "specs" / "poly3.json"), "--computed-basis"],
 }
 
 

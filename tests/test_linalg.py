@@ -100,6 +100,82 @@ def test_kernel_basis():
         assert total == {}
 
 
+def _random_vectors(rng, ncols):
+    """Sparse rational vectors over columns 0..ncols-1; some combine earlier ones."""
+    vectors = []
+    for _ in range(rng.randint(1, 7)):
+        if vectors and rng.random() < 0.4:
+            a, b = rng.choice(vectors), rng.choice(vectors)
+            ca, cb = F(rng.randint(-3, 3)), F(rng.randint(-3, 3), 2)
+            vec = {c: ca * a.get(c, 0) + cb * b.get(c, 0) for c in set(a) | set(b)}
+        else:
+            support = rng.sample(range(ncols), rng.randint(1, min(3, ncols)))
+            vec = {c: F(rng.randint(-4, 4), rng.randint(1, 3)) for c in support}
+        vectors.append({c: x for c, x in vec.items() if x})
+    return vectors
+
+
+def _sympy_matrix(sympy, vectors, ncols):
+    return sympy.Matrix(len(vectors), ncols,
+                        lambda r, c: sympy.Rational(vectors[r].get(c, 0)))
+
+
+@pytest.mark.parametrize("priority", [lambda c: c, lambda c: -c])
+def test_echelon_rank_and_reduce_against_sympy(priority):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4120)
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        vectors = _random_vectors(rng, ncols)
+        ech = Echelon(priority=priority)
+        for vec in vectors:
+            ech.add(vec)
+        A = _sympy_matrix(sympy, vectors, ncols)
+        assert ech.rank == A.rank()
+        probes = _random_vectors(rng, ncols)
+        combo = {}
+        for vec in vectors:
+            combo = vec_add(combo, vec, F(rng.randint(-2, 2)))
+        for v in probes + [combo]:
+            in_span = A.col_join(_sympy_matrix(sympy, [v], ncols)).rank() == A.rank()
+            assert (ech.reduce(v) == {}) == in_span
+
+
+def _assert_kernel(sympy, vectors, tags, kernel, ncols):
+    by_tag = dict(zip(tags, vectors))
+    for relation in kernel:
+        total = {}
+        for tag, coeff in relation.items():
+            total = vec_add(total, by_tag[tag], coeff)
+        assert total == {}
+    nullity = len(vectors) - _sympy_matrix(sympy, vectors, ncols).rank()
+    assert len(kernel) == nullity
+    K = sympy.Matrix(len(kernel), len(tags),
+                     lambda r, c: sympy.Rational(kernel[r].get(tags[c], 0)))
+    assert K.rank() == nullity
+
+
+def test_kernel_basis_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4121)
+    for _ in range(60):
+        ncols = rng.randint(1, 6)
+        vectors = _random_vectors(rng, ncols)
+        tags = ["t%d" % k for k in range(len(vectors))]
+        _assert_kernel(sympy, vectors, tags, kernel_basis(vectors, tags=tags), ncols)
+
+
+def test_kernel_basis_tags_never_meet_column_labels():
+    # the tags are the column labels themselves: the combination a relation
+    # carries must stay apart from the columns of the vectors
+    sympy = pytest.importorskip("sympy")
+    vectors = [{0: F(1), 1: F(2)}, {1: F(1)}, {0: F(2), 1: F(5)}, {2: F(3)}]
+    tags = [0, 1, 2, 3]
+    kernel = kernel_basis(vectors, tags=tags)
+    assert kernel == [{2: F(1), 0: F(-2), 1: F(-1)}]
+    _assert_kernel(sympy, vectors, tags, kernel, 3)
+
+
 def test_divisor_truncation_small_kernel():
     # the inclusion-of-x variant surjects onto the plain divisor algebra
     # with a one-dimensional kernel spanned by x, killed by the radical

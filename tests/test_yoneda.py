@@ -1,11 +1,16 @@
+import json
 import random
 from fractions import Fraction
+from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from ncdef.algebra import preset_presentation
-from ncdef.errors import NotACoboundary, ShapeMismatch
-from ncdef.yoneda import (Cochain, ExtComputer, FreeResolution, Mat,
+from ncdef.errors import NotACoboundary, ShapeMismatch, ValidationError
+from ncdef.linalg import Echelon
+from ncdef.presets import problem_from_json
+from ncdef.yoneda import (BOUNDARY_SLACK, Cochain, ExtComputer, FreeResolution, Mat,
                           ResolutionBundle, SparseSystem, bound_ladder,
                           compose_cochains, is_cocycle, project_ext2,
                           solve_coboundary, yoneda_differential)
@@ -199,6 +204,41 @@ def test_ext_basis_weyl(weyl_computer, weyl_computed_basis, weyl):
 ])
 def test_bound_ladder_rungs(args, rungs):
     assert list(bound_ladder(*args)) == rungs
+
+
+@pytest.mark.parametrize("retry_step", [0, -2])
+def test_bound_ladder_rejects_a_step_below_one(retry_step):
+    # such a ladder would repeat its first rung or walk down forever
+    with pytest.raises(ValidationError):
+        list(islice(bound_ladder(4, retry_step, 12), 5))
+
+
+@pytest.fixture(scope="module")
+def poly3():
+    spec = Path(__file__).parent / "specs" / "poly3.json"
+    return problem_from_json(json.loads(spec.read_text()))
+
+
+@pytest.mark.parametrize("problem", ["weyl", "poly3"])
+def test_boundary_echelon_is_the_window_part_of_the_boundaries(problem, request):
+    # rank of (boundaries intersect window) = rank of all boundary generators
+    # minus rank of their projections onto the columns outside the window
+    bundle = request.getfixturevalue(problem).bundle
+    computer = ExtComputer(bundle)
+    degree = bundle.pres.word_degree
+    for i in range(1, bundle.p + 1):
+        for j in range(1, bundle.p + 1):
+            for n in (1, 2):
+                for bound in (4, 5):
+                    whole, outside = Echelon(), Echelon()
+                    for lab in computer._coords(i, j, n - 1, bound + BOUNDARY_SLACK):
+                        v = computer._apply_d(i, j, n - 1, {lab: Fraction(1)})
+                        whole.add(v)
+                        outside.add({c: x for c, x in v.items() if degree(c[1]) > bound})
+                    ech = computer._boundary_echelon(i, j, n, bound)
+                    assert ech.rank == whole.rank - outside.rank
+                    assert all(degree(c[1]) <= bound
+                               for row in ech.rows.values() for c in row)
 
 
 def test_lift_tries_a_degree_bound_above_max_bound(weyl):
