@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import DegreeOverflow, StepBudgetExceeded, UnsupportedIdeal, ValidationError
+from .errors import StepBudgetExceeded, UnsupportedIdeal, ValidationError
 
 Word = tuple  # tuple of generator names
 
@@ -251,29 +251,6 @@ def multiply(a, b):
     return out
 
 
-def expand_to_basis(a, degree_bound):
-    """Coefficient vector of ``a`` over the ordered normal-word basis.
-
-    Indexing follows ``normal_words(degree_bound)``; raises DegreeOverflow
-    when ``a`` has a word above the bound.
-    """
-    pres = a.pres
-    if a.degree() > degree_bound:
-        raise DegreeOverflow("element of degree %d above bound %d"
-                             % (a.degree(), degree_bound))
-    words = pres.normal_words(degree_bound)
-    index = {w: k for k, w in enumerate(words)}
-    vec = [Fraction(0)] * len(words)
-    for w, c in a.terms.items():
-        vec[index[w]] = c
-    return vec
-
-
-def element_from_vector(pres, vec, degree_bound):
-    words = pres.normal_words(degree_bound)
-    return pres.element({w: c for w, c in zip(words, vec) if c})
-
-
 def _linked_pairs(pres):
     """Generator pairs whose rewrite rule is not a pure transposition."""
     pairs = []
@@ -346,10 +323,6 @@ class QuotientModule:
     def act(self, a, rep):
         """Left action of a on a class representative, reduced."""
         return self.reduce(multiply(a, rep))
-
-
-def quotient_normal_form(a, ideal_gens):
-    return QuotientModule(a.pres, ideal_gens).reduce(a)
 
 
 # ---------------------------------------------------------------------------

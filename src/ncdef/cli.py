@@ -28,26 +28,34 @@ EXIT_SOLVER = 3
 EXIT_INTERNAL = 4
 
 
+def _read_json_object(path, what):
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValidationError("cannot read %s %s: %s" % (what, path, exc))
+    if not isinstance(data, dict):
+        raise ValidationError("%s %s is not a JSON object" % (what, path))
+    return data
+
+
 def _load_problem(args):
-    options = RunOptions()
-    if getattr(args, "max_order", None) is not None:
-        options.max_order = args.max_order
-    if getattr(args, "degree_bound", None) is not None:
-        options.degree_bound = args.degree_bound
-    if getattr(args, "verify_cutoff", None) is not None:
-        options.verify_cutoff = args.verify_cutoff
+    """The problem, run with its spec's options and the flags given over them."""
+    flags = {key: getattr(args, key, None)
+             for key in ("max_order", "degree_bound", "verify_cutoff")}
+    flags = {key: value for key, value in flags.items() if value is not None}
     if getattr(args, "computed_basis", False):
-        options.use_computed_basis = True
+        flags["use_computed_basis"] = True
     if getattr(args, "no_early_stop", False):
-        options.stop_on_stabilized = False
+        flags["stop_on_stabilized"] = False
     if args.preset:
-        return load_preset(args.preset, options)
+        return load_preset(args.preset, RunOptions.from_json(flags))
     if args.spec:
-        try:
-            data = json.loads(Path(args.spec).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError("cannot read spec %s: %s" % (args.spec, exc))
-        return problem_from_json(data, options)
+        data = _read_json_object(args.spec, "spec")
+        spec_options = data.get("options") or {}
+        if not isinstance(spec_options, dict):
+            raise ValidationError("spec options must be a JSON object")
+        return problem_from_json(data, RunOptions.from_json({**spec_options,
+                                                             **flags}))
     raise ValidationError("give --preset or --spec (presets: %s)"
                           % ", ".join(preset_names()))
 
@@ -145,11 +153,7 @@ def cmd_massey(args):
 
 
 def cmd_verify(args):
-    try:
-        report = json.loads(Path(args.report).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError("cannot read report %s: %s" % (args.report, exc))
-    ok, messages = verify_report(report)
+    ok, messages = verify_report(_read_json_object(args.report, "report"))
     for message in messages:
         print(message)
     if not ok:
@@ -159,13 +163,8 @@ def cmd_verify(args):
 
 
 def cmd_diff(args):
-    reports = []
-    for path in (args.report_a, args.report_b):
-        try:
-            reports.append(json.loads(Path(path).read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError("cannot read report %s: %s" % (path, exc))
-    diffs = diff_reports(reports[0], reports[1])
+    diffs = diff_reports(_read_json_object(args.report_a, "report"),
+                         _read_json_object(args.report_b, "report"))
     if args.json:
         sys.stdout.write(canonical_json({"schema": "ncdef-diff/1",
                                          "differences": diffs}))

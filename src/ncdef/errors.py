@@ -21,10 +21,6 @@ class UnsupportedIdeal(ValidationError):
     """Left ideal generators outside the supported monomial class."""
 
 
-class NotSurjective(ValidationError):
-    """Map claimed surjective is not."""
-
-
 class InconsistentRelations(ValidationError):
     """A relation in a quotient forces an idempotent to vanish."""
 
@@ -35,10 +31,6 @@ class SolverBoundError(NcdefError):
 
 class StepBudgetExceeded(SolverBoundError):
     """Rewriting did not terminate within the configured step budget."""
-
-
-class DegreeOverflow(SolverBoundError):
-    """Element contains a word above the requested degree bound."""
 
 
 class NotStabilized(SolverBoundError):

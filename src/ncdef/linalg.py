@@ -122,7 +122,7 @@ def solve_sparse(equations):
             if var in rows and rhs_col in rows[var]}
 
 
-def kernel_basis(vectors, tags=None):
+def kernel_basis(vectors, tags):
     """Basis of linear relations among ``vectors``.
 
     Vector k carries one augmented column, of coefficient 1, that ranks
@@ -130,10 +130,8 @@ def kernel_basis(vectors, tags=None):
     before it.  A vector that reduces into the span of the earlier ones
     therefore pivots on its own augmented column, and its augmented part is
     the unique relation expressing it over the earlier independent vectors,
-    returned over ``tags`` (defaults to list indices).  Deterministic.
+    returned over ``tags``, one per vector.  Deterministic.
     """
-    if tags is None:
-        tags = list(range(len(vectors)))
     real = len(vectors)
     ech = Echelon(priority=lambda c: c.index if type(c) is _Augmented else real)
     kernel = []

@@ -23,9 +23,8 @@ from .checker import LiftedComplex, curvature, verify_lifted_complex
 from .errors import (FlatnessViolated, NcdefError, NotACoboundary, NotACocycle,
                      ProjectionFailed, ValidationError)
 from .matrix_ring import (MatricPoly, Monomial, RelTag, build_quotient,
-                          build_tagged_truncation, concat, divisor_monomials,
-                          divisor_truncation, factorizations, format_monomial,
-                          format_tag, quotient_by_vectors)
+                          build_tagged_truncation, concat, divisor_truncation,
+                          format_monomial, format_tag, quotient_by_vectors)
 from .yoneda import compose_cochains, is_cocycle, project_ext2, solve_coboundary
 
 
@@ -130,25 +129,6 @@ def _project(state, y):
     coeffs, _ = project_ext2(y, basis, degree_bound=opts.degree_bound,
                              retry_step=opts.retry_step, max_bound=opts.max_bound)
     return coeffs
-
-
-def massey_products_of_order(state):
-    """Map X in B'(n) -> Ext^2 coefficient vector (by relation tag)."""
-    _, ys, _ = order_obstructions(state)
-    out = {}
-    for x in sorted(ys, key=Monomial.key):
-        coeffs = _project(state, ys[x])
-        out[x] = {RelTag(x.i, x.j, l + 1): c for l, c in enumerate(coeffs) if c}
-    return out
-
-
-def obstruction_cocycle(x, state):
-    """The 2-cocycle y(X) attached to a top-degree basis monomial."""
-    _, ys, _ = order_obstructions(state)
-    if x not in ys:
-        raise ValidationError("%r is not a degree-%d basis monomial"
-                              % (x, state.order))
-    return ys[x]
 
 
 def advance_order(state):
@@ -352,11 +332,14 @@ def immediate_massey(x, cochains, ext, options):
     """Matric Massey product attached to the monomial x.
 
     ``cochains`` maps each arrow dividing x to a 1-cocycle of its type.  A
-    defining system over the divisor algebra of x is grown degree by degree
-    with the coboundary solver; if some intermediate divisor blocks, the
+    defining system over the divisor algebra of x (which keeps x) is grown
+    degree by degree: the curvature component of each new divisor is the
+    factorization sum over the divisors already in the system, and the
+    coboundary solver kills it.  If some intermediate divisor blocks, the
     product is undefined for this input and the blocking divisor is
-    reported.  The value is the Ext^2 projection of the factorization sum,
-    computed from the deterministic system this engine found.
+    reported.  The last curvature must vanish on every proper divisor; its
+    component at x, projected onto Ext^2, is the value for the deterministic
+    system this engine found.
     """
     bundle = ext.bundle
     if x.degree < 2:
@@ -364,8 +347,7 @@ def immediate_massey(x, cochains, ext, options):
     system = {}
     for i in range(1, bundle.p + 1):
         system[Monomial.idempotent(i)] = bundle.differential_cochain(i)
-    needed = sorted({a for a in x.arrows}, key=lambda a: (a[0], a[1], a[2]))
-    for arrow in needed:
+    for arrow in sorted(set(x.arrows)):
         if arrow not in cochains:
             raise ValidationError("missing cochain for dividing arrow %s"
                                   % (arrow,))
@@ -376,41 +358,26 @@ def immediate_massey(x, cochains, ext, options):
             raise NotACocycle("input cochain for %s" % (arrow,))
         system[Monomial.from_arrows([arrow])] = phi
 
-    def partial_sum(z):
-        total = None
-        for left, right in factorizations(z):
-            ca = system.get(left)
-            cb = system.get(right)
-            if ca is None or cb is None or left.degree == 0 or right.degree == 0:
+    algebra = divisor_truncation(x, bundle.p)
+    for degree in range(2, x.degree):
+        curv = curvature(algebra, system, bundle)
+        for z in algebra.basis_of_degree(degree):
+            if z not in curv:
                 continue
-            comp = compose_cochains(ca, cb)
-            total = comp if total is None else total.add(comp)
-        return total if total is not None \
-            else bundle.zero_cochain(2, z.i, z.j)
+            try:
+                system[z] = solve_coboundary(curv[z],
+                                             degree_bound=options.degree_bound,
+                                             retry_step=options.retry_step,
+                                             max_bound=options.max_bound)
+            except NotACoboundary:
+                return MasseyValue(defined=False, failed_at=z)
 
-    for z in divisor_monomials(x):
-        if z.degree < 2:
-            continue
-        target = partial_sum(z)
-        if target.is_zero():
-            continue
-        try:
-            alpha = solve_coboundary(target, degree_bound=options.degree_bound,
-                                     retry_step=options.retry_step,
-                                     max_bound=options.max_bound)
-        except NotACoboundary:
-            return MasseyValue(defined=False, failed_at=z)
-        system[z] = alpha
-
-    # cross-check: the extended family is a flat complex over the divisor
-    # algebra of x (the quotient in which only x itself has been killed)
-    s_of_x = divisor_truncation(x, bundle.p)
-    ok, failure = verify_lifted_complex(LiftedComplex(s_of_x, bundle, system))
-    if not ok:
+    curv = curvature(algebra, system, bundle)
+    value = curv.pop(x, bundle.zero_cochain(2, x.i, x.j))
+    if curv:
+        failure = min(curv)
         raise FlatnessViolated("defining system for %r fails at %r"
                                % (x, failure))
-
-    value = partial_sum(x)
     basis = ext.ext2.get(x.type, [])
     if value.is_zero():
         coeffs = [Fraction(0)] * len(basis)

@@ -27,8 +27,8 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InconsistentRelations, NotSurjective, ValidationError
-from .linalg import Echelon, kernel_basis, vec_add
+from .errors import InconsistentRelations, ValidationError
+from .linalg import Echelon
 
 RelTag = namedtuple("RelTag", ["i", "j", "l"])
 
@@ -121,16 +121,6 @@ def factorizations(x):
     return out
 
 
-def divides(xp, x):
-    """True when xp occurs as a contiguous typed subword of x."""
-    if not xp.arrows:
-        verts = [x.i] + [a[1] for a in x.arrows]
-        return xp.i in verts
-    n = len(xp.arrows)
-    return any(x.arrows[k:k + n] == xp.arrows
-               for k in range(len(x.arrows) - n + 1))
-
-
 def divisor_monomials(x):
     """Distinct positive-degree proper divisors of x, in key order."""
     seen = set()
@@ -194,15 +184,12 @@ class GeneratorTable:
         }
 
 
-def monomials_of_degree(table, n, type=None):
-    """Composable degree-n monomials, optionally of one type, in key order."""
+def monomials_of_degree(table, n):
+    """Composable degree-n monomials in key order."""
     if n < 0:
         raise ValidationError("degree must be nonnegative")
     if n == 0:
-        out = [Monomial.idempotent(i) for i in range(1, table.p + 1)]
-        if type is not None:
-            out = [m for m in out if m.type == tuple(type)]
-        return out
+        return [Monomial.idempotent(i) for i in range(1, table.p + 1)]
     words = []
 
     def extend(prefix, at):
@@ -212,11 +199,8 @@ def monomials_of_degree(table, n, type=None):
         for arrow in table.arrows_from(at):
             extend(prefix + [arrow], arrow[1])
 
-    starts = range(1, table.p + 1) if type is None else [type[0]]
-    for i in starts:
+    for i in range(1, table.p + 1):
         extend([], i)
-    if type is not None:
-        words = [m for m in words if m.type == tuple(type)]
     words.sort(key=Monomial.key)
     return words
 
@@ -352,14 +336,13 @@ class FiniteDimPointedAlgebra:
     expansion: Monomial -> index coords, for all monomials below the cutoff
     """
 
-    def __init__(self, p, basis, products, expansion, cutoff, table=None):
+    def __init__(self, p, basis, products, expansion, cutoff):
         self.p = p
         self.basis = list(basis)
         self.index = {b: k for k, b in enumerate(self.basis)}
         self.products = products
         self._expansion = expansion
         self.cutoff = cutoff
-        self.table = table
         self.idempotents = {}
         for i in range(1, p + 1):
             e = Monomial.idempotent(i)
@@ -408,21 +391,6 @@ class FiniteDimPointedAlgebra:
                     else:
                         out.pop(c, None)
         return out
-
-    def radical_power_is_zero(self, n):
-        rad = [{k: Fraction(1)} for k in self.radical_indices()]
-        current = rad
-        for _ in range(n - 1):
-            nxt = []
-            for u in current:
-                for v in rad:
-                    w = self.mult_coords(u, v)
-                    if w:
-                        nxt.append(w)
-            current = nxt
-            if not current:
-                return True
-        return not current
 
 
 def _least_degree(row):
@@ -541,7 +509,7 @@ def _assemble(table, cutoff, elim, extra_tags):
             if coords:
                 products[(a, b)] = coords
     return FiniteDimPointedAlgebra(table.p, basis, products, expansion,
-                                   cutoff=cutoff, table=table)
+                                   cutoff=cutoff)
 
 
 def build_quotient(table, relations, cutoff):
@@ -649,132 +617,22 @@ def quotient_by_vectors(algebra, vectors):
             products[(reindex[a], reindex[b])] = pushed
     expansion = {m: push(dict(coords)) for m, coords in algebra._expansion.items()}
     quot = FiniteDimPointedAlgebra(algebra.p, [algebra.basis[k] for k in keep],
-                                   products, expansion, algebra.cutoff,
-                                   table=algebra.table)
+                                   products, expansion, algebra.cutoff)
     return quot, eliminated, push
 
 
-def divisor_truncation(x, p, table=None, include_self=False):
-    """Pointed algebra with basis the idempotents and proper divisors of x.
+def divisor_truncation(x, p):
+    """Pointed algebra with basis the idempotents, the divisors of x and x.
 
-    Products follow concatenation: results not dividing x vanish, as does x
-    itself unless ``include_self``.  The natural map from the include_self
-    variant onto the plain one is a small surjection with one-dimensional
-    kernel spanned by x.
+    Products follow concatenation: z = left * right for each factorization
+    of a basis monomial z, and products that do not divide x vanish.
     """
     basis = [Monomial.idempotent(i) for i in range(1, p + 1)]
-    basis += divisor_monomials(x)
-    if include_self:
-        basis.append(x)
+    basis += divisor_monomials(x) + [x]
     basis.sort(key=label_sort_key)
     index = {b: k for k, b in enumerate(basis)}
-    products = {}
-    for a, la in enumerate(basis):
-        for b, lb in enumerate(basis):
-            m = concat(la, lb)
-            if m is INCOMPATIBLE or m not in index:
-                continue
-            products[(a, b)] = {index[m]: Fraction(1)}
+    products = {(index[left], index[right]): {index[z]: Fraction(1)}
+                for z in basis for left, right in factorizations(z)}
     expansion = {m: {index[m]: Fraction(1)} for m in basis}
     return FiniteDimPointedAlgebra(p, basis, products, expansion,
-                                   cutoff=x.degree + 1, table=table)
-
-
-class AlgebraMap:
-    """Linear map between pointed algebras; images keyed by target index."""
-
-    def __init__(self, source, target, images):
-        self.source = source
-        self.target = target
-        self.images = {label: dict(coords) for label, coords in images.items()}
-        for label in source.basis:
-            if label not in self.images:
-                raise ValidationError("map missing image of %r" % (label,))
-
-    def apply(self, coords):
-        out = {}
-        for k, c in coords.items():
-            out = vec_add(out, self.images[self.source.basis[k]], c)
-        return out
-
-    def is_surjective(self):
-        ech = Echelon(priority=lambda c: c)
-        rank = 0
-        for label in self.source.basis:
-            if ech.add(self.images[label]) is not None:
-                rank += 1
-        return rank == self.target.dim
-
-    def kernel(self):
-        """Basis of the kernel as source index coordinate vectors."""
-        vectors = [self.images[label] for label in self.source.basis]
-        return kernel_basis(vectors, tags=list(range(self.source.dim)))
-
-    @staticmethod
-    def compose(second, first):
-        images = {label: second.apply(first.images[label])
-                  for label in first.source.basis}
-        return AlgebraMap(first.source, second.target, images)
-
-    @staticmethod
-    def identity(algebra):
-        return AlgebraMap(algebra, algebra,
-                          {b: {k: Fraction(1)} for k, b in enumerate(algebra.basis)})
-
-
-def factor_small_surjections(u):
-    """Factor a surjection of pointed algebras into small surjections.
-
-    Builds the descending ideal chain W_{s+1} = I*W_s + W_s*I starting from
-    the kernel; each successive quotient step has a kernel killed by the
-    radical on both sides.  Returns the list of small steps composing to u;
-    an injective u factors as the empty list.
-    """
-    if not u.is_surjective():
-        raise NotSurjective("map is not surjective")
-    R = u.source
-    kernel = []
-    for v in u.kernel():
-        kernel.extend(_type_split(R.basis, v))
-    if not kernel:
-        return []
-    chain = [kernel]
-    current = kernel
-    rad = R.radical_indices()
-    while True:
-        nxt = []
-        ech = Echelon(priority=lambda c: c)
-        for v in current:
-            for r in rad:
-                for left in (True, False):
-                    ru = {r: Fraction(1)}
-                    w = R.mult_coords(ru, v) if left else R.mult_coords(v, ru)
-                    if w and ech.add(dict(w)) is not None:
-                        nxt.append(w)
-        if not nxt:
-            break
-        chain.append(nxt)
-        current = nxt
-    steps = []
-    prev_alg = R
-    prev_map = AlgebraMap.identity(R)
-    for s in range(len(chain) - 1, -1, -1):
-        vectors = [prev_map.apply(v) for v in chain[s]]
-        vectors = [v for v in vectors if v]
-        if not vectors:
-            continue
-        quot, _, push = quotient_by_vectors(prev_alg, vectors)
-        images = {label: push({prev_alg.index[label]: Fraction(1)})
-                  for label in prev_alg.basis}
-        step = AlgebraMap(prev_alg, quot, images)
-        steps.append(step)
-        prev_map = AlgebraMap.compose(step, prev_map)
-        prev_alg = quot
-    # identify the last quotient with the stated target: label-wise, using u
-    finals = {label: u.images[label] for label in prev_alg.basis}
-    ident = AlgebraMap(prev_alg, u.target, finals)
-    last = steps[-1]
-    steps[-1] = AlgebraMap(last.source, u.target,
-                           {lab: ident.apply(last.images[lab])
-                            for lab in last.source.basis})
-    return steps
+                                   cutoff=x.degree + 1)

@@ -31,14 +31,24 @@ class RunOptions:
 
     @staticmethod
     def from_json(data):
+        if not isinstance(data, dict):
+            raise ValidationError("options must be a JSON object")
         opts = RunOptions()
-        for key, value in (data or {}).items():
+        for key, value in data.items():
             if not hasattr(opts, key):
                 raise ValidationError("unknown option %r" % key)
             setattr(opts, key, value)
-        for key in ("degree_bound", "retry_step", "max_bound", "max_order"):
-            if getattr(opts, key) <= 0:
-                raise ValidationError("option %s must be positive" % key)
+        counts = ["degree_bound", "retry_step", "max_bound", "max_order"]
+        if opts.verify_cutoff is not None:
+            counts.append("verify_cutoff")
+        for key in counts:
+            value = getattr(opts, key)
+            if type(value) is not int or value <= 0:
+                raise ValidationError("option %s must be a positive integer, "
+                                      "got %r" % (key, value))
+        for key in ("stop_on_stabilized", "use_computed_basis"):
+            if type(getattr(opts, key)) is not bool:
+                raise ValidationError("option %s must be true or false" % key)
         return opts
 
 
@@ -151,7 +161,7 @@ def problem_from_json(data, options=None):
         raise ValidationError("problem spec must be a JSON object")
     if data.get("schema") != SCHEMA_PROBLEM:
         raise ValidationError("expected schema %r" % SCHEMA_PROBLEM)
-    opts = options or RunOptions.from_json(data.get("options"))
+    opts = options or RunOptions.from_json(data.get("options") or {})
     if "preset" in data:
         return load_preset(data["preset"], opts)
     algebra = data.get("algebra")
@@ -167,6 +177,8 @@ def problem_from_json(data, options=None):
     resolutions = []
     names = []
     for k, mod in enumerate(modules, start=1):
+        if not isinstance(mod, dict) or not {"ideal", "ranks", "diffs"} <= set(mod):
+            raise ValidationError("module %d needs 'ideal', 'ranks' and 'diffs'" % k)
         name = mod.get("name", "M%d" % k)
         names.append(name)
         resolutions.append(FreeResolution(pres, mod["ideal"], mod["ranks"],

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .algebra import format_scalar
-from .errors import SchemaMismatch
+from .errors import SchemaMismatch, ValidationError
 from .matrix_ring import (Monomial, build_quotient, format_monomial,
                           format_poly, format_tag, monomials_of_degree,
                           parse_monomial)
@@ -20,10 +20,10 @@ from .presets import cochain_from_json, cochain_to_json
 SCHEMA_REPORT = "ncdef-report/1"
 
 
-def ext_tables(computer, p, degree_bound=None):
-    ext1 = [[computer.ext_dimension(i, j, 1, degree_bound)
+def ext_tables(computer, p):
+    ext1 = [[computer.ext_dimension(i, j, 1)
              for j in range(1, p + 1)] for i in range(1, p + 1)]
-    ext2 = [[computer.ext_dimension(i, j, 2, degree_bound)
+    ext2 = [[computer.ext_dimension(i, j, 2)
              for j in range(1, p + 1)] for i in range(1, p + 1)]
     return {"ext1": ext1, "ext2": ext2}
 
@@ -162,7 +162,7 @@ def diff_reports(a, b):
     return out
 
 
-def verify_report(report, problem=None):
+def verify_report(report):
     """Re-check a saved report: relations, versal family, certificate.
 
     Rebuilds the truncated hull from the stored relations, reads the stored
@@ -175,9 +175,12 @@ def verify_report(report, problem=None):
 
     if report.get("schema") != SCHEMA_REPORT:
         raise SchemaMismatch("not a %s document" % SCHEMA_REPORT)
+    missing = [key for key in ("problem", "ext_table", "relations", "versal_family")
+               if key not in report]
+    if missing:
+        raise ValidationError("report lacks %s" % ", ".join(missing))
     messages = []
-    if problem is None:
-        problem = problem_from_json(report["problem"])
+    problem = problem_from_json(report["problem"])
     bundle = problem.bundle
     p = bundle.p
     ext1 = report["ext_table"]["ext1"]

@@ -460,10 +460,9 @@ class ExtComputer:
                 return out
         raise SolverBoundError("no bounded-degree solution for the lift")
 
-    def ext_basis(self, i, j, n, degree_bound=None):
+    def ext_basis(self, i, j, n):
         """Deterministic Yoneda representatives spanning Ext^n(M_j, M_i)."""
-        bound = degree_bound if degree_bound is not None else self.degree_bound
-        reps = self._hom_representatives(i, j, n, bound)
+        reps = self._hom_representatives(i, j, n, self.degree_bound)
         return [self._lift_to_yoneda(i, j, n, v) for v in reps]
 
     def hom_vector(self, phi, bound):
@@ -656,15 +655,14 @@ class ExtBasis:
         return self.ext2[(i, j)][l - 1]
 
     @staticmethod
-    def computed(computer, degree_bound=None):
+    def computed(computer):
         bundle = computer.bundle
-        bound = degree_bound if degree_bound is not None else computer.degree_bound
         ext1, ext2 = {}, {}
         for i in range(1, bundle.p + 1):
             for j in range(1, bundle.p + 1):
-                ext1[(i, j)] = computer.ext_basis(i, j, 1, bound)
-                ext2[(i, j)] = computer.ext_basis(i, j, 2, bound)
-        return ExtBasis(bundle, ext1, ext2, bound, "computed")
+                ext1[(i, j)] = computer.ext_basis(i, j, 1)
+                ext2[(i, j)] = computer.ext_basis(i, j, 2)
+        return ExtBasis(bundle, ext1, ext2, computer.degree_bound, "computed")
 
     def certify(self, computer):
         """Check cocycle conditions, dimensions, and independence."""

@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from ncdef.massey import compute_hull
-from ncdef.presets import RunOptions, load_preset
+from ncdef.presets import RunOptions, load_preset, problem_from_json
 from ncdef.yoneda import ExtBasis, ExtComputer
 
 
@@ -36,3 +39,17 @@ def poly1():
 def poly1_state(poly1):
     return compute_hull(poly1.preset_basis,
                         RunOptions(max_order=6, stop_on_stabilized=False))
+
+
+@pytest.fixture(scope="session")
+def poly3():
+    spec = Path(__file__).parent / "specs" / "poly3.json"
+    return problem_from_json(json.loads(spec.read_text()))
+
+
+@pytest.fixture(scope="session")
+def poly3_computed_basis(poly3):
+    computer = ExtComputer(poly3.bundle, degree_bound=4)
+    basis = ExtBasis.computed(computer)
+    basis.certify(computer)
+    return basis

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from ncdef.cli import main
 
@@ -228,3 +231,74 @@ def test_preset_spec_round_trip():
         assert again.name == problem.name
         assert again.to_json() == problem.to_json()
         assert again.bundle.p == problem.bundle.p
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "--preset", "poly1-point", "--degree-bound", "-3"],
+    ["ext", "--preset", "weyl2-simple4", "--degree-bound", "-1"],
+    ["run", "--preset", "poly1-point", "--max-order", "-2"],
+    ["run", "--preset", "poly1-point", "--verify-cutoff", "0"],
+])
+def test_bad_option_flags_fail_validation(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: option")
+    assert "Traceback" not in err
+
+
+def _preset_spec(tmp_path, options):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"schema": "ncdef-problem/1",
+                                "preset": "poly1-point", "options": options}))
+    return str(path)
+
+
+@pytest.mark.parametrize("options", [
+    {"degree_bound": "4"}, {"max_order": 0}, {"stop_on_stabilized": 1},
+    {"verify_cutoff": 2.5}, {"nope": 1}, [["max_order", 3]],
+])
+def test_bad_spec_options_fail_validation(options, tmp_path, capsys):
+    assert main(["ext", "--spec", _preset_spec(tmp_path, options)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err
+
+
+def test_spec_options_apply_and_flags_override_them(tmp_path, capsys):
+    spec = _preset_spec(tmp_path, {"max_order": 3, "stop_on_stabilized": False})
+    assert main(["run", "--spec", spec, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["final_order"] == 4
+    assert report["problem"]["options"]["max_order"] == 3
+    assert main(["run", "--spec", spec, "--max-order", "4", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["final_order"] == 5
+    assert report["problem"]["options"]["max_order"] == 4
+    assert report["problem"]["options"]["stop_on_stabilized"] is False
+
+
+def _write(tmp_path, name, document):
+    path = tmp_path / name
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+def test_verify_report_without_problem_fails_validation(tmp_path, capsys):
+    path = _write(tmp_path, "r.json", {"schema": "ncdef-report/1"})
+    assert main(["verify", path]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "diff"])
+def test_report_that_is_not_an_object_fails_validation(command, tmp_path, capsys):
+    path = _write(tmp_path, "r.json", [1, 2])
+    argv = [command, path] + ([path] if command == "diff" else [])
+    assert main(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_spec_module_without_ideal_fails_validation(tmp_path, capsys):
+    spec = json.loads((Path(__file__).parent / "specs" / "poly3.json").read_text())
+    del spec["modules"][0]["ideal"]
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

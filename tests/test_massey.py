@@ -6,10 +6,10 @@ import pytest
 
 from ncdef.algebra import AlgebraPresentation
 from ncdef.massey import (advance_order, check_stabilized, compute_hull,
-                          immediate_massey, init_order2,
-                          massey_products_of_order, obstruction_cocycle)
+                          immediate_massey, init_order2, order_obstructions)
 from ncdef.matrix_ring import (MatricPoly, Monomial, RelTag, format_monomial,
-                               format_poly, format_tag, parse_monomial)
+                               format_poly, format_tag, monomials_of_degree,
+                               parse_monomial)
 from ncdef.presets import RunOptions
 from ncdef.yoneda import (Cochain, ExtBasis, ExtComputer, FreeResolution, Mat,
                           ResolutionBundle, is_cocycle, yoneda_differential)
@@ -43,17 +43,17 @@ def test_init_order2(weyl):
 
 def test_obstruction_cocycles_order2(weyl):
     state = init_order2(weyl.preset_basis, RunOptions())
+    _, ys, _ = order_obstructions(state)
     for name, (tag, value) in KNOWN_PRODUCTS.items():
-        y = obstruction_cocycle(parse_monomial(name, 4), state)
+        y = ys[parse_monomial(name, 4)]
         assert is_cocycle(y)
         assert y.mats[0].get(0, 0) == weyl.pres.parse(str(value))
-    zero = obstruction_cocycle(parse_monomial("x12*x21", 4), state)
-    assert zero.is_zero()
+    assert ys[parse_monomial("x12*x21", 4)].is_zero()
 
 
 def test_order2_products_match_known_values(weyl):
     state = init_order2(weyl.preset_basis, RunOptions())
-    products = massey_products_of_order(state)
+    products = advance_order(state).products_log[2]
     assert len(products) == 16
     for x, val in products.items():
         name = format_monomial(x)
@@ -81,11 +81,11 @@ def test_advance_basis_and_corrections(weyl_state):
 
 
 def test_order3_products_all_zero(weyl_state):
-    products = massey_products_of_order(weyl_state)
+    state4 = advance_order(weyl_state)
+    products = state4.products_log[3]
     assert len(products) == 16
     assert all(v == {} for v in products.values())
     # regression: advancing does not change the relation series
-    state4 = advance_order(weyl_state)
     assert {format_tag(t): format_poly(f) for t, f in state4.relations().items()} \
         == KNOWN_RELATIONS
 
@@ -298,6 +298,40 @@ def test_immediate_massey_degree3_regression(weyl):
     value = immediate_massey(x, cochains, basis, RunOptions(max_bound=6))
     assert not value.defined
     assert format_monomial(value.failed_at) == "x12*x24"
+
+
+def _immediate_massey_with_basis(x, basis, options):
+    cochains = {arrow: basis.ext1_rep(*arrow) for arrow in x.arrows}
+    return immediate_massey(x, cochains, basis, options)
+
+
+@pytest.mark.parametrize("problem", ["weyl", "poly3"])
+def test_immediate_massey_agrees_with_order2_products(problem, request):
+    # on a degree-2 monomial the immediate product and the hull's order-2
+    # product are the same cup product projected onto the same Ext^2 basis
+    basis = (request.getfixturevalue(problem).preset_basis
+             or request.getfixturevalue("poly3_computed_basis"))
+    options = RunOptions()
+    products = advance_order(init_order2(basis, options)).products_log[2]
+    monomials = monomials_of_degree(basis.table(), 2)
+    assert len(monomials) == {"weyl": 16, "poly3": 9}[problem]
+    for x in monomials:
+        value = _immediate_massey_with_basis(x, basis, options)
+        assert value.defined, x
+        assert value.coefficients == products[x], x
+
+
+@pytest.mark.parametrize("problem, name, failed_at", [
+    ("weyl", "x12*x21*x13*x34", "x13*x34"),
+    ("poly3", "x1_1_1*x1_1_2*x1_1_3", "x1_1_1*x1_1_2"),
+])
+def test_immediate_massey_failed_at(problem, name, failed_at, request):
+    basis = (request.getfixturevalue(problem).preset_basis
+             or request.getfixturevalue("poly3_computed_basis"))
+    x = parse_monomial(name, basis.bundle.p)
+    value = _immediate_massey_with_basis(x, basis, RunOptions())
+    assert not value.defined
+    assert format_monomial(value.failed_at, basis.table()) == failed_at
 
 
 def test_determinism_two_runs(weyl):

@@ -1,15 +1,12 @@
-import json
 import random
 from fractions import Fraction
 from itertools import islice
-from pathlib import Path
 
 import pytest
 
 from ncdef.algebra import preset_presentation
 from ncdef.errors import NotACoboundary, ShapeMismatch, ValidationError
 from ncdef.linalg import Echelon
-from ncdef.presets import problem_from_json
 from ncdef.yoneda import (BOUNDARY_SLACK, Cochain, ExtComputer, FreeResolution, Mat,
                           ResolutionBundle, SparseSystem, bound_ladder,
                           compose_cochains, is_cocycle, project_ext2,
@@ -211,12 +208,6 @@ def test_bound_ladder_rejects_a_step_below_one(retry_step):
     # such a ladder would repeat its first rung or walk down forever
     with pytest.raises(ValidationError):
         list(islice(bound_ladder(4, retry_step, 12), 5))
-
-
-@pytest.fixture(scope="module")
-def poly3():
-    spec = Path(__file__).parent / "specs" / "poly3.json"
-    return problem_from_json(json.loads(spec.read_text()))
 
 
 @pytest.mark.parametrize("problem", ["weyl", "poly3"])
