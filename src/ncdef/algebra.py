@@ -67,11 +67,6 @@ class AlgebraPresentation:
     def one(self):
         return AlgebraElement(self, {(): Fraction(1)})
 
-    def gen(self, name):
-        if name not in self.gen_index:
-            raise ValidationError("unknown generator %r" % name)
-        return AlgebraElement(self, {(name,): Fraction(1)})
-
     def element(self, terms):
         out = {}
         for w, c in terms.items():
@@ -150,9 +145,6 @@ class AlgebraElement:
         if not self.terms:
             return -1
         return max(self.pres.word_degree(w) for w in self.terms)
-
-    def coefficient(self, word):
-        return self.terms.get(tuple(word), Fraction(0))
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -331,6 +323,13 @@ class QuotientModule:
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-))")
 
 
+def _parse_scalar(num, text):
+    try:
+        return Fraction(num)
+    except ZeroDivisionError:
+        raise ValidationError("zero denominator in %r" % text)
+
+
 def parse_element(pres, text, allow_reducible=False):
     """Parse '2/3*x^2*Dy - x + 1' style expressions into an element."""
     pos = 0
@@ -369,7 +368,7 @@ def parse_element(pres, text, allow_reducible=False):
             if minus:
                 sign = -sign
         elif num:
-            c = Fraction(num)
+            c = _parse_scalar(num, text)
             coeff = c if coeff is None else coeff * c
             have_term = True
         elif name:
@@ -378,7 +377,7 @@ def parse_element(pres, text, allow_reducible=False):
                 nxt = tokens[i + 2].groups()[0]
                 if nxt is None:
                     raise ValidationError("expected exponent in %r" % text)
-                power = int(Fraction(nxt))
+                power = int(_parse_scalar(nxt, text))
                 i += 2
             word.extend([name] * power)
             have_term = True

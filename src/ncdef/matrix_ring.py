@@ -5,20 +5,20 @@ in arrows (a, b, l); degree-0 monomials are the idempotents e_i.  Finite
 dimensional pointed quotients are built by exact Gaussian elimination of a
 two-sided ideal together with all monomials of degree >= cutoff.
 
-The elimination order is degree first (lower degree wins), then, within a
-degree, words whose two length-(d-1) faces were both eliminated go first,
-then the largest word under a fixed arrow key is removed from the basis.
-The arrow key is (source, |source-target|, target, index): sorting arrows by
-block distance before target makes the surviving bases of the shipped
-truncations reproducible and matches the hand-picked bases of the flagship
-example.
+The elimination order is static: lower degree first, then, within a degree,
+the largest word under a fixed arrow key is removed from the basis; the tags
+of residual relation classes rank below every monomial.  The arrow key is
+(source, |source-target|, target, index): sorting arrows by block distance
+before target makes the surviving bases of the shipped truncations
+reproducible and matches the hand-picked bases of the flagship example.
 
-Rows are eliminated one degree layer at a time.  Reduction never lowers a
-row's least degree, so when layer d starts every pivot below degree d is
-final, and the face test of a degree-d word reads only degree-(d-1) pivots:
-the column order is fixed before any degree-d pivot is chosen.  For a fixed
-column order the fully reduced echelon of a span does not depend on the
-order its rows arrive in, so the basis and expansions are unique.
+This priority is a multiplicative local order on paths, so the leading word
+of m * g * m' is m * LM(g) * m' whenever it lies below the cutoff.  The
+eliminated monomials are therefore closed under two-sided multiples, and the
+surviving monomials form an order ideal: they are closed under divisors
+(Mora, TCS 134, 1994; Ufnarovski, LMS LN 251, 1998).  For a fixed column
+order the fully reduced echelon of a span does not depend on the order its
+rows arrive in, so the basis and expansions are unique.
 """
 
 from __future__ import annotations
@@ -289,13 +289,15 @@ def format_poly(poly, table=None):
 
 
 _ARROW_RE = re.compile(r"^x(?:(\d)(\d)|(\d+)_(\d+))(?:_(\d+))?$")
+_IDEMPOTENT_RE = re.compile(r"^e(\d+)$")
 
 
 def parse_monomial(text, p):
     """Parse 'e3' or 'x12*x24' style monomial names."""
     text = text.strip()
-    if text.startswith("e"):
-        i = int(text[1:])
+    idempotent = _IDEMPOTENT_RE.match(text)
+    if idempotent:
+        i = int(idempotent.group(1))
         if not 1 <= i <= p:
             raise ValidationError("idempotent %r outside 1..%d" % (text, p))
         return Monomial.idempotent(i)
@@ -393,58 +395,18 @@ class FiniteDimPointedAlgebra:
         return out
 
 
-def _least_degree(row):
-    """Least degree of a monomial in the row; tag-only rows come last."""
-    return min((c.degree for c in row if isinstance(c, Monomial)),
-               default=float("inf"))
+def _elimination_priority(col):
+    """Static pivot priority: tags below monomials, then lower degree first."""
+    if isinstance(col, RelTag):
+        return (0, col)
+    return (1, -col.degree, col.key())
 
 
-class _Eliminator(Echelon):
-    """Graded echelon with lazy divisor flags, filled one degree layer at a time.
-
-    Each pass of insert_all reduces the pending rows once, then adds those
-    of the least degree d left, deferring any that a new pivot reduces past
-    d; tag-only rows come last.  The flag cache is cleared once per layer:
-    flags of degree-d columns read only the sealed degree-(d-1) pivots.
-    """
-
-    def __init__(self):
-        super().__init__(priority=self._priority)
-        self._flag_cache = {}
-
-    def _priority(self, col):
-        if isinstance(col, RelTag):
-            return (-(10 ** 9), 0, (col.i, col.j, col.l))
-        return (-col.degree, 1 if self._lacks_divisor(col) else 0, col.key())
-
-    def _lacks_divisor(self, mono):
-        if mono.degree < 2:
-            return False
-        flag = self._flag_cache.get(mono)
-        if flag is None:
-            pivots = self.pivots()
-            faces = [Monomial.from_arrows(mono.arrows[:-1]),
-                     Monomial.from_arrows(mono.arrows[1:])]
-            flag = all(f in pivots for f in faces)
-            self._flag_cache[mono] = flag
-        return flag
-
-    def insert_all(self, rows):
-        pending = rows
-        while pending:
-            self._flag_cache.clear()
-            pending = [r for r in map(self.reduce, pending) if r]
-            layer = min(map(_least_degree, pending), default=None)
-            deferred = []
-            for r in pending:
-                if _least_degree(r) == layer:
-                    r = self.reduce(r)
-                    if r and _least_degree(r) == layer:
-                        self.add(r)
-                        continue
-                if r:
-                    deferred.append(r)
-            pending = deferred
+def _eliminate(rows):
+    elim = Echelon(priority=_elimination_priority)
+    for row in rows:
+        elim.add(row)
+    return elim
 
 
 def _ideal_rows(table, relations, cutoff, exclude_unit=False):
@@ -520,8 +482,7 @@ def build_quotient(table, relations, cutoff):
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    elim = _Eliminator()
-    elim.insert_all(_ideal_rows(table, relations, cutoff))
+    elim = _eliminate(_ideal_rows(table, relations, cutoff))
     return _assemble(table, cutoff, elim, [])
 
 
@@ -550,9 +511,7 @@ def build_tagged_truncation(table, series, cutoff):
     monomials and truncated series.
     """
     rows, tags = _tagged_rows(table, series, cutoff)
-    elim = _Eliminator()
-    elim.insert_all(rows)
-    return _assemble(table, cutoff, elim, tags)
+    return _assemble(table, cutoff, _eliminate(rows), tags)
 
 
 def _type_split(basis, vec):

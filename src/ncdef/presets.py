@@ -11,16 +11,17 @@ from dataclasses import asdict, dataclass
 
 from .algebra import AlgebraPresentation, preset_presentation
 from .errors import ValidationError
-from .yoneda import Cochain, ExtBasis, FreeResolution, Mat, ResolutionBundle
+from .yoneda import (DEFAULT_BOUND, MAX_BOUND, RETRY_STEP, Cochain, ExtBasis,
+                     FreeResolution, Mat, ResolutionBundle)
 
 SCHEMA_PROBLEM = "ncdef-problem/1"
 
 
 @dataclass
 class RunOptions:
-    degree_bound: int = 4
-    retry_step: int = 2
-    max_bound: int = 12
+    degree_bound: int = DEFAULT_BOUND
+    retry_step: int = RETRY_STEP
+    max_bound: int = MAX_BOUND
     max_order: int = 5
     verify_cutoff: int | None = None
     stop_on_stabilized: bool = True
@@ -121,7 +122,7 @@ def _weyl2_simple4():
             ext2[(i, j)] = []
     for (i, j) in [(1, 4), (2, 3), (3, 2), (4, 1)]:
         ext2[(i, j)] = [_cochain_from_mats(bundle, 2, i, j, [[["1"]]])]
-    basis = ExtBasis(bundle, ext1, ext2, bound=4, source="preset")
+    basis = ExtBasis(bundle, ext1, ext2, source="preset")
     return Problem("weyl2-simple4", pres, bundle, preset_basis=basis)
 
 
@@ -131,7 +132,7 @@ def _poly1_point():
     bundle = ResolutionBundle(pres, [res])
     ext1 = {(1, 1): [_cochain_from_mats(bundle, 1, 1, 1, [[["1"]]])]}
     ext2 = {(1, 1): []}
-    basis = ExtBasis(bundle, ext1, ext2, bound=4, source="preset")
+    basis = ExtBasis(bundle, ext1, ext2, source="preset")
     return Problem("poly1-point", pres, bundle, preset_basis=basis)
 
 
@@ -202,8 +203,7 @@ def ext_basis_from_json(bundle, data):
             i, j = (int(t) for t in key.split(","))
             store[(i, j)] = [_cochain_from_mats(bundle, degree, i, j, rep["mats"])
                              for rep in reps]
-    return ExtBasis(bundle, ext1, ext2, bound=data.get("bound", 4),
-                    source="preset")
+    return ExtBasis(bundle, ext1, ext2, source="preset")
 
 
 def cochain_to_json(phi):

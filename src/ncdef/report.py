@@ -11,10 +11,10 @@ import json
 from fractions import Fraction
 
 from .algebra import format_scalar
-from .errors import SchemaMismatch, ValidationError
-from .matrix_ring import (Monomial, build_quotient, format_monomial,
-                          format_poly, format_tag, monomials_of_degree,
-                          parse_monomial)
+from .errors import SchemaMismatch, ShapeMismatch, ValidationError
+from .matrix_ring import (MatricPoly, Monomial, build_quotient,
+                          format_monomial, format_poly, format_tag,
+                          monomials_of_degree, parse_monomial)
 from .presets import cochain_from_json, cochain_to_json
 
 SCHEMA_REPORT = "ncdef-report/1"
@@ -162,16 +162,64 @@ def diff_reports(a, b):
     return out
 
 
+def _expect(ok, what):
+    if not ok:
+        raise ValidationError("malformed report %s" % what)
+
+
+def _is_count_table(rows, p):
+    return (isinstance(rows, list) and len(rows) == p
+            and all(isinstance(row, list) and len(row) == p
+                    and all(type(n) is int and n >= 0 for n in row) for row in rows))
+
+
+def _read_relation(rel, table):
+    """A report relation as a MatricPoly in the arrows of ``table``."""
+    types = [[i, j] for i in range(1, table.p + 1) for j in range(1, table.p + 1)]
+    arrows = [list(a) for a in table.all_arrows()]
+    _expect(isinstance(rel, dict) and rel.get("type") in types
+            and isinstance(rel.get("terms"), list), "relation %r" % (rel,))
+    terms = {}
+    for term in rel["terms"]:
+        word = term.get("monomial") if isinstance(term, dict) else None
+        _expect(isinstance(word, list) and word and all(a in arrows for a in word)
+                and type(term.get("coeff")) in (str, int), "relation term %r" % (term,))
+        try:
+            coeff = Fraction(term["coeff"])
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError("malformed report coeff %r" % term["coeff"])
+        terms[Monomial.from_arrows([tuple(a) for a in word])] = coeff
+    return MatricPoly(tuple(rel["type"]), terms)
+
+
+def _read_versal_cochain(name, data, bundle):
+    """(monomial, degree-1 cochain) of one versal family entry."""
+    mono = parse_monomial(name, bundle.p)
+    mats = data.get("mats") if isinstance(data, dict) else None
+    _expect(isinstance(mats, list) and data.get("degree") == 1
+            and data.get("type") == list(mono.type)
+            and all(rows is None or isinstance(rows, list)
+                    and all(isinstance(row, list)
+                            and all(isinstance(v, str) for v in row) for row in rows)
+                    for rows in mats),
+            "versal cochain %s" % name)
+    try:
+        return mono, cochain_from_json(bundle, data)
+    except ShapeMismatch as exc:
+        raise ValidationError("malformed report versal cochain %s: %s" % (name, exc))
+
+
 def verify_report(report):
     """Re-check a saved report: relations, versal family, certificate.
 
     Rebuilds the truncated hull from the stored relations, reads the stored
     versal family back into cochains, and re-runs the flatness check from
-    scratch.  Returns (ok, list of messages).
+    scratch.  Returns (ok, list of messages).  A report whose contents do
+    not have the shapes written by ``build_report`` raises ValidationError.
     """
     from .checker import LiftedComplex, verify_lifted_complex
     from .presets import problem_from_json
-    from .matrix_ring import GeneratorTable, MatricPoly
+    from .matrix_ring import GeneratorTable
 
     if report.get("schema") != SCHEMA_REPORT:
         raise SchemaMismatch("not a %s document" % SCHEMA_REPORT)
@@ -183,29 +231,24 @@ def verify_report(report):
     problem = problem_from_json(report["problem"])
     bundle = problem.bundle
     p = bundle.p
-    ext1 = report["ext_table"]["ext1"]
-    ext2 = report["ext_table"]["ext2"]
-    table = GeneratorTable(
-        p,
-        {(i + 1, j + 1): ext1[i][j] for i in range(p) for j in range(p)},
-        {(i + 1, j + 1): ext2[i][j] for i in range(p) for j in range(p)},
-    )
-    relations = []
-    for rel in report["relations"]:
-        ti, tj = rel["type"]
-        terms = {}
-        for term in rel["terms"]:
-            mono = Monomial.from_arrows([tuple(a) for a in term["monomial"]])
-            terms[mono] = Fraction(term["coeff"])
-        relations.append(MatricPoly((ti, tj), terms))
+    ext = report["ext_table"]
+    counts = [ext.get(key) if isinstance(ext, dict) else None
+              for key in ("ext1", "ext2")]
+    _expect(all(_is_count_table(rows, p) for rows in counts), "ext_table")
+    table = GeneratorTable(p, *({(i + 1, j + 1): rows[i][j] for i in range(p)
+                                 for j in range(p)} for rows in counts))
+    _expect(isinstance(report["relations"], list), "relations")
+    relations = [_read_relation(rel, table) for rel in report["relations"]]
     cert = report.get("certificate") or {}
-    cutoff = int(cert.get("verified_cutoff") or
-                 (max((f.max_degree() for f in relations), default=2) + 2))
+    _expect(isinstance(cert, dict), "certificate")
+    cutoff = cert.get("verified_cutoff")
+    if cutoff is None:
+        cutoff = max((f.max_degree() for f in relations), default=2) + 2
+    _expect(type(cutoff) is int and cutoff > 0, "verified_cutoff %r" % (cutoff,))
+    _expect(isinstance(report["versal_family"], dict), "versal_family")
+    cochains = dict(_read_versal_cochain(name, data, bundle)
+                    for name, data in report["versal_family"].items())
     algebra = build_quotient(table, relations, cutoff + 1)
-    cochains = {}
-    for name, data in report["versal_family"].items():
-        mono = parse_monomial(name, p)
-        cochains[mono] = cochain_from_json(bundle, data)
     missing = [format_monomial(m) for m in cochains if m not in algebra.index]
     if missing:
         messages.append("versal monomials not in the rebuilt basis: %s"

@@ -234,9 +234,6 @@ class Cochain:
         return Cochain(self.bundle, self.degree, self.i, self.j,
                        tuple(a.add(b) for a, b in zip(self.mats, other.mats)))
 
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
     def scale(self, c):
         return Cochain(self.bundle, self.degree, self.i, self.j,
                        tuple(m.scale(c) for m in self.mats))
@@ -635,11 +632,10 @@ def project_ext2(y, basis_cochains, degree_bound=DEFAULT_BOUND,
 class ExtBasis:
     """Certified cocycle representatives dual to the hull generators."""
 
-    def __init__(self, bundle, ext1, ext2, bound, source):
+    def __init__(self, bundle, ext1, ext2, source):
         self.bundle = bundle
         self.ext1 = ext1  # (i, j) -> list[Cochain]
         self.ext2 = ext2
-        self.bound = bound
         self.source = source  # "computed" or "preset"
 
     def table(self):
@@ -651,9 +647,6 @@ class ExtBasis:
     def ext1_rep(self, i, j, l):
         return self.ext1[(i, j)][l - 1]
 
-    def ext2_rep(self, i, j, l):
-        return self.ext2[(i, j)][l - 1]
-
     @staticmethod
     def computed(computer):
         bundle = computer.bundle
@@ -662,11 +655,11 @@ class ExtBasis:
             for j in range(1, bundle.p + 1):
                 ext1[(i, j)] = computer.ext_basis(i, j, 1)
                 ext2[(i, j)] = computer.ext_basis(i, j, 2)
-        return ExtBasis(bundle, ext1, ext2, computer.degree_bound, "computed")
+        return ExtBasis(bundle, ext1, ext2, "computed")
 
     def certify(self, computer):
         """Check cocycle conditions, dimensions, and independence."""
-        bundle = self.bundle
+        bound = computer.degree_bound
         for n, table in ((1, self.ext1), (2, self.ext2)):
             for (i, j), reps in table.items():
                 for phi in reps:
@@ -675,16 +668,16 @@ class ExtBasis:
                     if not is_cocycle(phi):
                         from .errors import NotACocycle
                         raise NotACocycle("representative for Ext^%d(%d,%d)" % (n, i, j))
-                dim = computer.ext_dimension(i, j, n, self.bound)
+                dim = computer.ext_dimension(i, j, n, bound)
                 if dim != len(reps):
                     raise ValidationError(
                         "Ext^%d(M%d, M%d) has dim %d but %d representatives"
                         % (n, j, i, dim, len(reps)))
                 if reps:
-                    boundaries = computer._boundary_echelon(i, j, n, self.bound)
+                    boundaries = computer._boundary_echelon(i, j, n, bound)
                     seen = Echelon(priority=lambda c: (c[0], c[1]))
                     for phi in reps:
-                        vec = computer.hom_vector(phi, self.bound)
+                        vec = computer.hom_vector(phi, bound)
                         resid = seen.reduce(boundaries.reduce(vec))
                         if not resid:
                             raise ValidationError(

@@ -163,7 +163,7 @@ def test_criterion_5_property_suites(weyl, weyl_state, poly1_state,
     shift = yoneda_differential(Cochain(bundle, 0, 1, 2, mats))
     ext1 = dict(weyl.preset_basis.ext1)
     ext1[(1, 2)] = [weyl.preset_basis.ext1_rep(1, 2, 1).add(shift)]
-    perturbed = ExtBasis(bundle, ext1, dict(weyl.preset_basis.ext2), 4, "test")
+    perturbed = ExtBasis(bundle, ext1, dict(weyl.preset_basis.ext2), "test")
     pstate = advance_order(init_order2(perturbed, RunOptions()))
     assert pstate.corrections_log[2]
     for entry in pstate.corrections_log[2].values():

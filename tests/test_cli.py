@@ -302,3 +302,34 @@ def test_spec_module_without_ideal_fails_validation(tmp_path, capsys):
     del spec["modules"][0]["ideal"]
     assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["e", "ex1"])
+def test_malformed_idempotent_name_fails_validation(name, capsys):
+    assert main(["massey", "--preset", "poly1-point", "--monomial", name]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err
+
+
+def _poly1_report(**fields):
+    report = {"schema": "ncdef-report/1",
+              "problem": {"schema": "ncdef-problem/1", "preset": "poly1-point"},
+              "ext_table": {"ext1": [[1]], "ext2": [[0]]},
+              "relations": [], "versal_family": {}}
+    report.update(fields)
+    return report
+
+
+@pytest.mark.parametrize("report", [
+    _poly1_report(ext_table={}),
+    _poly1_report(relations=[{"type": [1], "terms": []}]),
+    _poly1_report(versal_family={"x11": {"degree": 1, "type": [1, 1],
+                                         "mats": [[["1/0"]], []]}}),
+])
+def test_verify_report_with_malformed_contents_fails_validation(report, tmp_path,
+                                                                capsys):
+    assert main(["verify", _write(tmp_path, "r.json", report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err

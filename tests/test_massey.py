@@ -236,7 +236,7 @@ def test_coboundary_perturbed_basis_needs_corrections(weyl):
     assert not shift.is_zero()
     ext1 = dict(weyl.preset_basis.ext1)
     ext1[(1, 2)] = [weyl.preset_basis.ext1_rep(1, 2, 1).add(shift)]
-    perturbed = ExtBasis(bundle, ext1, dict(weyl.preset_basis.ext2), 4, "test")
+    perturbed = ExtBasis(bundle, ext1, dict(weyl.preset_basis.ext2), "test")
     state = init_order2(perturbed, RunOptions(max_order=3))
     state = advance_order(state)
     rels = {format_tag(t): format_poly(f) for t, f in state.relations().items()}

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 
 from ncdef.errors import ValidationError
 from ncdef.matrix_ring import (GeneratorTable, MatricPoly, Monomial, RelTag,
-                               _Eliminator, _tagged_rows, build_quotient,
-                               build_tagged_truncation, concat,
+                               _eliminate, _elimination_priority, _tagged_rows,
+                               build_quotient, build_tagged_truncation, concat,
                                divisor_monomials, factorizations, format_monomial,
                                monomials_of_degree, parse_monomial,
                                quotient_by_vectors)
@@ -163,12 +164,10 @@ def test_elimination_ignores_row_order(weyl_table):
               for m in monomials_of_degree(weyl_table, d)]
     results = []
     for order in (rows, rows[::-1], shuffled):
-        elim = _Eliminator()
-        elim.insert_all(order)
-        # each pivot leads its row under the final, sealed divisor flags
-        elim._flag_cache.clear()
+        elim = _eliminate(order)
+        # each pivot leads its row under the static priority
         for pivot, row in elim.rows.items():
-            assert max(row, key=elim._priority) == pivot
+            assert max(row, key=_elimination_priority) == pivot
         results.append((elim.pivots(), [elim.reduce(v) for v in probes]))
     assert results[0][0]
     assert results[1] == results[0]
@@ -184,8 +183,33 @@ def _flagship_truncations(weyl_table):
                                       order + 1)
 
 
+def _random_truncations():
+    """Quotients and bookkeeping rings of seeded random relation sets.
+
+    One vertex with 2 or 3 loops; each relation has order >= 2, and is
+    homogeneous, or has its higher terms one or two degrees above its order.
+    """
+    for seed, (loops, homogeneous, cutoff) in enumerate(
+            itertools.product((2, 3), (True, False), (4, 5, 6))):
+        rng = random.Random(seed)
+        table = GeneratorTable(1, {(1, 1): loops})
+        relations = []
+        for _ in range(rng.randint(1, 3)):
+            order = rng.choice((2, 3))
+            degrees = [order] + [order if homogeneous else order + rng.randint(1, 2)
+                                 for _ in range(rng.randint(1, 3))]
+            relations.append(MatricPoly((1, 1), {
+                rng.choice(monomials_of_degree(table, d)): rng.choice((-2, -1, 1, 3))
+                for d in degrees}))
+        yield build_quotient(table, relations, cutoff)
+        tagged = GeneratorTable(1, {(1, 1): loops}, {(1, 1): len(relations)})
+        series = {RelTag(1, 1, l): f for l, f in enumerate(relations, start=1)}
+        yield build_tagged_truncation(tagged, series, cutoff)
+
+
 def test_truncation_bases_closed_under_divisors(weyl_table):
-    for ring in _flagship_truncations(weyl_table):
+    rings = itertools.chain(_flagship_truncations(weyl_table), _random_truncations())
+    for ring in rings:
         basis = set(ring.monomial_basis())
         for m in basis:
             assert set(divisor_monomials(m)) <= basis, m

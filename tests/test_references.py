@@ -1,4 +1,4 @@
-"""Every public module-level function and class of ncdef is used by ncdef.
+"""Every public module-level function, class and method of ncdef is used by ncdef.
 
 A name that only tests reach is library code kept alive by its tests; it
 goes, unless it is a paper concept kept on purpose and listed here.
@@ -15,6 +15,8 @@ KEPT_FOR_TESTS = {
     "equivalence_check": "equivalence of lifted complexes",
     # compares the hull's relations with a hand-derived set up to rescaling
     "match_up_to_rescaling": "acceptance check of the flagship relations",
+    # the paper's beta table: coordinates of a monomial class over the basis
+    "FiniteDimPointedAlgebra.expansion": "beta coefficients of a truncation",
 }
 
 
@@ -31,10 +33,27 @@ def _referenced_names(node):
     return names
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_methods(trees):
+    """(filename, class, method) for every public method of a module-level class."""
+    for filename, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield filename, cls, node
+
+
 def test_every_public_definition_is_referenced_in_the_package():
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     defined = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {"%s.%s" % (cls.name, node.name)
+                for _, cls, node in _public_methods(trees)}
     assert set(KEPT_FOR_TESTS) <= defined
     uses = {}
     for tree in trees.values():
@@ -50,4 +69,25 @@ def test_every_public_definition_is_referenced_in_the_package():
             own = _referenced_names(node).count(node.name)
             if uses.get(node.name, 0) == own:
                 unreferenced.append("%s:%s" % (filename, node.name))
+    assert unreferenced == []
+
+
+def test_every_public_method_is_called_in_the_package():
+    # methods are reached through attributes; a local variable of the same
+    # name is not a use
+    trees = _trees()
+    uses = {}
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute):
+                uses[sub.attr] = uses.get(sub.attr, 0) + 1
+    unreferenced = []
+    for filename, cls, node in _public_methods(trees):
+        qualified = "%s.%s" % (cls.name, node.name)
+        if qualified in KEPT_FOR_TESTS:
+            continue
+        own = sum(1 for sub in ast.walk(node)
+                  if isinstance(sub, ast.Attribute) and sub.attr == node.name)
+        if uses.get(node.name, 0) == own:
+            unreferenced.append("%s:%s" % (filename, qualified))
     assert unreferenced == []

@@ -33,7 +33,7 @@ def test_preset_representatives_are_cocycles(weyl):
     for (i, j) in NONZERO_EXT1:
         assert is_cocycle(basis.ext1_rep(i, j, 1))
     for (i, j) in NONZERO_EXT2:
-        assert is_cocycle(basis.ext2_rep(i, j, 1))
+        assert is_cocycle(basis.ext2[(i, j)][0])
 
 
 def test_identity_degree_zero_cochain_is_cocycle(weyl):
@@ -189,7 +189,7 @@ def test_ext_basis_weyl(weyl_computer, weyl_computed_basis, weyl):
             if (i, j) not in NONZERO_EXT1:
                 assert weyl_computed_basis.ext1[(i, j)] == []
     # the hand-picked degree-2 class projects onto the computed basis
-    preset_y14 = weyl.preset_basis.ext2_rep(1, 4, 1)
+    preset_y14 = weyl.preset_basis.ext2[(1, 4)][0]
     coeffs, witness = project_ext2(preset_y14, weyl_computed_basis.ext2[(1, 4)])
     assert len(coeffs) == 1 and coeffs[0] != 0
 
