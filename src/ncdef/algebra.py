@@ -377,7 +377,11 @@ def parse_element(pres, text, allow_reducible=False):
                 nxt = tokens[i + 2].groups()[0]
                 if nxt is None:
                     raise ValidationError("expected exponent in %r" % text)
-                power = int(_parse_scalar(nxt, text))
+                power = _parse_scalar(nxt, text)
+                if power.denominator != 1:
+                    raise ValidationError("exponent %s is not a non-negative "
+                                          "integer in %r" % (nxt, text))
+                power = int(power)
                 i += 2
             word.extend([name] * power)
             have_term = True

@@ -67,9 +67,10 @@ def _ext_setup(problem):
                            retry_step=opts.retry_step, max_bound=opts.max_bound)
     if problem.preset_basis is not None and not opts.use_computed_basis:
         basis = problem.preset_basis
+        basis.certify(computer)
     else:
+        # ext_basis certifies each entry as it computes it
         basis = ExtBasis.computed(computer)
-    basis.certify(computer)
     tables = ext_tables(computer, problem.p)
     return computer, basis, tables
 

@@ -5,12 +5,15 @@ Column labels need not be integers; an Echelon is parametrized by a pivot
 priority function so quotient constructions can steer which coordinates get
 eliminated.
 
-``Echelon`` holds the only row-reduction loop.  ``solve_sparse`` and
-``kernel_basis`` run on it with augmented columns: extra columns appended
-to every row (a right-hand side, or the combination of inputs that produced
-the row) that are equal only to themselves, so no column label can collide
-with them, and that rank below every real column, so they pivot only in a
-row whose real part has reduced to zero.
+``Echelon`` holds the only row-reduction loop.  It updates its rows in
+place and keeps an index from each non-pivot column to the rows that
+contain it, so inserting a row touches only the rows holding its pivot,
+and reducing a vector is one pass over the pivot columns it starts with.
+``solve_sparse`` and ``kernel_basis`` run on it with augmented columns:
+extra columns appended to every row (a right-hand side, or the combination
+of inputs that produced the row) that are equal only to themselves, so no
+column label can collide with them, and that rank below every real column,
+so they pivot only in a row whose real part has reduced to zero.
 """
 
 from __future__ import annotations
@@ -18,22 +21,38 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def vec_add(a, b, c=Fraction(1)):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, Fraction(0)) + c * v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
 def vec_scale(a, c):
     c = Fraction(c)
     if not c:
         return {}
     return {k: c * v for k, v in a.items()}
+
+
+def _add_multiple(vec, row, c, holders=None, owner=None):
+    """vec += c * row in place; entries that cancel are removed.
+
+    With ``holders`` (column -> set of rows containing it), record that the
+    row ``owner`` now contains the columns that appeared in ``vec`` and no
+    longer contains the ones that cancelled.
+    """
+    for k, v in row.items():
+        old = vec.get(k)
+        s = c * v if old is None else old + c * v
+        if s:
+            vec[k] = s
+            if old is None and holders is not None:
+                holders.setdefault(k, set()).add(owner)
+        elif old is not None:
+            del vec[k]
+            if holders is not None:
+                _forget(holders, k, owner)
+
+
+def _forget(holders, col, owner):
+    owners = holders[col]
+    owners.discard(owner)
+    if not owners:
+        del holders[col]
 
 
 class Echelon:
@@ -46,23 +65,28 @@ class Echelon:
     every column strictly, reduction against the echelon is canonical.  An
     augmented column pivots only when its priority is the largest left in
     the reduced row, i.e. when every real column in it has been eliminated.
+
+    Because the rows are fully reduced, a pivot column occurs in its own row
+    only, and subtracting a row from a vector changes no other pivot column.
+    ``reduce`` therefore eliminates the pivot columns of its input in one
+    pass, in the input's order.  ``add`` back-substitutes the new pivot
+    only into the rows the private column index lists for it, and keeps the
+    index (non-pivot column -> pivots of the rows containing it) current as
+    entries appear and cancel.  ``rows`` is read-only outside this class;
+    ``restrict`` drops rows.
     """
 
     def __init__(self, priority=None):
         self.priority = priority or (lambda col: col)
         self.rows = {}  # pivot col -> row vector
+        self._holders = {}  # non-pivot col -> pivots of the rows containing it
 
     def reduce(self, vec):
         vec = dict(vec)
-        while True:
-            hit = None
-            for col in vec:
-                if col in self.rows:
-                    hit = col
-                    break
-            if hit is None:
-                return vec
-            vec = vec_add(vec, self.rows[hit], -vec[hit])
+        rows = self.rows
+        for col in [col for col in vec if col in rows]:
+            _add_multiple(vec, rows[col], -vec[col])
+        return vec
 
     def add(self, vec):
         """Insert a vector; returns its pivot column, or None if dependent."""
@@ -71,11 +95,22 @@ class Echelon:
             return None
         pivot = max(vec, key=self.priority)
         row = vec_scale(vec, Fraction(1) / vec[pivot])
-        for p, other in self.rows.items():
-            if pivot in other:
-                self.rows[p] = vec_add(other, row, -other[pivot])
+        holders = self._holders
+        for p in tuple(holders.get(pivot, ())):
+            other = self.rows[p]
+            _add_multiple(other, row, -other[pivot], holders, p)
         self.rows[pivot] = row
+        for col in row:
+            if col != pivot:
+                holders.setdefault(col, set()).add(pivot)
         return pivot
+
+    def restrict(self, keep):
+        """Drop the rows whose pivot fails ``keep``; the rest stay fully reduced."""
+        for p in [p for p in self.rows if not keep(p)]:
+            for col in self.rows.pop(p):
+                if col != p:
+                    _forget(self._holders, col, p)
 
     @property
     def rank(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .algebra import AlgebraPresentation, preset_presentation
-from .errors import ValidationError
+from .errors import ShapeMismatch, ValidationError
 from .yoneda import (DEFAULT_BOUND, MAX_BOUND, RETRY_STEP, Cochain, ExtBasis,
                      FreeResolution, Mat, ResolutionBundle)
 
@@ -194,16 +194,44 @@ def problem_from_json(data, options=None):
 
 
 def ext_basis_from_json(bundle, data):
-    ext1 = {(i, j): [] for i in range(1, bundle.p + 1)
-            for j in range(1, bundle.p + 1)}
-    ext2 = {(i, j): [] for i in range(1, bundle.p + 1)
-            for j in range(1, bundle.p + 1)}
+    """The spec's ``ext_basis``: {"ext1"/"ext2": {"i,j": [{"mats": ...}]}}."""
+    p = bundle.p
+    ext1 = {(i, j): [] for i in range(1, p + 1) for j in range(1, p + 1)}
+    ext2 = {(i, j): [] for i in range(1, p + 1) for j in range(1, p + 1)}
+    if not isinstance(data, dict):
+        raise ValidationError("spec ext_basis must be a JSON object")
     for degree, store in ((1, ext1), (2, ext2)):
-        for key, reps in (data.get("ext%d" % degree) or {}).items():
-            i, j = (int(t) for t in key.split(","))
-            store[(i, j)] = [_cochain_from_mats(bundle, degree, i, j, rep["mats"])
-                             for rep in reps]
+        name = "ext%d" % degree
+        table = data.get(name) or {}
+        if not isinstance(table, dict):
+            raise ValidationError("spec ext_basis %s must be a JSON object" % name)
+        for key, reps in table.items():
+            try:
+                i, j = (int(t) for t in key.split(","))
+            except ValueError:
+                i = j = 0
+            if not (1 <= i <= p and 1 <= j <= p and isinstance(reps, list)
+                    and all(isinstance(rep, dict) and is_mats_json(rep.get("mats"))
+                            for rep in reps)):
+                raise ValidationError("malformed spec ext_basis %s entry %r: %r"
+                                      % (name, key, reps))
+            try:
+                store[(i, j)] = [_cochain_from_mats(bundle, degree, i, j, rep["mats"])
+                                 for rep in reps]
+            except ShapeMismatch as exc:
+                raise ValidationError("malformed spec ext_basis %s entry %r: %s"
+                                      % (name, key, exc))
     return ExtBasis(bundle, ext1, ext2, source="preset")
+
+
+def is_mats_json(mats):
+    """True for cochain matrices as written to JSON: a list with one entry
+    per component, each null or a list of rows of element strings."""
+    return isinstance(mats, list) and all(
+        rows is None or isinstance(rows, list)
+        and all(isinstance(row, list) and all(isinstance(v, str) for v in row)
+                for row in rows)
+        for rows in mats)
 
 
 def cochain_to_json(phi):

@@ -15,7 +15,7 @@ from .errors import SchemaMismatch, ShapeMismatch, ValidationError
 from .matrix_ring import (MatricPoly, Monomial, build_quotient,
                           format_monomial, format_poly, format_tag,
                           monomials_of_degree, parse_monomial)
-from .presets import cochain_from_json, cochain_to_json
+from .presets import cochain_from_json, cochain_to_json, is_mats_json
 
 SCHEMA_REPORT = "ncdef-report/1"
 
@@ -196,12 +196,8 @@ def _read_versal_cochain(name, data, bundle):
     """(monomial, degree-1 cochain) of one versal family entry."""
     mono = parse_monomial(name, bundle.p)
     mats = data.get("mats") if isinstance(data, dict) else None
-    _expect(isinstance(mats, list) and data.get("degree") == 1
-            and data.get("type") == list(mono.type)
-            and all(rows is None or isinstance(rows, list)
-                    and all(isinstance(row, list)
-                            and all(isinstance(v, str) for v in row) for row in rows)
-                    for rows in mats),
+    _expect(is_mats_json(mats) and data.get("degree") == 1
+            and data.get("type") == list(mono.type),
             "versal cochain %s" % name)
     try:
         return mono, cochain_from_json(bundle, data)

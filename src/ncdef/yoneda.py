@@ -330,32 +330,40 @@ class ExtComputer:
         return out
 
     def _hom_dims(self, i, j, n, bound):
-        """(kernel dim, boundary dim) at the given truncation bound."""
+        """(kernel dim, boundary echelon) at the given truncation bound."""
         cocycle_coords = self._coords(i, j, n, bound)
         images = [self._apply_d(i, j, n, {lab: Fraction(1)}) for lab in cocycle_coords]
         ech = Echelon(priority=lambda c: (c[0], c[1]))
         rank = sum(1 for v in images if v and ech.add(v) is not None)
         kernel_dim = len(cocycle_coords) - rank
-        return kernel_dim, self._boundary_echelon(i, j, n, bound).rank
+        return kernel_dim, self._boundary_echelon(i, j, n, bound)
 
     def ext_dimension(self, i, j, n, degree_bound=None):
         """Certified dim Ext^n(M_j, M_i); stable at two consecutive bounds."""
         bound = degree_bound if degree_bound is not None else self.degree_bound
         key = (i, j, n, bound)
-        if key in self._dim_cache:
-            return self._dim_cache[key]
+        if key not in self._dim_cache:
+            self._dimension_and_boundaries(i, j, n, bound)
+        return self._dim_cache[key]
+
+    def _dimension_and_boundaries(self, i, j, n, bound):
+        """Certified dim Ext^n(M_j, M_i) and the boundary echelon at ``bound``.
+
+        The representatives and their certificate reduce against the
+        echelon the dimension was computed from, so it is built once.
+        """
         if n == 0:
             raise ValidationError("ext_dimension computes n = 1 or 2")
-        kz, kb = self._hom_dims(i, j, n, bound)
-        dim_here = kz - kb
-        kz2, kb2 = self._hom_dims(i, j, n, bound + 1)
-        dim_next = kz2 - kb2
+        kz, boundaries = self._hom_dims(i, j, n, bound)
+        dim_here = kz - boundaries.rank
+        kz2, boundaries_next = self._hom_dims(i, j, n, bound + 1)
+        dim_next = kz2 - boundaries_next.rank
         if dim_here != dim_next:
             raise NotStabilized(
                 "Ext^%d(M%d, M%d) is %d at bound %d but %d at bound %d"
                 % (n, j, i, dim_here, bound, dim_next, bound + 1))
-        self._dim_cache[key] = dim_here
-        return dim_here
+        self._dim_cache[(i, j, n, bound)] = dim_here
+        return dim_here, boundaries
 
     # -- representatives --------------------------------------------------
 
@@ -376,17 +384,15 @@ class ExtComputer:
         if n >= 1:
             for lab in self._coords(i, j, n - 1, bound + BOUNDARY_SLACK):
                 ech.add(self._apply_d(i, j, n - 1, {lab: Fraction(1)}))
-        ech.rows = {p: row for p, row in ech.rows.items() if degree(p[1]) <= bound}
+        ech.restrict(lambda p: degree(p[1]) <= bound)
         return ech
 
-    def _hom_representatives(self, i, j, n, bound):
-        dim = self.ext_dimension(i, j, n, bound)
+    def _hom_representatives(self, i, j, n, bound, dim, boundaries):
         if dim == 0:
             return []
         coords = self._coords(i, j, n, bound)
         images = [self._apply_d(i, j, n, {lab: Fraction(1)}) for lab in coords]
         kernel = kernel_basis(images, tags=coords)
-        boundaries = self._boundary_echelon(i, j, n, bound)
         chosen = []
         chosen_ech = Echelon(priority=lambda c: (c[0], c[1]))
         for vec in kernel:
@@ -458,9 +464,17 @@ class ExtComputer:
         raise SolverBoundError("no bounded-degree solution for the lift")
 
     def ext_basis(self, i, j, n):
-        """Deterministic Yoneda representatives spanning Ext^n(M_j, M_i)."""
-        reps = self._hom_representatives(i, j, n, self.degree_bound)
-        return [self._lift_to_yoneda(i, j, n, v) for v in reps]
+        """Deterministic Yoneda representatives spanning Ext^n(M_j, M_i).
+
+        They are certified as ``ExtBasis.certify`` would, against the same
+        boundary echelon they were chosen with.
+        """
+        bound = self.degree_bound
+        dim, boundaries = self._dimension_and_boundaries(i, j, n, bound)
+        reps = [self._lift_to_yoneda(i, j, n, v) for v in
+                self._hom_representatives(i, j, n, bound, dim, boundaries)]
+        _certify_independent(self, n, i, j, reps, dim, boundaries)
+        return reps
 
     def hom_vector(self, phi, bound):
         """Image of a Yoneda cochain in the Hom complex (compose with rho)."""
@@ -668,20 +682,23 @@ class ExtBasis:
                     if not is_cocycle(phi):
                         from .errors import NotACocycle
                         raise NotACocycle("representative for Ext^%d(%d,%d)" % (n, i, j))
-                dim = computer.ext_dimension(i, j, n, bound)
-                if dim != len(reps):
-                    raise ValidationError(
-                        "Ext^%d(M%d, M%d) has dim %d but %d representatives"
-                        % (n, j, i, dim, len(reps)))
-                if reps:
-                    boundaries = computer._boundary_echelon(i, j, n, bound)
-                    seen = Echelon(priority=lambda c: (c[0], c[1]))
-                    for phi in reps:
-                        vec = computer.hom_vector(phi, bound)
-                        resid = seen.reduce(boundaries.reduce(vec))
-                        if not resid:
-                            raise ValidationError(
-                                "representatives of Ext^%d(M%d, M%d) are dependent"
-                                % (n, j, i))
-                        seen.add(resid)
+                dim, boundaries = computer._dimension_and_boundaries(i, j, n, bound)
+                _certify_independent(computer, n, i, j, reps, dim, boundaries)
         return True
+
+
+def _certify_independent(computer, n, i, j, reps, dim, boundaries):
+    """Check that ``reps`` are ``dim`` classes independent modulo ``boundaries``."""
+    if dim != len(reps):
+        raise ValidationError(
+            "Ext^%d(M%d, M%d) has dim %d but %d representatives"
+            % (n, j, i, dim, len(reps)))
+    seen = Echelon(priority=lambda c: (c[0], c[1]))
+    for phi in reps:
+        vec = computer.hom_vector(phi, computer.degree_bound)
+        resid = seen.reduce(boundaries.reduce(vec))
+        if not resid:
+            raise ValidationError(
+                "representatives of Ext^%d(M%d, M%d) are dependent"
+                % (n, j, i))
+        seen.add(resid)

@@ -333,3 +333,30 @@ def test_verify_report_with_malformed_contents_fails_validation(report, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "Traceback" not in err
+
+
+def _poly3_spec():
+    return json.loads((Path(__file__).parent / "specs" / "poly3.json").read_text())
+
+
+def test_fractional_exponent_fails_validation(tmp_path, capsys):
+    # x^1/2 once read as x^0 = 1, so this d_0 entry silently read as x
+    spec = _poly3_spec()
+    spec["modules"][0]["diffs"][0][0] = ["x^1/2*x"]
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "exponent" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ext_basis", [
+    {"ext1": {"1,1": [{"mats": 5}]}},
+    {"ext1": {"1-1": [{"mats": [[["1", "0", "0"]]]}]}},
+])
+def test_malformed_spec_ext_basis_fails_validation(ext_basis, tmp_path, capsys):
+    spec = _poly3_spec()
+    spec["ext_basis"] = ext_basis
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err

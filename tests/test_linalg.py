@@ -4,12 +4,24 @@ from fractions import Fraction
 
 import pytest
 
-from ncdef.linalg import Echelon, kernel_basis, solve_sparse, vec_add
+from ncdef.linalg import Echelon, _Augmented, kernel_basis, solve_sparse
 from ncdef.matrix_ring import divisor_truncation, parse_monomial
 
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+def _vec_add(a, b, c=Fraction(1)):
+    """a + c * b as a new vector; entries that cancel are dropped."""
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k, Fraction(0)) + c * v
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    return out
 
 
 def test_echelon_rank_and_reduce():
@@ -96,7 +108,7 @@ def test_kernel_basis():
         names = {"a": vectors[0], "b": vectors[1], "c": vectors[2],
                  "d": vectors[3]}
         for tag, coeff in combo.items():
-            total = vec_add(total, names[tag], coeff)
+            total = _vec_add(total, names[tag], coeff)
         assert total == {}
 
 
@@ -135,7 +147,7 @@ def test_echelon_rank_and_reduce_against_sympy(priority):
         probes = _random_vectors(rng, ncols)
         combo = {}
         for vec in vectors:
-            combo = vec_add(combo, vec, F(rng.randint(-2, 2)))
+            combo = _vec_add(combo, vec, F(rng.randint(-2, 2)))
         for v in probes + [combo]:
             in_span = A.col_join(_sympy_matrix(sympy, [v], ncols)).rank() == A.rank()
             assert (ech.reduce(v) == {}) == in_span
@@ -146,7 +158,7 @@ def _assert_kernel(sympy, vectors, tags, kernel, ncols):
     for relation in kernel:
         total = {}
         for tag, coeff in relation.items():
-            total = vec_add(total, by_tag[tag], coeff)
+            total = _vec_add(total, by_tag[tag], coeff)
         assert total == {}
     nullity = len(vectors) - _sympy_matrix(sympy, vectors, ncols).rank()
     assert len(kernel) == nullity
@@ -190,3 +202,132 @@ def test_divisor_truncation_small_kernel():
         assert R.mult_coords(vec, unit) == {}
     x12, x24 = (R.index[parse_monomial(name, 4)] for name in ("x12", "x24"))
     assert R.product(x12, x24) == vec
+
+
+class _ReferenceEchelon:
+    """The dict-copying Echelon the column-indexed one replaced: every
+    reduction rescans the vector from the start, and every insertion visits
+    every stored row."""
+
+    def __init__(self, priority):
+        self.priority = priority
+        self.rows = {}
+
+    def reduce(self, vec):
+        vec = dict(vec)
+        while True:
+            hit = None
+            for col in vec:
+                if col in self.rows:
+                    hit = col
+                    break
+            if hit is None:
+                return vec
+            vec = _vec_add(vec, self.rows[hit], -vec[hit])
+
+    def add(self, vec):
+        vec = self.reduce(vec)
+        if not vec:
+            return None
+        pivot = max(vec, key=self.priority)
+        row = {k: v / vec[pivot] for k, v in vec.items()}
+        for p, other in self.rows.items():
+            if pivot in other:
+                self.rows[p] = _vec_add(other, row, -other[pivot])
+        self.rows[pivot] = row
+        return pivot
+
+
+def _tied_priority(col):
+    # pairs of real columns tie, and augmented columns rank below them all
+    if type(col) is _Augmented:
+        return (0, -col.index)
+    return (1, col // 2)
+
+
+def _ordered(vec):
+    return list(vec.items())
+
+
+def _ordered_rows(ech):
+    return [(p, _ordered(row)) for p, row in ech.rows.items()]
+
+
+def _column_index(rows):
+    """Non-pivot column -> pivots of the rows containing it, from scratch."""
+    index = {}
+    for p, row in rows.items():
+        for col in row:
+            if col != p:
+                index.setdefault(col, set()).add(p)
+    return index
+
+
+def _random_operations(rng):
+    """(kind, vector) pairs over tied real columns and augmented columns.
+
+    Roughly a third of the vectors combine earlier ones, so they reduce to
+    zero, and back-substitution cancels entries of the stored rows."""
+    ncols = rng.randint(2, 9)
+    augmented = [_Augmented(k) for k in range(rng.randint(0, 3))]
+    columns = list(range(ncols)) + augmented
+    made = []
+    for _ in range(rng.randint(1, 14)):
+        if made and rng.random() < 0.35:
+            a, b = rng.choice(made), rng.choice(made)
+            ca, cb = F(rng.randint(-2, 2)), F(rng.randint(-3, 3), rng.randint(1, 2))
+            vec = {c: ca * a.get(c, 0) + cb * b.get(c, 0) for c in list(a) + list(b)}
+            vec = {c: x for c, x in vec.items() if x}
+        else:
+            support = rng.sample(columns, rng.randint(1, min(4, len(columns))))
+            vec = {c: F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 3)) for c in support}
+        made.append(vec)
+        yield ("reduce" if rng.random() < 0.3 else "add"), vec
+
+
+def _assert_same(ech, ref):
+    assert _ordered_rows(ech) == _ordered_rows(ref)
+    assert ech._holders == _column_index(ech.rows)
+
+
+@pytest.mark.parametrize("priority", [_tied_priority, lambda c: (
+    (0, c.index) if type(c) is _Augmented else (1, -c))])
+def test_echelon_matches_reference_kernel(priority):
+    rng = random.Random(7301)
+    kinds = set()
+    for _ in range(300):
+        ech, ref = Echelon(priority=priority), _ReferenceEchelon(priority)
+        for kind, vec in _random_operations(rng):
+            if kind == "add":
+                pivot = ech.add(vec)
+                assert pivot == ref.add(vec)
+                kinds.add("dependent" if pivot is None else type(pivot).__name__)
+                _assert_same(ech, ref)
+            else:
+                assert _ordered(ech.reduce(vec)) == _ordered(ref.reduce(vec))
+    assert kinds == {"dependent", "int", "_Augmented"}
+
+
+def test_restricted_echelon_stays_reduced_and_indexed():
+    # drop the rows whose pivot is an even column, as the boundary echelon
+    # drops its outside-window rows, then keep adding
+    rng = random.Random(7302)
+    dropped = 0
+    for _ in range(200):
+        ech, ref = Echelon(priority=_tied_priority), _ReferenceEchelon(_tied_priority)
+        operations = [vec for kind, vec in _random_operations(rng)]
+        half = len(operations) // 2
+        for vec in operations[:half]:
+            assert ech.add(vec) == ref.add(vec)
+        keep = lambda p: type(p) is _Augmented or p % 2 == 1
+        dropped += sum(1 for p in ech.rows if not keep(p))
+        ech.restrict(keep)
+        ref.rows = {p: row for p, row in ref.rows.items() if keep(p)}
+        _assert_same(ech, ref)
+        for vec in operations[half:]:
+            assert ech.add(vec) == ref.add(vec)
+            _assert_same(ech, ref)
+            for p, row in ech.rows.items():
+                assert row[p] == 1
+                assert not any(col in ech.rows for col in row if col != p)
+    assert dropped > 0
