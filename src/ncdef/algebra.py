@@ -26,8 +26,7 @@ DEFAULT_STEP_BUDGET = 10**6
 class AlgebraPresentation:
     """Generators, rewrite rules and degree weights of an algebra."""
 
-    def __init__(self, generators, rules, weights=None, step_budget=DEFAULT_STEP_BUDGET,
-                 name=None):
+    def __init__(self, generators, rules, weights=None, step_budget=DEFAULT_STEP_BUDGET):
         self.generators = list(generators)
         if len(set(self.generators)) != len(self.generators):
             raise ValidationError("duplicate generator names")
@@ -38,7 +37,6 @@ class AlgebraPresentation:
             if not isinstance(w, int) or w < 0:
                 raise ValidationError("generator weights must be nonnegative integers")
         self.step_budget = step_budget
-        self.name = name
         self.rules = {}
         for lhs, rhs in rules:
             lhs = tuple(lhs)
@@ -263,9 +261,8 @@ class QuotientModule:
     shipped presets.
     """
 
-    def __init__(self, pres, ideal_gens, name=None):
+    def __init__(self, pres, ideal_gens):
         self.pres = pres
-        self.name = name
         self.ideal_gens = tuple(ideal_gens)
         for g in self.ideal_gens:
             if g not in pres.gen_index:
@@ -463,13 +460,11 @@ def preset_presentation(name):
         gens = ["x", "y", "Dx", "Dy"]
         return AlgebraPresentation(
             gens,
-            _commutation_rules(gens, {("Dx", "x"): 1, ("Dy", "y"): 1}),
-            name="weyl2",
-        )
+            _commutation_rules(gens, {("Dx", "x"): 1, ("Dy", "y"): 1}))
     if name == "weyl1":
         gens = ["x", "Dx"]
         return AlgebraPresentation(
-            gens, _commutation_rules(gens, {("Dx", "x"): 1}), name="weyl1")
+            gens, _commutation_rules(gens, {("Dx", "x"): 1}))
     if name == "poly1":
-        return AlgebraPresentation(["x"], [], name="poly1")
+        return AlgebraPresentation(["x"], [])
     raise ValidationError("unknown algebra preset %r" % name)

@@ -61,7 +61,7 @@ def _load_problem(args):
 
 
 def _ext_setup(problem):
-    """Computer, certified basis, and dimension tables for a problem."""
+    """Certified basis and dimension tables for a problem."""
     opts = problem.options
     computer = ExtComputer(problem.bundle, degree_bound=opts.degree_bound,
                            retry_step=opts.retry_step, max_bound=opts.max_bound)
@@ -72,13 +72,13 @@ def _ext_setup(problem):
         # ext_basis certifies each entry as it computes it
         basis = ExtBasis.computed(computer)
     tables = ext_tables(computer, problem.p)
-    return computer, basis, tables
+    return basis, tables
 
 
 def cmd_run(args):
     problem = _load_problem(args)
-    computer, basis, tables = _ext_setup(problem)
-    state = compute_hull(basis, problem.options, bundle=problem.bundle)
+    basis, tables = _ext_setup(problem)
+    state = compute_hull(basis, problem.options)
     lifted = LiftedComplex(state.algebra, state.bundle, state.system)
     ok, failure = verify_lifted_complex(lifted)
     if not ok:
@@ -104,7 +104,7 @@ def cmd_run(args):
 
 def cmd_ext(args):
     problem = _load_problem(args)
-    computer, basis, tables = _ext_setup(problem)
+    basis, tables = _ext_setup(problem)
     if args.json:
         sys.stdout.write(canonical_json({"schema": "ncdef-ext/1",
                                          "problem": problem.to_json(),
@@ -121,7 +121,7 @@ def cmd_ext(args):
 
 def cmd_massey(args):
     problem = _load_problem(args)
-    computer, basis, tables = _ext_setup(problem)
+    basis, tables = _ext_setup(problem)
     mono = parse_monomial(args.monomial, problem.p)
     cochains = {}
     for arrow in set(mono.arrows):

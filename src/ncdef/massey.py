@@ -7,7 +7,12 @@ with the truncated relation series adjoined as tagged basis vectors),
 extracts the obstruction 2-cocycles y(X) as the top-degree components of
 d*d, projects them onto the certified Ext^2 basis to extend the relation
 series, collapses the tags to reach H_{n+1}, and solves correction cochains
-so the extended family is flat again.
+so the extended family is flat again.  The collapse substitutes each tag by
+its combination of top-degree monomials in R's structure constants, so the
+curvature of the defining system over H is R's curvature pushed through the
+substitution; that curvature is the residual the corrections kill.  A
+degree's basis never changes once the hull passes it, so the state keeps
+only the current H.
 
 Stabilization is certified separately: the zero extension of the defining
 system over the relation quotient, truncated a couple of degrees above the
@@ -40,7 +45,6 @@ class HullState:
     algebra: object                      # H_order, monomial basis
     system: dict                         # Monomial -> Cochain (sparse, zeros omitted)
     series: dict                         # RelTag -> MatricPoly
-    basis_chain: dict                    # degree -> list[Monomial]
     products_log: dict = field(default_factory=dict)
     corrections_log: dict = field(default_factory=dict)
     stabilized: bool = False
@@ -59,9 +63,9 @@ class HullState:
         return max(degs, default=0)
 
 
-def init_order2(ext, options, bundle=None):
+def init_order2(ext, options):
     """Defining system at the tangent level: differentials plus Ext^1 reps."""
-    bundle = bundle or ext.bundle
+    bundle = ext.bundle
     table = ext.table()
     algebra = build_quotient(table, [], 2)
     system = {}
@@ -72,13 +76,7 @@ def init_order2(ext, options, bundle=None):
         system[Monomial.from_arrows([arrow])] = ext.ext1_rep(i, j, l)
     series = {tag: MatricPoly((tag.i, tag.j)) for tag in table.rel_tags()}
     return HullState(bundle=bundle, table=table, ext=ext, options=options,
-                     order=2, algebra=algebra, system=system, series=series,
-                     basis_chain={1: algebra.basis_of_degree(1)})
-
-
-def _indexed_system(state, algebra):
-    return {label: phi for label, phi in state.system.items()
-            if label in algebra.index}
+                     order=2, algebra=algebra, system=system, series=series)
 
 
 def order_obstructions(state):
@@ -96,7 +94,7 @@ def order_obstructions(state):
         if mono not in R.index:
             raise FlatnessViolated("basis monomial %r lost in the bookkeeping ring"
                                    % (mono,))
-    curv = curvature(R, _indexed_system(state, R), state.bundle)
+    curv = curvature(R, state.system, state.bundle)
     ys = {}
     ws = {}
     for label, comp in curv.items():
@@ -149,82 +147,60 @@ def advance_order(state):
 
     products = {}
     new_series = dict(state.series)
-    a_coeffs = {}
     for x in sorted(ys, key=Monomial.key):
-        coeffs = _project(state, ys[x])
-        a_coeffs[x] = coeffs
         products[x] = {RelTag(x.i, x.j, l + 1): c
-                       for l, c in enumerate(coeffs) if c}
-        for l, c in enumerate(coeffs):
-            if c:
-                tag = RelTag(x.i, x.j, l + 1)
-                new_series[tag] = new_series[tag].add_term(x, c)
+                       for l, c in enumerate(_project(state, ys[x])) if c}
+        for tag, c in products[x].items():
+            new_series[tag] = new_series[tag].add_term(x, c)
 
-    # collapse the tags: f-classes become combinations of the new monomials
+    # collapse the tags: each tag becomes the combination sum_x <x, tag> x of
+    # the top-degree monomials, a substitution into R's structure constants
     vectors = []
     for tag in sorted(new_series, key=lambda t: (t.i, t.j, t.l)):
         vec = {}
         if tag in R.index:
             vec[R.index[tag]] = Fraction(1)
-        for x, coeffs in a_coeffs.items():
-            if (x.i, x.j) == (tag.i, tag.j) and coeffs[tag.l - 1]:
-                vec[R.index[x]] = coeffs[tag.l - 1]
+        for x, value in products.items():
+            if tag in value:
+                vec[R.index[x]] = value[tag]
         if vec:
             vectors.append(vec)
-    H, eliminated, _ = quotient_by_vectors(R, vectors)
+    H = quotient_by_vectors(R, vectors)
     if H.tags():
         raise FlatnessViolated("relation tags survived the order collapse")
 
-    # curvature over H = curvature over R pushed through the collapse
-    residual = {}
-    curv_R = dict(ys)
-    curv_R.update(ws)
-    for label, coords in eliminated.items():
-        comp = curv_R.get(label)
-        if comp is None or comp.is_zero():
-            continue
-        for idx, coeff in coords.items():
-            zlabel = H.basis[idx]
-            acc = residual.get(zlabel)
-            residual[zlabel] = comp.scale(coeff) if acc is None \
-                else acc.add(comp.scale(coeff))
-    for x in H.basis_of_degree(n):
-        comp = curv_R.get(x)
-        if comp is not None:
-            acc = residual.get(x)
-            residual[x] = comp if acc is None else acc.add(comp)
+    # H's structure constants are R's pushed through the collapse, so by
+    # linearity its curvature is R's curvature pushed
+    residual = curvature(H, state.system, state.bundle)
+    for label in residual:
+        if label.degree < n:
+            raise FlatnessViolated("order collapse disturbed degree %d"
+                                   % label.degree)
 
     corrections = {}
     system = dict(state.system)
     for x in H.basis_of_degree(n):
         target = residual.get(x)
-        if target is None or target.is_zero():
+        if target is None:
             continue
         alpha = solve_coboundary(target, degree_bound=opts.degree_bound,
                                  retry_step=opts.retry_step,
                                  max_bound=opts.max_bound)
         system[x] = alpha
         corrections[x] = {"alpha": alpha, "target": target}
-    for zlabel, comp in residual.items():
-        if isinstance(zlabel, Monomial) and zlabel.degree < n and not comp.is_zero():
-            raise FlatnessViolated("order collapse disturbed degree %d"
-                                   % zlabel.degree)
 
     lifted = LiftedComplex(H, state.bundle, system)
     ok, failure = verify_lifted_complex(lifted)
     if not ok:
         raise FlatnessViolated("extended defining system fails at %r" % (failure,))
 
-    chain = dict(state.basis_chain)
-    chain[n] = H.basis_of_degree(n)
     plog = dict(state.products_log)
     plog[n] = products
     clog = dict(state.corrections_log)
     clog[n] = corrections
     return HullState(bundle=state.bundle, table=state.table, ext=state.ext,
                      options=opts, order=n + 1, algebra=H, system=system,
-                     series=new_series, basis_chain=chain, products_log=plog,
-                     corrections_log=clog)
+                     series=new_series, products_log=plog, corrections_log=clog)
 
 
 def check_stabilized(state):
@@ -247,7 +223,7 @@ def check_stabilized(state):
             return False, {"reason": "a carried monomial is not a basis "
                                       "monomial of the relation quotient",
                            "monomial": format_monomial(label)}
-    lifted = LiftedComplex(T, state.bundle, _indexed_system(state, T))
+    lifted = LiftedComplex(T, state.bundle, state.system)
     ok, failure = verify_lifted_complex(lifted)
     raw = _raw_products(state)
     certificate = {
@@ -291,13 +267,13 @@ def _raw_products(state):
     return out
 
 
-def compute_hull(ext, options, bundle=None):
+def compute_hull(ext, options):
     """Iterate the order step until stabilization or the order cap.
 
     Returns the final state; per-order product and correction logs live on
     the state, the stabilization certificate on state.certificate.
     """
-    state = init_order2(ext, options, bundle=bundle)
+    state = init_order2(ext, options)
     while state.order <= options.max_order:
         try:
             state = advance_order(state)

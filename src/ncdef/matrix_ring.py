@@ -19,6 +19,13 @@ surviving monomials form an order ideal: they are closed under divisors
 (Mora, TCS 134, 1994; Ufnarovski, LMS LN 251, 1998).  For a fixed column
 order the fully reduced echelon of a span does not depend on the order its
 rows arrive in, so the basis and expansions are unique.
+
+The order step collapses the tags of a bookkeeping ring by substitution:
+each collapse vector is a tag plus monomials of its type of the top degree
+cutoff - 1.  No products of tags are recorded and a top-degree monomial
+times the radical passes the cutoff, so these vectors already span a
+two-sided ideal, and the quotient is one echelon of them pushed into the
+products and expansions.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InconsistentRelations, ValidationError
+from .errors import InconsistentRelations, InternalInvariantError, ValidationError
 from .linalg import Echelon
 
 RelTag = namedtuple("RelTag", ["i", "j", "l"])
@@ -345,12 +352,9 @@ class FiniteDimPointedAlgebra:
         self.products = products
         self._expansion = expansion
         self.cutoff = cutoff
-        self.idempotents = {}
         for i in range(1, p + 1):
-            e = Monomial.idempotent(i)
-            if e not in self.index:
+            if Monomial.idempotent(i) not in self.index:
                 raise InconsistentRelations("idempotent e%d was eliminated" % i)
-            self.idempotents[i] = self.index[e]
 
     @property
     def dim(self):
@@ -365,10 +369,6 @@ class FiniteDimPointedAlgebra:
     def tags(self):
         return [b for b in self.basis if isinstance(b, RelTag)]
 
-    def radical_indices(self):
-        return [k for k, b in enumerate(self.basis)
-                if not (isinstance(b, Monomial) and b.degree == 0)]
-
     def expansion(self, mono):
         """Index coordinates of a monomial class over the basis (beta table)."""
         if mono.degree >= self.cutoff:
@@ -380,19 +380,6 @@ class FiniteDimPointedAlgebra:
 
     def product(self, a_idx, b_idx):
         return self.products.get((a_idx, b_idx), {})
-
-    def mult_coords(self, u, v):
-        """Product of two index-coordinate vectors."""
-        out = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                for c, cc in self.product(a, b).items():
-                    s = out.get(c, Fraction(0)) + ca * cb * cc
-                    if s:
-                        out[c] = s
-                    else:
-                        out.pop(c, None)
-        return out
 
 
 def _elimination_priority(col):
@@ -514,26 +501,22 @@ def build_tagged_truncation(table, series, cutoff):
     return _assemble(table, cutoff, _eliminate(rows), tags)
 
 
-def _type_split(basis, vec):
-    parts = {}
-    for k, c in vec.items():
-        parts.setdefault(label_type(basis[k]), {})[k] = c
-    return [parts[t] for t in sorted(parts)]
-
-
 def quotient_by_vectors(algebra, vectors):
-    """Quotient an algebra by the two-sided ideal spanned by the vectors.
+    """Quotient an algebra by the span of collapse vectors (index coordinates).
 
-    Vectors are index coordinates.  Returns (quotient, eliminated, push)
-    where eliminated maps each removed basis label to its expansion over the
-    surviving basis and push sends old index coords to new index coords.
-    Tag columns are eliminated first so the result has a monomial basis
-    whenever possible.
+    Each vector must be a type-homogeneous combination of tags and monomials
+    of the top degree cutoff - 1; such vectors already span a two-sided
+    ideal.  Tag columns are eliminated first so the result has a monomial
+    basis whenever possible.
     """
-    seeds = []
-    for v in vectors:
-        if v:
-            seeds.extend(_type_split(algebra.basis, v))
+    for vec in vectors:
+        labels = [algebra.basis[k] for k in vec]
+        if len({label_type(label) for label in labels}) > 1 or any(
+                isinstance(label, Monomial) and label.degree != algebra.cutoff - 1
+                for label in labels):
+            raise InternalInvariantError(
+                "collapse vector %s is not a type-homogeneous combination of "
+                "tags and top-degree monomials" % (labels,))
 
     def priority(col):
         label = algebra.basis[col]
@@ -542,31 +525,16 @@ def quotient_by_vectors(algebra, vectors):
         return (0, -label.degree, label.key(), (0, 0, 0))
 
     ech = Echelon(priority=priority)
-    members = []
-    for v in seeds:
-        if ech.add(dict(v)) is not None:
-            members.append(v)
-    rad = algebra.radical_indices()
-    frontier = members
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for r in rad:
-                for left in (True, False):
-                    ru = {r: Fraction(1)}
-                    w = algebra.mult_coords(ru, v) if left else algebra.mult_coords(v, ru)
-                    if w and ech.add(dict(w)) is not None:
-                        nxt.append(w)
-        frontier = nxt
+    for vec in vectors:
+        if vec:
+            ech.add(dict(vec))
     pivots = ech.pivots()
     keep = [k for k in range(algebra.dim) if k not in pivots]
     reindex = {k: n for n, k in enumerate(keep)}
 
     def push(coords):
-        red = ech.reduce(coords)
-        return {reindex[k]: c for k, c in red.items()}
+        return {reindex[k]: c for k, c in ech.reduce(coords).items()}
 
-    eliminated = {algebra.basis[k]: push({k: Fraction(1)}) for k in sorted(pivots)}
     products = {}
     for (a, b), coords in algebra.products.items():
         if a in pivots or b in pivots:
@@ -575,9 +543,8 @@ def quotient_by_vectors(algebra, vectors):
         if pushed:
             products[(reindex[a], reindex[b])] = pushed
     expansion = {m: push(dict(coords)) for m, coords in algebra._expansion.items()}
-    quot = FiniteDimPointedAlgebra(algebra.p, [algebra.basis[k] for k in keep],
+    return FiniteDimPointedAlgebra(algebra.p, [algebra.basis[k] for k in keep],
                                    products, expansion, algebra.cutoff)
-    return quot, eliminated, push
 
 
 def divisor_truncation(x, p):

@@ -57,14 +57,12 @@ class Problem:
     """A module family with fixed resolutions and optional shipped basis."""
 
     def __init__(self, name, pres, bundle, preset_basis=None, options=None,
-                 module_names=None, spec_json=None):
+                 spec_json=None):
         self.name = name
         self.pres = pres
         self.bundle = bundle
         self.preset_basis = preset_basis
         self.options = options or RunOptions()
-        self.module_names = module_names or ["M%d" % i for i in
-                                             range(1, bundle.p + 1)]
         self._spec_json = spec_json
 
     @property
@@ -103,8 +101,8 @@ def _weyl2_simple4():
         (["x", "Dy"], [[["x"], ["Dy"]], [["Dy", "-x"]]]),
         (["x", "y"], [[["x"], ["y"]], [["y", "-x"]]]),
     ]
-    resolutions = [FreeResolution(pres, ideal, [1, 2, 1], diffs, name="M%d" % k)
-                   for k, (ideal, diffs) in enumerate(data, start=1)]
+    resolutions = [FreeResolution(pres, ideal, [1, 2, 1], diffs)
+                   for ideal, diffs in data]
     bundle = ResolutionBundle(pres, resolutions)
     second_slot = [[["0"], ["1"]], [["1", "0"]]]
     first_slot = [[["1"], ["0"]], [["0", "-1"]]]
@@ -128,7 +126,7 @@ def _weyl2_simple4():
 
 def _poly1_point():
     pres = preset_presentation("poly1")
-    res = FreeResolution(pres, ["x"], [1, 1], [[["x"]]], name="M1")
+    res = FreeResolution(pres, ["x"], [1, 1], [[["x"]]])
     bundle = ResolutionBundle(pres, [res])
     ext1 = {(1, 1): [_cochain_from_mats(bundle, 1, 1, 1, [[["1"]]])]}
     ext2 = {(1, 1): []}
@@ -176,21 +174,17 @@ def problem_from_json(data, options=None):
     if not modules:
         raise ValidationError("problem spec needs a nonempty 'modules' list")
     resolutions = []
-    names = []
     for k, mod in enumerate(modules, start=1):
         if not isinstance(mod, dict) or not {"ideal", "ranks", "diffs"} <= set(mod):
             raise ValidationError("module %d needs 'ideal', 'ranks' and 'diffs'" % k)
-        name = mod.get("name", "M%d" % k)
-        names.append(name)
         resolutions.append(FreeResolution(pres, mod["ideal"], mod["ranks"],
-                                          mod["diffs"], name=name))
+                                          mod["diffs"]))
     bundle = ResolutionBundle(pres, resolutions)
     preset_basis = None
     if "ext_basis" in data:
         preset_basis = ext_basis_from_json(bundle, data["ext_basis"])
     return Problem(data.get("name", "custom"), pres, bundle,
-                   preset_basis=preset_basis, options=opts,
-                   module_names=names, spec_json=data)
+                   preset_basis=preset_basis, options=opts, spec_json=data)
 
 
 def ext_basis_from_json(bundle, data):

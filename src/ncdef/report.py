@@ -30,9 +30,11 @@ def ext_tables(computer, p):
 
 def _products_json(state, order, products):
     table = state.table
+    # a degree's basis is fixed once the hull reaches the next order
+    basis = set(state.algebra.basis_of_degree(order))
     out = []
     for x in monomials_of_degree(table, order):
-        if x not in products and x not in state.basis_chain.get(order, []):
+        if x not in products and x not in basis:
             continue
         value = products.get(x, {})
         out.append({
@@ -80,8 +82,9 @@ def build_report(problem, state, tables, checker_block):
         "generators": generators,
         "orders": orders,
         "relations": relations_json(state),
-        "basis": {str(d): [format_monomial(m, table) for m in mons]
-                  for d, mons in sorted(state.basis_chain.items())},
+        "basis": {str(d): [format_monomial(m, table)
+                           for m in state.algebra.basis_of_degree(d)]
+                  for d in range(1, state.order)},
         "versal_family": versal,
         "stabilized": state.stabilized,
         "stabilized_at": stabilized_at if state.stabilized else None,

@@ -131,16 +131,15 @@ class FreeResolution:
     zero, checked symbolically on construction.
     """
 
-    def __init__(self, pres, ideal_gens, ranks, diffs, name=None):
+    def __init__(self, pres, ideal_gens, ranks, diffs):
         if not ranks or ranks[0] != 1:
             raise ValidationError("cyclic module resolutions start with L_0 = A")
         if len(ranks) < 2 or len(diffs) != len(ranks) - 1:
             raise ValidationError("need d_0 : L_1 -> L_0 and exactly one "
                                   "differential per adjacent pair")
         self.pres = pres
-        self.module = QuotientModule(pres, ideal_gens, name=name)
+        self.module = QuotientModule(pres, ideal_gens)
         self.ranks = list(ranks)
-        self.name = name
         self.diffs = []
         for m, d in enumerate(diffs):
             if not isinstance(d, Mat):
@@ -680,8 +679,9 @@ class ExtBasis:
                     if phi.degree != n or phi.type != (i, j):
                         raise ShapeMismatch("misfiled representative")
                     if not is_cocycle(phi):
-                        from .errors import NotACocycle
-                        raise NotACocycle("representative for Ext^%d(%d,%d)" % (n, i, j))
+                        raise ValidationError(
+                            "representative for Ext^%d(%d,%d) is not a cocycle"
+                            % (n, i, j))
                 dim, boundaries = computer._dimension_and_boundaries(i, j, n, bound)
                 _certify_independent(computer, n, i, j, reps, dim, boundaries)
         return True

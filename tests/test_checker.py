@@ -109,8 +109,8 @@ def test_coboundary_deformation_is_trivial(weyl):
 
 
 def _free2_basis():
-    pres = AlgebraPresentation(["u", "v"], [], name="free2")
-    res = FreeResolution(pres, ["u", "v"], [1, 2], [[["u"], ["v"]]], name="M")
+    pres = AlgebraPresentation(["u", "v"], [])
+    res = FreeResolution(pres, ["u", "v"], [1, 2], [[["u"], ["v"]]])
     bundle = ResolutionBundle(pres, [res])
     computer = ExtComputer(bundle, degree_bound=4)
     basis = ExtBasis.computed(computer)

@@ -360,3 +360,13 @@ def test_malformed_spec_ext_basis_fails_validation(ext_basis, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "Traceback" not in err
+
+
+def test_spec_ext_basis_non_cocycle_fails_validation(tmp_path, capsys):
+    # the right shape but not a cocycle: bad input, not a broken invariant
+    spec = _poly3_spec()
+    spec["ext_basis"] = {"ext1": {"1,1": [{"mats": [[["1"], ["0"], ["0"]]]}]}}
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "not a cocycle" in err
+    assert "Traceback" not in err

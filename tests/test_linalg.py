@@ -196,10 +196,10 @@ def test_divisor_truncation_small_kernel():
     assert [str(m) for m in R.basis] == ["e1", "e2", "e3", "e4",
                                          "x12", "x24", "x12*x24"]
     vec = {R.index[x]: F(1)}
-    for r in R.radical_indices():
-        unit = {r: F(1)}
-        assert R.mult_coords(unit, vec) == {}
-        assert R.mult_coords(vec, unit) == {}
+    for r, label in enumerate(R.basis):
+        if label.degree:
+            assert R.product(r, R.index[x]) == {}
+            assert R.product(R.index[x], r) == {}
     x12, x24 = (R.index[parse_monomial(name, 4)] for name in ("x12", "x24"))
     assert R.product(x12, x24) == vec
 

@@ -37,7 +37,7 @@ def test_init_order2(weyl):
     state = init_order2(weyl.preset_basis, RunOptions())
     assert state.order == 2
     assert len(state.system) == 4 + 8
-    assert len(state.basis_chain[1]) == 8
+    assert len(state.algebra.basis_of_degree(1)) == 8
     assert all(f.is_zero() for f in state.series.values())
 
 
@@ -73,7 +73,7 @@ def test_advance_produces_known_relations(weyl_state):
 
 
 def test_advance_basis_and_corrections(weyl_state):
-    names = {format_monomial(m) for m in weyl_state.basis_chain[2]}
+    names = {format_monomial(m) for m in weyl_state.algebra.basis_of_degree(2)}
     assert len(names) == 12
     assert names.isdisjoint({"x13*x34", "x24*x43", "x31*x12", "x42*x21"})
     # the zero correction choice works at order 2
@@ -131,13 +131,13 @@ def test_unobstructed_poly1(poly1_state):
     for order in range(2, 7):
         assert order in poly1_state.products_log
         assert all(v == {} for v in poly1_state.products_log[order].values())
-        assert len(poly1_state.basis_chain[order - 1]) == 1
+        assert len(poly1_state.algebra.basis_of_degree(order - 1)) == 1
 
 
 def _free2_setup():
     """k<u,v> with the point module: two tangent directions, no obstructions."""
-    pres = AlgebraPresentation(["u", "v"], [], name="free2")
-    res = FreeResolution(pres, ["u", "v"], [1, 2], [[["u"], ["v"]]], name="M")
+    pres = AlgebraPresentation(["u", "v"], [])
+    res = FreeResolution(pres, ["u", "v"], [1, 2], [[["u"], ["v"]]])
     bundle = ResolutionBundle(pres, [res])
     computer = ExtComputer(bundle, degree_bound=4)
     basis = ExtBasis.computed(computer)
@@ -152,18 +152,17 @@ def test_free_algebra_unobstructed_hull():
     state = compute_hull(basis, RunOptions(max_order=3, stop_on_stabilized=False))
     assert state.stabilized
     assert state.relations() == {}
-    assert len(state.basis_chain[2]) == 4
-    assert len(state.basis_chain[3]) == 8
+    assert len(state.algebra.basis_of_degree(2)) == 4
+    assert len(state.algebra.basis_of_degree(3)) == 8
 
 
 def test_point_module_over_commutative_plane():
     """The point in the affine plane: two tangent directions, one relation,
     and the relation the engine finds is exactly the commutator, so the
     noncommutative hull is the commutative formal power series plane."""
-    pres = AlgebraPresentation(["x", "y"], [(("y", "x"), [(("x", "y"), 1)])],
-                               name="plane")
+    pres = AlgebraPresentation(["x", "y"], [(("y", "x"), [(("x", "y"), 1)])])
     res = FreeResolution(pres, ["x", "y"], [1, 2, 1],
-                         [[["x"], ["y"]], [["y", "-x"]]], name="point")
+                         [[["x"], ["y"]], [["y", "-x"]]])
     bundle = ResolutionBundle(pres, [res])
     computer = ExtComputer(bundle, degree_bound=4)
     assert computer.ext_dimension(1, 1, 1) == 2
@@ -182,8 +181,8 @@ def test_point_module_over_commutative_plane():
     assert set(f.terms) == {t12, t21}
     assert f.terms[t12] == -f.terms[t21]
     # surviving degree-2 and degree-3 bases are the commutative monomials
-    assert len(state.basis_chain[2]) == 3
-    assert len(state.basis_chain[3]) == 4
+    assert len(state.algebra.basis_of_degree(2)) == 3
+    assert len(state.algebra.basis_of_degree(3)) == 4
     for prods in (state.products_log[3], state.products_log[4]):
         assert all(v == {} for v in prods.values())
 
@@ -193,9 +192,8 @@ def test_infinite_extensions_raise_not_stabilized():
     # self-extensions; the truncated count keeps growing and the engine
     # must refuse to certify a number
     from ncdef.errors import NotStabilized
-    pres = AlgebraPresentation(["x", "y"], [(("y", "x"), [(("x", "y"), 1)])],
-                               name="plane")
-    res = FreeResolution(pres, ["x"], [1, 1], [[["x"]]], name="line")
+    pres = AlgebraPresentation(["x", "y"], [(("y", "x"), [(("x", "y"), 1)])])
+    res = FreeResolution(pres, ["x"], [1, 1], [[["x"]]])
     bundle = ResolutionBundle(pres, [res])
     computer = ExtComputer(bundle, degree_bound=4)
     with pytest.raises(NotStabilized):
@@ -207,7 +205,7 @@ def test_rigid_family():
     from ncdef.algebra import preset_presentation
     pres = preset_presentation("weyl2")
     res = FreeResolution(pres, ["Dx", "Dy"], [1, 2, 1],
-                         [[["Dx"], ["Dy"]], [["Dy", "-Dx"]]], name="M1")
+                         [[["Dx"], ["Dy"]], [["Dy", "-Dx"]]])
     bundle = ResolutionBundle(pres, [res])
     computer = ExtComputer(bundle, degree_bound=4)
     basis = ExtBasis.computed(computer)

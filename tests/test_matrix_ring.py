@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncdef.errors import ValidationError
+from ncdef.errors import InternalInvariantError, ValidationError
 from ncdef.matrix_ring import (GeneratorTable, MatricPoly, Monomial, RelTag,
                                _eliminate, _elimination_priority, _tagged_rows,
                                build_quotient, build_tagged_truncation, concat,
@@ -117,15 +117,25 @@ def test_block_relations(weyl_table):
                 assert alg.basis[idx].type == (la.i, lb.j)
 
 
+def _multiply(alg, u, v):
+    """Product of two index-coordinate vectors of a truncation."""
+    out = {}
+    for a, ca in u.items():
+        for b, cb in v.items():
+            for c, cc in alg.product(a, b).items():
+                out[c] = out.get(c, Fraction(0)) + ca * cb * cc
+    return {c: v for c, v in out.items() if v}
+
+
 def test_radical_nilpotency(weyl_table):
     rels = list(relation_series(weyl_table).values())
     for cutoff in (2, 3, 4):
         alg = build_quotient(weyl_table, rels, cutoff)
         # R^cutoff = 0: every product of cutoff radical basis vectors vanishes
-        rad = [{k: Fraction(1)} for k in alg.radical_indices()]
+        rad = [{k: Fraction(1)} for k, b in enumerate(alg.basis) if b.degree]
         power = rad
         for _ in range(cutoff - 1):
-            power = [w for u in power for v in rad if (w := alg.mult_coords(u, v))]
+            power = [w for u in power for v in rad if (w := _multiply(alg, u, v))]
         assert not power
 
 
@@ -217,9 +227,27 @@ def test_truncation_bases_closed_under_divisors(weyl_table):
 
 def test_quotient_by_vectors_kills_ideal():
     table = GeneratorTable(1, {(1, 1): 1})
-    alg = build_quotient(table, [], 4)
+    alg = build_quotient(table, [], 3)
+    t1 = parse_monomial("x11", 1)
     t2 = parse_monomial("x11*x11", 1)
-    quot, eliminated, push = quotient_by_vectors(alg, [{alg.index[t2]: Fraction(1)}])
+    quot = quotient_by_vectors(alg, [{alg.index[t2]: Fraction(1)}])
     assert {format_monomial(m) for m in quot.basis} == {"e1", "x11"}
-    assert eliminated[t2] == {}
-    assert push({alg.index[t2]: Fraction(1)}) == {}
+    assert quot.expansion(t2) == {}
+    assert quot.product(quot.index[t1], quot.index[t1]) == {}
+    assert quot.expansion(t1) == {quot.index[t1]: Fraction(1)}
+
+
+def test_quotient_by_vectors_rejects_vectors_that_generate_more(weyl_table):
+    # only type-homogeneous combinations of tags and top-degree monomials
+    # span a two-sided ideal without closure
+    ring = build_tagged_truncation(weyl_table, relation_series(weyl_table), 3)
+    tag = ring.index[RelTag(1, 4, 1)]
+    top = ring.index[parse_monomial("x12*x24", 4)]
+    other_type = ring.index[parse_monomial("x21*x13", 4)]
+    below_top = ring.index[parse_monomial("x12", 4)]
+    quotient_by_vectors(ring, [{tag: Fraction(1), top: Fraction(1)}])
+    for vec in ({tag: Fraction(1), other_type: Fraction(1)},
+                {top: Fraction(1), below_top: Fraction(1)},
+                {below_top: Fraction(1)}):
+        with pytest.raises(InternalInvariantError):
+            quotient_by_vectors(ring, [vec])

@@ -91,3 +91,36 @@ def test_every_public_method_is_called_in_the_package():
         if uses.get(node.name, 0) == own:
             unreferenced.append("%s:%s" % (filename, qualified))
     assert unreferenced == []
+
+
+def test_every_assigned_attribute_is_read():
+    # a value stored on ``self`` that no code loads is state kept only to be
+    # copied; loading an attribute just to store into one of its items is
+    # not a read
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        item_targets = {id(node.value) for node in ast.walk(tree)
+                        if isinstance(node, ast.Subscript)
+                        and isinstance(node.ctx, (ast.Store, ast.Del))}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)
+                 and id(node) not in item_targets}
+    unread = set()
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self" and sub.attr not in read):
+                        unread.add("%s:%s" % (filename, sub.attr))
+    assert sorted(unread) == []

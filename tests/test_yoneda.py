@@ -121,8 +121,8 @@ def test_ext_dimension_symmetry(weyl_computer):
 def _weyl1_problem():
     """Two point modules over the one-variable Weyl algebra."""
     pres = preset_presentation("weyl1")
-    m = FreeResolution(pres, ["Dx"], [1, 1], [[["Dx"]]], name="M")
-    n = FreeResolution(pres, ["x"], [1, 1], [[["x"]]], name="N")
+    m = FreeResolution(pres, ["Dx"], [1, 1], [[["Dx"]]])
+    n = FreeResolution(pres, ["x"], [1, 1], [[["x"]]])
     return ResolutionBundle(pres, [m, n])
 
 
@@ -250,7 +250,7 @@ def test_sparse_system_adds_cancels_and_sorts(weyl):
 
 def test_bundle_leaves_resolutions_unchanged():
     pres = preset_presentation("poly1")
-    res = FreeResolution(pres, ["x"], [1, 1], [[["x"]]], name="M")
+    res = FreeResolution(pres, ["x"], [1, 1], [[["x"]]])
     diffs = list(res.diffs)
     bundle = ResolutionBundle(pres, [res])
     assert bundle.mmax == 2
