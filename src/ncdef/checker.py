@@ -193,7 +193,7 @@ def equivalence_check(c1, c2, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
                                     for r in range(rows_out):
                                         system.add((zidx, m, r, c), prod,
                                                    ("q", bidx, m + 1, r, t, w), -coeff)
-        sol = solve_sparse(system.equations())
+        (sol,) = solve_sparse(system.equations(), 1)
         if sol is not None and _intertwines(c1, c2, decode_entries(sol, "q", pres)):
             return True
     return False

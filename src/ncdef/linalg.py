@@ -10,10 +10,14 @@ place and keeps an index from each non-pivot column to the rows that
 contain it, so inserting a row touches only the rows holding its pivot,
 and reducing a vector is one pass over the pivot columns it starts with.
 ``solve_sparse`` and ``kernel_basis`` run on it with augmented columns:
-extra columns appended to every row (a right-hand side, or the combination
-of inputs that produced the row) that are equal only to themselves, so no
-column label can collide with them, and that rank below every real column,
-so they pivot only in a row whose real part has reduced to zero.
+extra columns appended to every row (one per right-hand side, or the
+combination of inputs that produced the row) that are equal only to
+themselves, so no column label can collide with them, and that rank below
+every real column, so they pivot only in a row whose real part has reduced
+to zero.  ``solve_sparse`` carries all the right-hand sides of a system as
+such columns through one elimination; a right-hand side is inconsistent
+exactly when a row that pivots on an augmented column has an entry in its
+column.
 """
 
 from __future__ import annotations
@@ -129,32 +133,56 @@ class _Augmented:
         self.index = index
 
 
-def solve_sparse(equations):
-    """Solve a sparse linear system given as (coeff_vec, rhs) pairs.
+def solve_sparse(equations, targets):
+    """Solve one sparse linear system for ``targets`` right-hand sides at once.
 
-    Returns a dict of variable -> Fraction in sorted variable order with free
-    variables omitted (treated as 0), or None when inconsistent.  Each
-    right-hand side rides in its row as one augmented column ranked below
-    every variable, and the least variable of a row pivots, so the solution
-    depends only on the system, not on the order of its equations; a row
-    that pivots on the right-hand side means the system is inconsistent.
+    ``equations`` are (coeff_vec, rhs) pairs, where ``rhs`` maps a target
+    index in range(targets) to that target's right-hand side (an absent
+    index is 0).  Returns one entry per target: a dict of variable ->
+    Fraction in sorted variable order with free variables omitted (treated
+    as 0), or None when that target's system is inconsistent.
+
+    Target t rides in every row as its own augmented column, ranked below
+    every variable and below the columns of the targets before it, and the
+    least variable of a row pivots.  A row that pivots on an augmented
+    column has no variable left: it is a combination of the equations whose
+    left-hand sides cancel, so every target with an entry in it is
+    inconsistent.  The rows that pivot on a variable, restricted to the
+    variables and the column of a consistent target, are then the reduced
+    echelon form of that target's system alone, so each consistent target
+    gets the solution a single-target solve returns; it depends only on the
+    system, not on the order of its equations or on the other targets.
     """
     variables = sorted({var for vec, _ in equations for var in vec})
-    rhs_col = _Augmented(len(variables))
+    columns = [_Augmented(len(variables) + t) for t in range(targets)]
     priority = {var: -k for k, var in enumerate(variables)}
-    priority[rhs_col] = -rhs_col.index
+    priority.update((col, -col.index) for col in columns)
     ech = Echelon(priority=priority.__getitem__)
+    inconsistent = set()
     for vec, rhs in equations:
         row = dict(vec)
-        if rhs:
-            row[rhs_col] = Fraction(rhs)
-        if ech.add(row) is rhs_col:
-            return None
+        for t, value in rhs.items():
+            if value:
+                row[columns[t]] = Fraction(value)
+        pivot = ech.add(row)
+        if type(pivot) is _Augmented:
+            # such a row later changes only by multiples of rows added the
+            # same way, so the entries recorded here are all there will be
+            inconsistent.update(col.index - len(variables) for col in ech.rows[pivot])
+            if len(inconsistent) == targets:
+                return [None] * targets
     # rows are fully reduced, so every non-pivot variable of a row is free
-    # (value 0) and the augmented column holds the pivot's value
+    # (value 0) and a consistent target's column holds the pivot's value
+    solutions = [None if t in inconsistent else {} for t in range(targets)]
+    live = [(sol, col) for sol, col in zip(solutions, columns) if sol is not None]
     rows = ech.rows
-    return {var: rows[var][rhs_col] for var in variables
-            if var in rows and rhs_col in rows[var]}
+    for var in variables:
+        row = rows.get(var)
+        if row is not None:
+            for sol, col in live:
+                if col in row:
+                    sol[var] = row[col]
+    return solutions
 
 
 def kernel_basis(vectors, tags):

@@ -118,15 +118,35 @@ def order_obstructions(state):
     return R, ys, ws
 
 
-def _project(state, y):
-    """Coefficients of a 2-cocycle over the Ext^2 basis of its type."""
-    basis = state.ext.ext2.get(y.type, [])
-    if y.is_zero():
-        return [Fraction(0)] * len(basis)
+def _by_type(cochains, solve):
+    """Results of ``solve(type, cochains of that type)``, one call per type.
+
+    ``cochains`` maps keys to cochains; returns key -> result in its order.
+    """
+    groups = {}
+    for key, y in cochains.items():
+        groups.setdefault(y.type, []).append(key)
+    out = {}
+    for typ, keys in groups.items():
+        out.update(zip(keys, solve(typ, [cochains[key] for key in keys])))
+    return {key: out[key] for key in cochains}
+
+
+def _project(state, cochains):
+    """Coefficients of each 2-cocycle over the Ext^2 basis of its type.
+
+    The nonzero cocycles of one type are projected in one call.
+    """
     opts = state.options
-    coeffs, _ = project_ext2(y, basis, degree_bound=opts.degree_bound,
-                             retry_step=opts.retry_step, max_bound=opts.max_bound)
-    return coeffs
+    ext2 = state.ext.ext2
+    nonzero = {key: y for key, y in cochains.items() if not y.is_zero()}
+    projected = _by_type(nonzero, lambda typ, ys: [
+        coeffs for coeffs, _ in project_ext2(
+            ys, ext2.get(typ, []), degree_bound=opts.degree_bound,
+            retry_step=opts.retry_step, max_bound=opts.max_bound)])
+    return {key: projected[key] if key in projected
+            else [Fraction(0)] * len(ext2.get(y.type, []))
+            for key, y in cochains.items()}
 
 
 def advance_order(state):
@@ -137,8 +157,7 @@ def advance_order(state):
 
     # relation-class consistency: each tagged curvature must represent the
     # dual basis vector of its own tag
-    for tag, w in ws.items():
-        coeffs = _project(state, w)
+    for tag, coeffs in _project(state, ws).items():
         want = [Fraction(1) if l + 1 == tag.l else Fraction(0)
                 for l in range(len(coeffs))]
         if coeffs != want:
@@ -147,9 +166,10 @@ def advance_order(state):
 
     products = {}
     new_series = dict(state.series)
-    for x in sorted(ys, key=Monomial.key):
+    projected = _project(state, {x: ys[x] for x in sorted(ys, key=Monomial.key)})
+    for x, coeffs in projected.items():
         products[x] = {RelTag(x.i, x.j, l + 1): c
-                       for l, c in enumerate(_project(state, ys[x])) if c}
+                       for l, c in enumerate(coeffs) if c}
         for tag, c in products[x].items():
             new_series[tag] = new_series[tag].add_term(x, c)
 
@@ -177,17 +197,14 @@ def advance_order(state):
             raise FlatnessViolated("order collapse disturbed degree %d"
                                    % label.degree)
 
-    corrections = {}
+    targets = {x: residual[x] for x in H.basis_of_degree(n) if x in residual}
+    alphas = _by_type(targets, lambda typ, ys: solve_coboundary(
+        ys, degree_bound=opts.degree_bound, retry_step=opts.retry_step,
+        max_bound=opts.max_bound))
     system = dict(state.system)
-    for x in H.basis_of_degree(n):
-        target = residual.get(x)
-        if target is None:
-            continue
-        alpha = solve_coboundary(target, degree_bound=opts.degree_bound,
-                                 retry_step=opts.retry_step,
-                                 max_bound=opts.max_bound)
-        system[x] = alpha
-        corrections[x] = {"alpha": alpha, "target": target}
+    system.update(alphas)
+    corrections = {x: {"alpha": alphas[x], "target": target}
+                   for x, target in targets.items()}
 
     lifted = LiftedComplex(H, state.bundle, system)
     ok, failure = verify_lifted_complex(lifted)
@@ -280,11 +297,11 @@ def compute_hull(ext, options):
         except NcdefError as exc:
             exc.args = ("order %d: %s" % (state.order, exc),)
             raise
-        stabilized, certificate = check_stabilized(state)
-        state.stabilized = stabilized
-        state.certificate = certificate
-        if stabilized and options.stop_on_stabilized:
-            break
+        # only a certificate that can stop the loop is worth one per order
+        if options.stop_on_stabilized:
+            state.stabilized, state.certificate = check_stabilized(state)
+            if state.stabilized:
+                break
     if state.certificate is None:
         state.stabilized, state.certificate = check_stabilized(state)
     return state
@@ -341,10 +358,10 @@ def immediate_massey(x, cochains, ext, options):
             if z not in curv:
                 continue
             try:
-                system[z] = solve_coboundary(curv[z],
-                                             degree_bound=options.degree_bound,
-                                             retry_step=options.retry_step,
-                                             max_bound=options.max_bound)
+                (system[z],) = solve_coboundary([curv[z]],
+                                                degree_bound=options.degree_bound,
+                                                retry_step=options.retry_step,
+                                                max_bound=options.max_bound)
             except NotACoboundary:
                 return MasseyValue(defined=False, failed_at=z)
 
@@ -359,10 +376,10 @@ def immediate_massey(x, cochains, ext, options):
         coeffs = [Fraction(0)] * len(basis)
     else:
         try:
-            coeffs, _ = project_ext2(value, basis,
-                                     degree_bound=options.degree_bound,
-                                     retry_step=options.retry_step,
-                                     max_bound=options.max_bound)
+            ((coeffs, _),) = project_ext2([value], basis,
+                                          degree_bound=options.degree_bound,
+                                          retry_step=options.retry_step,
+                                          max_bound=options.max_bound)
         except ProjectionFailed:
             return MasseyValue(defined=False, failed_at=x)
     out = {RelTag(x.i, x.j, l + 1): c for l, c in enumerate(coeffs) if c}

@@ -22,6 +22,12 @@ Ext^2 projections below, and the equivalence intertwiners of the checker --
 follows one path: for each rung of ``bound_ladder`` it builds a
 ``SparseSystem``, solves it with ``solve_sparse``, turns the solution into
 matrix entries with ``decode_entries`` and verifies the result exactly.
+The lifts and the cochain equations take every right-hand side that
+shares their operator (the representatives of one Ext group, the
+obstructions of one type): each rung builds and eliminates the operator
+once, with one augmented column per right-hand side still pending, and a
+right-hand side whose solution fails there, or fails the exact check,
+moves on to the next rung.  Each gets the solution it would get alone.
 """
 
 from __future__ import annotations
@@ -410,40 +416,51 @@ class ExtComputer:
                                 % (len(chosen), dim))
         return chosen
 
-    def _lift_to_yoneda(self, i, j, n, hom_vec):
-        """Lift a Hom-complex cocycle to a Yoneda cochain through L_{*,i}."""
+    def _lift_to_yoneda(self, i, j, n, hom_vecs):
+        """Lift Hom-complex cocycles to Yoneda cochains through L_{*,i}.
+
+        Every step solves one operator, right multiplication by a
+        differential of L_{*,i}, so all the cocycles go through each step
+        together.
+        """
         bundle = self.bundle
         res_i, res_j = bundle.res(i), bundle.res(j)
         pres = bundle.pres
-        phi0 = {}
-        for (r, w), c in hom_vec.items():
-            key = (r, 0)
-            cur = phi0.get(key, pres.zero())
-            phi0[key] = cur + pres.element({w: c})
-        mats = [Mat(res_j.rank(n), res_i.rank(0), phi0)]
+        lifts = []
+        for hom_vec in hom_vecs:
+            phi0 = {}
+            for (r, w), c in hom_vec.items():
+                key = (r, 0)
+                cur = phi0.get(key, pres.zero())
+                phi0[key] = cur + pres.element({w: c})
+            lifts.append([Mat(res_j.rank(n), res_i.rank(0), phi0)])
         sign = Fraction(-1) if (n + 1) % 2 else Fraction(1)
         for m in range(bundle.mmax - n):
             # solve phi_{m+1} * D_{m,i} = -D_{n+m,j} * phi_m  (up to sign)
-            rhs = res_j.diff(n + m).mul(mats[m]).scale(-1)
             target_rows = res_j.rank(n + m + 1)
             target_cols = res_i.rank(m + 1)
             if target_rows == 0 or target_cols == 0 or res_i.rank(m) == 0:
-                mats.append(Mat(target_rows, target_cols))
-                continue
-            sol = self._solve_unknown_times_known(
-                target_rows, target_cols, res_i.diff(m), rhs.scale(sign))
-            mats.append(sol)
-        phi = Cochain(bundle, n, i, j, mats)
-        if not is_cocycle(phi):
-            raise SolverBoundError("lifted cochain failed the cocycle check")
-        return phi
+                sols = [Mat(target_rows, target_cols) for _ in lifts]
+            else:
+                rhss = [res_j.diff(n + m).mul(mats[m]).scale(-1).scale(sign)
+                        for mats in lifts]
+                sols = self._solve_unknown_times_known(
+                    target_rows, target_cols, res_i.diff(m), rhss)
+            for mats, sol in zip(lifts, sols):
+                mats.append(sol)
+        phis = [Cochain(bundle, n, i, j, mats) for mats in lifts]
+        for phi in phis:
+            if not is_cocycle(phi):
+                raise SolverBoundError("lifted cochain failed the cocycle check")
+        return phis
 
-    def _solve_unknown_times_known(self, nrows, ncols, known, rhs):
-        """Solve U * known == rhs for an nrows x ncols U of bounded degree."""
+    def _solve_unknown_times_known(self, nrows, ncols, known, rhss):
+        """Solve U * known == rhs for an nrows x ncols U of bounded degree, per rhs."""
         pres = self.bundle.pres
         if ncols != known.nrows:
             raise ShapeMismatch("inner dimensions differ")
-        for bound in bound_ladder(self.degree_bound, self.retry_step, self.max_bound):
+
+        def operator(bound):
             words = pres.normal_words(bound)
             system = SparseSystem()
             # variable u[r,t] carrying word w feeds output entry (r, c)
@@ -452,15 +469,18 @@ class ExtComputer:
                     prod = multiply(pres.element({w: 1}), a)
                     for r in range(nrows):
                         system.add((r, c), prod, ("u", r, t, w))
-            for (r, c), v in rhs.entries.items():
-                system.add((r, c), v)
-            sol = solve_sparse(system.equations())
-            if sol is None:
-                continue
+            return system
+
+        def accept(k, sol):
             out = Mat(nrows, ncols, decode_entries(sol, "u", pres).get((), {}))
-            if out.mul(known) == rhs:
-                return out
-        raise SolverBoundError("no bounded-degree solution for the lift")
+            return out if out.mul(known) == rhss[k] else None
+
+        out = _solve_on_ladder(
+            bound_ladder(self.degree_bound, self.retry_step, self.max_bound),
+            [list(rhs.entries.items()) for rhs in rhss], operator, accept)
+        if None in out:
+            raise SolverBoundError("no bounded-degree solution for the lift")
+        return out
 
     def ext_basis(self, i, j, n):
         """Deterministic Yoneda representatives spanning Ext^n(M_j, M_i).
@@ -470,8 +490,8 @@ class ExtComputer:
         """
         bound = self.degree_bound
         dim, boundaries = self._dimension_and_boundaries(i, j, n, bound)
-        reps = [self._lift_to_yoneda(i, j, n, v) for v in
-                self._hom_representatives(i, j, n, bound, dim, boundaries)]
+        reps = self._lift_to_yoneda(
+            i, j, n, self._hom_representatives(i, j, n, bound, dim, boundaries))
         _certify_independent(self, n, i, j, reps, dim, boundaries)
         return reps
 
@@ -497,8 +517,9 @@ class ExtComputer:
 # ---------------------------------------------------------------------------
 # cochain equation solving
 #
-# Each solve enumerates the normal words once per rung; a rung without a
-# solution that passes the exact check moves on to the next.  Variables are
+# Each solve enumerates the normal words once per rung for all of its
+# right-hand sides; one without a solution that passes the exact check
+# moves on to the next rung (``_solve_on_ladder``).  Variables are
 # keyed (kind, *component, row, col, word).  solve_sparse pivots on the
 # least variable, so the key order decides which particular solution is
 # returned (and so the report bytes); the order of the equations does not.
@@ -521,28 +542,56 @@ def bound_ladder(degree_bound, retry_step, max_bound):
     yield cap
 
 
+def _solve_on_ladder(ladder, rhss, operator, accept):
+    """Solve several right-hand sides of one operator, rung by rung.
+
+    ``operator(bound)`` builds the coefficient part of a rung as a
+    ``SparseSystem``; ``rhss[k]`` lists the (equation, element) terms of
+    right-hand side k.  Each rung solves every right-hand side still pending
+    in one elimination, and ``accept(k, solution)`` returns the exactly
+    verified result for k or None, which leaves k pending for the next rung.
+    Returns the results, None for a right-hand side no rung solved.
+    """
+    out = [None] * len(rhss)
+    pending = list(range(len(rhss)))
+    for bound in ladder:
+        if not pending:
+            break
+        system = operator(bound)
+        for target, k in enumerate(pending):
+            for eq, elem in rhss[k]:
+                system.add(eq, elem, target=target)
+        for k, sol in zip(pending, solve_sparse(system.equations(), len(pending))):
+            if sol is not None:
+                out[k] = accept(k, sol)
+        pending = [k for k in pending if out[k] is None]
+    return out
+
+
 class SparseSystem:
-    """Linear equations over the rationals, accumulated term by term."""
+    """Linear equations over the rationals, accumulated term by term.
+
+    One coefficient part serves several right-hand sides, the targets,
+    numbered from 0.
+    """
 
     def __init__(self):
-        self.rows = {}  # equation key -> [coefficient vector, rhs]
+        self.rows = {}  # equation key -> [coefficient vector, {target: rhs}]
 
-    def add(self, eq, elem, var=None, scale=1):
+    def add(self, eq, elem, var=None, scale=1, target=0):
         """Add scale * elem to the equations eq + (word,), one per term of elem.
 
         The term goes to the coefficient of ``var``, or to the right-hand side
-        when ``var`` is None; coefficients that cancel are dropped.
+        of ``target`` when ``var`` is None; entries that cancel are dropped.
         """
         for w, c in elem.terms.items():
-            row = self.rows.setdefault(eq + (w,), [{}, Fraction(0)])
-            if var is None:
-                row[1] += scale * c
-                continue
-            coeff = row[0].get(var, 0) + scale * c
-            if coeff:
-                row[0][var] = coeff
+            row = self.rows.setdefault(eq + (w,), [{}, {}])
+            part, key = (row[1], target) if var is None else (row[0], var)
+            value = part.get(key, 0) + scale * c
+            if value:
+                part[key] = value
             else:
-                row[0].pop(var, None)
+                part.pop(key, None)
 
     def equations(self):
         """The nonzero (coefficients, rhs) rows in sorted equation order."""
@@ -567,19 +616,24 @@ def decode_entries(sol, kind, pres):
     return out
 
 
-def _solve_cochain_equation(target, basis, degree_bound, retry_step, max_bound):
-    """Solve  sum_l c_l basis_l + d(alpha) = target  exactly.
+def _solve_cochain_equation(targets, basis, degree_bound, retry_step, max_bound):
+    """Solve  sum_l c_l basis_l + d(alpha) = target  exactly, for each target.
 
-    Returns (coeffs, alpha) or None if infeasible at every allowed bound.
-    ``target`` is a degree-2 cochain; ``basis`` a list of degree-2 cochains.
-    Equation (m, r, c, w) is the coefficient of word w in entry (r, c) of
-    component m.
+    ``targets`` are degree-2 cochains of one type and ``basis`` a list of
+    degree-2 cochains; equation (m, r, c, w) is the coefficient of word w in
+    entry (r, c) of component m.  The coefficient part depends only on the
+    type and the rung, so all targets share it.  Returns one (coeffs, alpha)
+    per target, or None for a target infeasible at every allowed bound.
     """
-    bundle, i, j = target.bundle, target.i, target.j
+    if not targets:
+        return []
+    bundle, i, j = targets[0].bundle, targets[0].i, targets[0].j
+    if any(y.type != (i, j) for y in targets):
+        raise ShapeMismatch("cochain equations solved together need one type")
     pres = bundle.pres
     res_i, res_j = bundle.res(i), bundle.res(j)
-    given = [(None, target)] + [(("c", l), b) for l, b in enumerate(basis)]
-    for bound in bound_ladder(degree_bound, retry_step, max_bound):
+
+    def operator(bound):
         words = pres.normal_words(bound)
         system = SparseSystem()
         for m in range(bundle.mmax - 1):
@@ -595,13 +649,12 @@ def _solve_cochain_equation(target, basis, degree_bound, retry_step, max_bound):
                     prod = multiply(pres.element({w: 1}), a)
                     for r2 in range(res_j.rank(m + 2)):
                         system.add((m, r2, c2), prod, ("a", m + 1, r2, t, w))
-        for var, phi in given:
-            for m, mat in enumerate(phi.mats):
-                for (r, c), v in mat.entries.items():
-                    system.add((m, r, c), v, var)
-        sol = solve_sparse(system.equations())
-        if sol is None:
-            continue
+        for l, b in enumerate(basis):
+            for eq, v in _terms(b):
+                system.add(eq, v, ("c", l))
+        return system
+
+    def accept(k, sol):
         coeffs = [sol.get(("c", l), Fraction(0)) for l in range(len(basis))]
         entries = decode_entries(sol, "a", pres)
         alpha = Cochain(bundle, 1, i, j,
@@ -610,36 +663,47 @@ def _solve_cochain_equation(target, basis, degree_bound, retry_step, max_bound):
         combo = yoneda_differential(alpha)
         for l, b in enumerate(basis):
             combo = combo.add(b.scale(coeffs[l]))
-        if combo == target:
-            return coeffs, alpha
-    return None
+        return (coeffs, alpha) if combo == targets[k] else None
+
+    return _solve_on_ladder(bound_ladder(degree_bound, retry_step, max_bound),
+                            [_terms(y) for y in targets], operator, accept)
 
 
-def solve_coboundary(y, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
+def _terms(phi):
+    """The entries of a cochain as ((m, r, c), element) pairs."""
+    return [((m, r, c), v) for m, mat in enumerate(phi.mats)
+            for (r, c), v in mat.entries.items()]
+
+
+def solve_coboundary(ys, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
                      max_bound=MAX_BOUND):
-    """Find a 1-cochain alpha with d(alpha) = -y, verified exactly."""
-    result = _solve_cochain_equation(y.scale(-1), [], degree_bound, retry_step,
-                                     max_bound)
-    if result is None:
+    """One 1-cochain alpha with d(alpha) = -y per 2-cochain y, verified exactly.
+
+    The ``ys`` share one type and are solved together.
+    """
+    results = _solve_cochain_equation([y.scale(-1) for y in ys], [], degree_bound,
+                                      retry_step, max_bound)
+    if None in results:
         raise NotACoboundary("no bounded-degree primitive up to bound %d"
                              % max(degree_bound, max_bound))
-    _, alpha = result
-    return alpha
+    return [alpha for _, alpha in results]
 
 
-def project_ext2(y, basis_cochains, degree_bound=DEFAULT_BOUND,
+def project_ext2(ys, basis_cochains, degree_bound=DEFAULT_BOUND,
                  retry_step=RETRY_STEP, max_bound=MAX_BOUND):
-    """Expand a 2-cocycle over basis cocycles: y = sum c_l b_l + d(alpha).
+    """Expand 2-cocycles over basis cocycles: y = sum c_l b_l + d(alpha).
 
-    Returns (coefficient list, witness alpha), both verified symbolically.
+    The ``ys`` share one type and are solved together.  Returns one
+    (coefficient list, witness alpha) per cocycle, both verified
+    symbolically.
     """
-    result = _solve_cochain_equation(y, list(basis_cochains), degree_bound,
-                                     retry_step, max_bound)
-    if result is None:
+    results = _solve_cochain_equation(list(ys), list(basis_cochains), degree_bound,
+                                      retry_step, max_bound)
+    if None in results:
         raise ProjectionFailed(
             "2-cocycle of type (%d,%d) not in span + coboundaries up to bound %d"
-            % (y.i, y.j, max(degree_bound, max_bound)))
-    return result
+            % (ys[0].i, ys[0].j, max(degree_bound, max_bound)))
+    return results
 
 
 class ExtBasis:

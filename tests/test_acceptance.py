@@ -67,8 +67,8 @@ def test_criterion_2_order2_products(weyl, weyl_computer, weyl_computed_basis):
     assert len(ys) == 16
     for x, y in ys.items():
         name = format_monomial(x)
-        coeffs, _ = project_ext2(y, weyl.preset_basis.ext2[x.type]) \
-            if weyl.preset_basis.ext2[x.type] else ([], None)
+        ((coeffs, _),) = project_ext2([y], weyl.preset_basis.ext2[x.type]) \
+            if weyl.preset_basis.ext2[x.type] else [([], None)]
         if name in KNOWN_PRODUCTS:
             assert coeffs == [KNOWN_PRODUCTS[name][1]]
         else:
@@ -211,7 +211,7 @@ def test_criterion_5_property_suites(weyl, weyl_state, poly1_state,
     for bset in (weyl.preset_basis, weyl_computed_basis):
         for (i, j), reps in sorted(bset.ext2.items()):
             for l, rep in enumerate(reps):
-                coeffs, _ = project_ext2(rep, reps)
+                ((coeffs, _),) = project_ext2([rep], reps)
                 assert coeffs == [Fraction(1) if k == l else Fraction(0)
                                   for k in range(len(reps))]
 

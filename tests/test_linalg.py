@@ -41,19 +41,19 @@ def test_echelon_priority_steers_pivot():
 
 def test_solve_sparse_consistent():
     # x + y = 3, x - y = 1
-    sol = solve_sparse([({"x": F(1), "y": F(1)}, F(3)),
-                        ({"x": F(1), "y": F(-1)}, F(1))])
+    sol, = solve_sparse([({"x": F(1), "y": F(1)}, {0: F(3)}),
+                         ({"x": F(1), "y": F(-1)}, {0: F(1)})], 1)
     assert sol == {"x": F(2), "y": F(1)}
 
 
 def test_solve_sparse_underdetermined_free_vars_zero():
-    sol = solve_sparse([({"x": F(1), "y": F(2)}, F(4))])
+    sol, = solve_sparse([({"x": F(1), "y": F(2)}, {0: F(4)})], 1)
     assert sol is not None
     assert sol.get("x", F(0)) + 2 * sol.get("y", F(0)) == F(4)
 
 
 def test_solve_sparse_inconsistent():
-    assert solve_sparse([({"x": F(1)}, F(1)), ({"x": F(1)}, F(2))]) is None
+    assert solve_sparse([({"x": F(1)}, {0: F(1)}), ({"x": F(1)}, {0: F(2)})], 1) == [None]
 
 
 def _random_system(rng):
@@ -75,6 +75,12 @@ def _random_system(rng):
     return nvars, rows
 
 
+def _solve_one(rows):
+    """Solve (coeff_vec, rhs) rows with a scalar rhs as a batch of one."""
+    (sol,) = solve_sparse([(vec, {0: rhs}) for vec, rhs in rows], 1)
+    return sol
+
+
 def test_solve_sparse_against_sympy():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(20261018)
@@ -86,17 +92,109 @@ def test_solve_sparse_against_sympy():
                           for vec, _ in rows])
         b = sympy.Matrix([sympy.Rational(rhs) for _, rhs in rows])
         consistent = A.rank() == A.row_join(b).rank()
-        sol = solve_sparse(rows)
+        sol = _solve_one(rows)
         assert (sol is not None) == consistent
         outcomes.add(consistent)
         if sol is not None:
             for vec, rhs in rows:
                 assert sum(c * sol.get(v, 0) for v, c in vec.items()) == rhs
         for perm in itertools.permutations(rows):
-            other = solve_sparse(list(perm))
+            other = _solve_one(list(perm))
             assert other == sol
             assert other is None or list(other.items()) == list(sol.items())
     assert outcomes == {True, False}
+
+
+def _batch(rows, rhs_columns):
+    """The coefficients of ``rows``; target t has the right-hand sides rhs_columns[t]."""
+    return [(vec, {t: col[k] for t, col in enumerate(rhs_columns) if col[k]})
+            for k, (vec, _) in enumerate(rows)]
+
+
+def _check_batch(rows, rhs_columns):
+    """Solve rows for every right-hand side column at once and one at a time."""
+    batch = solve_sparse(_batch(rows, rhs_columns), len(rhs_columns))
+    assert len(batch) == len(rhs_columns)
+    for col, sol in zip(rhs_columns, batch):
+        single = _solve_one([(vec, rhs) for (vec, _), rhs in zip(rows, col)])
+        assert sol == single
+        assert sol is None or list(sol.items()) == list(single.items())
+    return batch
+
+
+def test_solve_sparse_several_targets_against_single_solves_and_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261019)
+    outcomes = []
+    for _ in range(60):
+        nvars, rows = _random_system(rng)
+        names = [("x", v) for v in range(nvars)]
+        A = sympy.Matrix([[sympy.Rational(vec.get(v, 0)) for v in names]
+                          for vec, _ in rows])
+        # the system's own rhs, a zero target, a random one and one built to
+        # be consistent from a random solution
+        point = {v: F(rng.randint(-3, 3)) for v in names}
+        columns = [[rhs for _, rhs in rows], [F(0)] * len(rows),
+                   [F(rng.randint(-2, 2)) for _ in rows],
+                   [sum(c * point[v] for v, c in vec.items()) for vec, _ in rows]]
+        batch = _check_batch(rows, columns)
+        for col, sol in zip(columns, batch):
+            b = sympy.Matrix([sympy.Rational(r) for r in col])
+            assert (sol is not None) == (A.rank() == A.row_join(b).rank())
+        assert batch[1] == {} and batch[3] is not None
+        outcomes.append(tuple(sol is None for sol in batch))
+    assert {o[0] for o in outcomes} == {True, False}
+    assert {o[2] for o in outcomes} == {True, False}
+
+
+def test_solve_sparse_mixed_zero_and_coefficient_free_targets():
+    x, y = ("x", 0), ("x", 1)
+    equations = [({x: F(1), y: F(1)}, {0: F(3), 2: F(1)}),
+                 ({x: F(1), y: F(-1)}, {0: F(1)}),
+                 ({}, {2: F(5)}),          # 0 = 5 for target 2 only
+                 ({x: F(2), y: F(2)}, {0: F(6), 3: F(1)})]
+    assert solve_sparse(equations, 5) == [
+        {x: F(2), y: F(1)},   # consistent
+        {},                   # zero target: the zero solution
+        None,                 # only the coefficient-free equation rules it out
+        None,                 # x + y = 0 and 2x + 2y = 1
+        {}]                   # never mentioned: a zero target
+    assert solve_sparse(equations, 4)[:2] == solve_sparse(equations, 5)[:2]
+    assert solve_sparse([({}, {0: F(1)})], 1) == [None]
+    assert solve_sparse([({x: F(1)}, {})], 0) == []
+    assert solve_sparse([], 2) == [{}, {}]
+
+
+def test_solve_sparse_batch_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 4).flatmap(lambda nvars: st.tuples(
+        st.just(nvars),
+        st.lists(st.dictionaries(st.integers(0, nvars - 1), small, max_size=3),
+                 min_size=1, max_size=5),
+        st.integers(1, 3), st.data())))
+    def check(args):
+        nvars, vecs, targets, data = args
+        vecs = [{("x", v): c for v, c in vec.items() if c} for vec in vecs]
+        columns = [data.draw(st.lists(small, min_size=len(vecs), max_size=len(vecs)))
+                   for _ in range(targets)]
+        rows = [(vec, F(0)) for vec in vecs]
+        batch = _check_batch(rows, columns)
+        names = [("x", v) for v in range(nvars)]
+        A = sympy.Matrix([[sympy.Rational(vec.get(v, 0)) for v in names]
+                          for vec in vecs])
+        for col, sol in zip(columns, batch):
+            b = sympy.Matrix([sympy.Rational(r) for r in col])
+            assert (sol is not None) == (A.rank() == A.row_join(b).rank())
+            if sol is not None:
+                for vec, rhs in zip(vecs, col):
+                    assert sum(c * sol.get(v, 0) for v, c in vec.items()) == rhs
+
+    check()
 
 
 def test_kernel_basis():

@@ -5,8 +5,10 @@ from itertools import islice
 import pytest
 
 from ncdef.algebra import preset_presentation
-from ncdef.errors import NotACoboundary, ShapeMismatch, ValidationError
+from ncdef.errors import NotACoboundary, ProjectionFailed, ShapeMismatch, ValidationError
 from ncdef.linalg import Echelon
+from ncdef.massey import init_order2, order_obstructions
+from ncdef.presets import RunOptions
 from ncdef.yoneda import (BOUNDARY_SLACK, Cochain, ExtComputer, FreeResolution, Mat,
                           ResolutionBundle, SparseSystem, bound_ladder,
                           compose_cochains, is_cocycle, project_ext2,
@@ -190,7 +192,8 @@ def test_ext_basis_weyl(weyl_computer, weyl_computed_basis, weyl):
                 assert weyl_computed_basis.ext1[(i, j)] == []
     # the hand-picked degree-2 class projects onto the computed basis
     preset_y14 = weyl.preset_basis.ext2[(1, 4)][0]
-    coeffs, witness = project_ext2(preset_y14, weyl_computed_basis.ext2[(1, 4)])
+    ((coeffs, witness),) = project_ext2([preset_y14],
+                                        weyl_computed_basis.ext2[(1, 4)])
     assert len(coeffs) == 1 and coeffs[0] != 0
 
 
@@ -245,7 +248,8 @@ def test_sparse_system_adds_cancels_and_sorts(weyl):
     system.add((0,), pres.parse("x"), "v", scale=3)
     system.add((1,), pres.parse("x"), "u", scale=-1)
     system.add((1,), pres.parse("y"))
-    assert system.equations() == [({"v": 3}, 0), ({"u": 2}, 1)]
+    system.add((2,), pres.parse("y"), target=1)
+    assert system.equations() == [({"v": 3}, {}), ({"u": 2}, {0: 1}), ({}, {1: 1})]
 
 
 def test_bundle_leaves_resolutions_unchanged():
@@ -260,7 +264,7 @@ def test_bundle_leaves_resolutions_unchanged():
 
 def test_solve_coboundary_zero(weyl):
     z = weyl.bundle.zero_cochain(2, 1, 4)
-    alpha = solve_coboundary(z)
+    (alpha,) = solve_coboundary([z])
     assert yoneda_differential(alpha).is_zero()
 
 
@@ -283,7 +287,7 @@ def test_solve_coboundary_from_preimage(weyl):
             mats.append(Mat(nrows, ncols, entries))
         alpha0 = Cochain(bundle, 1, i, j, mats)
         y = yoneda_differential(alpha0)
-        alpha = solve_coboundary(y)
+        (alpha,) = solve_coboundary([y])
         assert yoneda_differential(alpha).add(y).is_zero()
 
 
@@ -292,7 +296,7 @@ def test_solve_coboundary_rejects_obstruction(weyl):
     basis = weyl.preset_basis
     y = compose_cochains(basis.ext1_rep(1, 2, 1), basis.ext1_rep(2, 4, 1))
     with pytest.raises(NotACoboundary):
-        solve_coboundary(y, degree_bound=4, max_bound=6)
+        solve_coboundary([y], degree_bound=4, max_bound=6)
 
 
 def test_project_ext2_known_values(weyl):
@@ -309,7 +313,7 @@ def test_project_ext2_known_values(weyl):
     }
     for (left, right), (target, value) in pairs.items():
         y = compose_cochains(basis.ext1_rep(*left, 1), basis.ext1_rep(*right, 1))
-        coeffs, witness = project_ext2(y, basis.ext2[target])
+        ((coeffs, witness),) = project_ext2([y], basis.ext2[target])
         assert coeffs == [value]
 
 
@@ -317,7 +321,7 @@ def test_project_ext2_unit_vectors(weyl, weyl_computed_basis):
     for basis in (weyl.preset_basis, weyl_computed_basis):
         for (i, j), reps in sorted(basis.ext2.items()):
             for l, rep in enumerate(reps):
-                coeffs, _ = project_ext2(rep, reps)
+                ((coeffs, _),) = project_ext2([rep], reps)
                 want = [Fraction(1) if k == l else Fraction(0)
                         for k in range(len(reps))]
                 assert coeffs == want
@@ -327,9 +331,7 @@ def test_project_ext2_additive(weyl):
     basis = weyl.preset_basis
     y1 = compose_cochains(basis.ext1_rep(1, 2, 1), basis.ext1_rep(2, 4, 1))
     y2 = compose_cochains(basis.ext1_rep(1, 3, 1), basis.ext1_rep(3, 4, 1))
-    c1, _ = project_ext2(y1, basis.ext2[(1, 4)])
-    c2, _ = project_ext2(y2, basis.ext2[(1, 4)])
-    c12, _ = project_ext2(y1.add(y2), basis.ext2[(1, 4)])
+    (c1, _), (c2, _), (c12, _) = project_ext2([y1, y2, y1.add(y2)], basis.ext2[(1, 4)])
     assert [a + b for a, b in zip(c1, c2)] == c12
 
 
@@ -347,9 +349,126 @@ def test_project_ext2_coboundary_is_zero(weyl):
             for r in range(nrows) for c in range(ncols)}
         mats.append(Mat(nrows, ncols, entries))
     y = yoneda_differential(Cochain(bundle, 1, 1, 4, mats))
-    coeffs, _ = project_ext2(y, weyl.preset_basis.ext2[(1, 4)])
+    ((coeffs, _),) = project_ext2([y], weyl.preset_basis.ext2[(1, 4)])
     assert coeffs == [Fraction(0)]
 
 
 def test_certify_preset_basis(weyl, weyl_computer):
     assert weyl.preset_basis.certify(weyl_computer)
+
+
+# ---------------------------------------------------------------------------
+# batched solves: one elimination per operator and rung for all targets
+
+
+def _coboundary_of_degree(bundle, i, j, rng, degree):
+    """d(alpha0) for a 1-cochain alpha0 whose entries are words of one degree."""
+    pres = bundle.pres
+    words = [w for w in pres.normal_words(degree) if pres.word_degree(w) == degree]
+    mats = []
+    for m in range(bundle.mmax):
+        nrows, ncols = bundle.res(j).rank(m + 1), bundle.res(i).rank(m)
+        mats.append(Mat(nrows, ncols, {
+            (r, c): pres.element({rng.choice(words): rng.randint(1, 2)})
+            for r in range(nrows) for c in range(ncols)}))
+    return yoneda_differential(Cochain(bundle, 1, i, j, mats))
+
+
+def _rungs_used(pres, monkeypatch):
+    """Record the bound of every normal-word enumeration, one per rung."""
+    bounds = []
+    normal_words = pres.normal_words
+
+    def counting(bound):
+        bounds.append(bound)
+        return normal_words(bound)
+
+    monkeypatch.setattr(pres, "normal_words", counting)
+    return bounds
+
+
+def test_batched_coboundaries_finish_on_their_own_rungs(weyl, monkeypatch):
+    # primitives of degree 2, 5 and 7 first solve at the rungs 4, 6 and 8
+    bundle = weyl.bundle
+    rng = random.Random(5)
+    ys = [_coboundary_of_degree(bundle, 1, 4, rng, d) for d in (2, 5, 7)]
+    for y, rung in zip(ys, (4, 6, 8)):
+        if rung > 4:
+            with pytest.raises(NotACoboundary):
+                solve_coboundary([y], degree_bound=4, max_bound=rung - 2)
+    separate = [solve_coboundary([y], degree_bound=4, max_bound=8)[0] for y in ys]
+    bounds = _rungs_used(bundle.pres, monkeypatch)
+    batch = solve_coboundary(ys, degree_bound=4, max_bound=8)
+    assert bounds == [4, 6, 8]
+    assert batch == separate
+    for y, alpha in zip(ys, batch):
+        assert yoneda_differential(alpha).add(y).is_zero()
+
+
+def test_batch_with_an_unsolvable_target_still_raises(weyl):
+    bundle = weyl.bundle
+    basis = weyl.preset_basis
+    cup = compose_cochains(basis.ext1_rep(1, 2, 1), basis.ext1_rep(2, 4, 1))
+    honest = _coboundary_of_degree(bundle, 1, 4, random.Random(7), 2)
+    with pytest.raises(NotACoboundary):
+        solve_coboundary([honest, cup], degree_bound=4, max_bound=6)
+    # a nonzero class has no expansion over an empty basis
+    with pytest.raises(ProjectionFailed):
+        project_ext2([honest, cup], [], degree_bound=4, max_bound=6)
+    # the same batch over the class's basis solves, with the honest
+    # coboundary at zero
+    (c0, _), (c1, _) = project_ext2([honest, cup], basis.ext2[(1, 4)])
+    assert c0 == [Fraction(0)] and c1 == [Fraction(-1)]
+
+
+def _obstructions_by_type(ext):
+    """The nonzero order-2 obstructions of a problem, grouped by type."""
+    _, ys, _ = order_obstructions(init_order2(ext, RunOptions()))
+    groups = {}
+    for x in sorted(ys, key=lambda x: x.key()):
+        if not ys[x].is_zero():
+            groups.setdefault(ys[x].type, []).append(ys[x])
+    return groups
+
+
+@pytest.mark.parametrize("problem, basis", [("weyl", "weyl_computed_basis"),
+                                            ("poly3", "poly3_computed_basis")])
+def test_batched_projections_equal_separate_calls(problem, basis, request):
+    bundle = request.getfixturevalue(problem).bundle
+    ext = request.getfixturevalue(basis)
+    rng = random.Random(11)
+    groups = _obstructions_by_type(ext)
+    assert groups
+    for (i, j), ys in groups.items():
+        reps = ext.ext2[(i, j)]
+        # with a basis cocycle and an honest coboundary in the same batch
+        batch_in = ys + reps[:1] + [_coboundary_of_degree(bundle, i, j, rng, 2)]
+        batch = project_ext2(batch_in, reps)
+        separate = [project_ext2([y], reps)[0] for y in batch_in]
+        assert batch == separate
+        assert batch[-1][0] == [Fraction(0)] * len(reps)
+
+
+@pytest.mark.parametrize("problem", ["weyl", "poly3"])
+def test_batched_ext_lifts_equal_separate_lifts(problem, request):
+    computer = ExtComputer(request.getfixturevalue(problem).bundle, degree_bound=4)
+    p = computer.bundle.p
+    lifted = 0
+    for i in range(1, p + 1):
+        for j in range(1, p + 1):
+            for n in (1, 2):
+                dim, boundaries = computer._dimension_and_boundaries(i, j, n, 4)
+                vecs = computer._hom_representatives(i, j, n, 4, dim, boundaries)
+                if not vecs:
+                    continue
+                # the sum of the cocycles is one more cocycle in the batch
+                total = {}
+                for vec in vecs:
+                    for key, c in vec.items():
+                        total[key] = total.get(key, 0) + c
+                vecs.append({key: c for key, c in total.items() if c})
+                batch = computer._lift_to_yoneda(i, j, n, vecs)
+                assert batch == [computer._lift_to_yoneda(i, j, n, [v])[0]
+                                 for v in vecs]
+                lifted += len(vecs)
+    assert lifted >= 2 * p
