@@ -14,8 +14,9 @@ Ext^n(M_j, M_i) is computed from the complex Hom(L_{*,j}, M_i) with all
 module coefficients truncated at a filtration degree B: cocycles are taken
 with entries of degree <= B while coboundaries come from potentials of
 degree <= B + BOUNDARY_SLACK, and the resulting dimension must agree at B
-and B+1 to be certified.  Classes are then lifted through the projectives to
-Yoneda cochains by bounded-degree solves.
+and B+1 to be certified.  Each image in the complex is computed once, at
+the larger bound; the sets at B are taken from these.  Classes are then
+lifted through the projectives to Yoneda cochains by bounded-degree solves.
 
 Every bounded-degree solve -- the lifts here, coboundary primitives and
 Ext^2 projections below, and the equivalence intertwiners of the checker --
@@ -23,11 +24,12 @@ follows one path: for each rung of ``bound_ladder`` it builds a
 ``SparseSystem``, solves it with ``solve_sparse``, turns the solution into
 matrix entries with ``decode_entries`` and verifies the result exactly.
 The lifts and the cochain equations take every right-hand side that
-shares their operator (the representatives of one Ext group, the
-obstructions of one type): each rung builds and eliminates the operator
-once, with one augmented column per right-hand side still pending, and a
-right-hand side whose solution fails there, or fails the exact check,
-moves on to the next rung.  Each gets the solution it would get alone.
+shares their operator (all lifts through one differential of one source
+module, the obstructions of one type): each rung builds and eliminates the
+operator once, with one augmented column per right-hand side still
+pending, and a right-hand side whose solution fails there, or fails the
+exact check, moves on to the next rung.  Each gets the solution it would
+get alone.
 """
 
 from __future__ import annotations
@@ -334,70 +336,77 @@ class ExtComputer:
                         out.pop(key, None)
         return out
 
-    def _hom_dims(self, i, j, n, bound):
-        """(kernel dim, boundary echelon) at the given truncation bound."""
-        cocycle_coords = self._coords(i, j, n, bound)
-        images = [self._apply_d(i, j, n, {lab: Fraction(1)}) for lab in cocycle_coords]
-        ech = Echelon(priority=lambda c: (c[0], c[1]))
-        rank = sum(1 for v in images if v and ech.add(v) is not None)
-        kernel_dim = len(cocycle_coords) - rank
-        return kernel_dim, self._boundary_echelon(i, j, n, bound)
+    def _images(self, i, j, m, bound):
+        """{label: image under d_m} of the Hom(L_{m,j}, M_i) coordinates at bound."""
+        return {lab: self._apply_d(i, j, m, {lab: Fraction(1)})
+                for lab in self._coords(i, j, m, bound)}
 
-    def ext_dimension(self, i, j, n, degree_bound=None):
+    def ext_dimension(self, i, j, n):
         """Certified dim Ext^n(M_j, M_i); stable at two consecutive bounds."""
-        bound = degree_bound if degree_bound is not None else self.degree_bound
-        key = (i, j, n, bound)
-        if key not in self._dim_cache:
-            self._dimension_and_boundaries(i, j, n, bound)
-        return self._dim_cache[key]
+        if (i, j, n) not in self._dim_cache:
+            self._dimension_and_boundaries(i, j, n)
+        return self._dim_cache[(i, j, n)]
 
-    def _dimension_and_boundaries(self, i, j, n, bound):
-        """Certified dim Ext^n(M_j, M_i) and the boundary echelon at ``bound``.
+    def _dimension_and_boundaries(self, i, j, n):
+        """Certified dim Ext^n(M_j, M_i), its boundary echelon at the degree
+        bound B, and the images of the Hom(L_{n,j}, M_i) coordinates at B.
 
-        The representatives and their certificate reduce against the
-        echelon the dimension was computed from, so it is built once.
+        Each image is computed once: the coordinates' at B + 1, the
+        potentials' at B + 1 + BOUNDARY_SLACK.  Those at B are taken from
+        these in ``_coords`` order, so every vector comes out in the same
+        order as when each bound computed its own.
         """
         if n == 0:
             raise ValidationError("ext_dimension computes n = 1 or 2")
-        kz, boundaries = self._hom_dims(i, j, n, bound)
-        dim_here = kz - boundaries.rank
-        kz2, boundaries_next = self._hom_dims(i, j, n, bound + 1)
-        dim_next = kz2 - boundaries_next.rank
+        bound = self.degree_bound
+        images_next = self._images(i, j, n, bound + 1)
+        images = {lab: images_next[lab] for lab in self._coords(i, j, n, bound)}
+        potentials_next = self._images(i, j, n - 1, bound + 1 + BOUNDARY_SLACK)
+        potentials = [potentials_next[lab]
+                      for lab in self._coords(i, j, n - 1, bound + BOUNDARY_SLACK)]
+        # the rank at B + 1 extends the echelon of the images at B
+        kernel = Echelon(priority=lambda c: (c[0], c[1]))
+        rank = sum(1 for v in images.values() if v and kernel.add(v) is not None)
+        rank_next = rank + sum(1 for lab, v in images_next.items()
+                               if v and lab not in images and kernel.add(v) is not None)
+        boundaries = self._boundary_echelon(bound, potentials)
+        dim_here = len(images) - rank - boundaries.rank
+        dim_next = (len(images_next) - rank_next
+                    - self._boundary_echelon(bound + 1, potentials_next.values()).rank)
         if dim_here != dim_next:
             raise NotStabilized(
                 "Ext^%d(M%d, M%d) is %d at bound %d but %d at bound %d"
                 % (n, j, i, dim_here, bound, dim_next, bound + 1))
-        self._dim_cache[(i, j, n, bound)] = dim_here
-        return dim_here, boundaries
+        self._dim_cache[(i, j, n)] = dim_here
+        return dim_here, boundaries, images
 
     # -- representatives --------------------------------------------------
 
-    def _boundary_echelon(self, i, j, n, bound):
+    def _boundary_echelon(self, bound, potentials):
         """Echelon of the boundaries supported inside the bound-B window.
 
-        Boundary generators come from potentials at bound + BOUNDARY_SLACK
-        and go into one echelon in which every column of degree > bound
-        outranks every column inside the window.  A row is led by its
-        highest column, so the rows that pivot inside the window have no
-        outside column; since each outside pivot occurs in its own row only,
-        they span (image intersect window), and they are its reduced echelon
-        for the priority (row, word).  The outside-pivot rows are dropped, so
-        ``rank`` is the boundary dimension in the window.
+        ``potentials`` are the images of the potentials at bound +
+        BOUNDARY_SLACK; they go into one echelon in which every column of
+        degree > bound outranks every column inside the window.  A row is
+        led by its highest column, so the rows that pivot inside the window
+        have no outside column; since each outside pivot occurs in its own
+        row only, they span (image intersect window), and they are its
+        reduced echelon for the priority (row, word).  The outside-pivot rows
+        are dropped, so ``rank`` is the boundary dimension in the window.
         """
         degree = self.bundle.pres.word_degree
         ech = Echelon(priority=lambda c: (degree(c[1]) > bound, c[0], c[1]))
-        if n >= 1:
-            for lab in self._coords(i, j, n - 1, bound + BOUNDARY_SLACK):
-                ech.add(self._apply_d(i, j, n - 1, {lab: Fraction(1)}))
+        for v in potentials:
+            ech.add(v)
         ech.restrict(lambda p: degree(p[1]) <= bound)
         return ech
 
-    def _hom_representatives(self, i, j, n, bound, dim, boundaries):
+    def _hom_representatives(self, images, dim, boundaries):
+        """``dim`` cocycles independent modulo ``boundaries``, from the kernel
+        of the coordinate ``images`` at the degree bound."""
         if dim == 0:
             return []
-        coords = self._coords(i, j, n, bound)
-        images = [self._apply_d(i, j, n, {lab: Fraction(1)}) for lab in coords]
-        kernel = kernel_basis(images, tags=coords)
+        kernel = kernel_basis(list(images.values()), tags=list(images))
         chosen = []
         chosen_ech = Echelon(priority=lambda c: (c[0], c[1]))
         for vec in kernel:
@@ -416,43 +425,53 @@ class ExtComputer:
                                 % (len(chosen), dim))
         return chosen
 
-    def _lift_to_yoneda(self, i, j, n, hom_vecs):
+    def _lift_to_yoneda(self, i, groups):
         """Lift Hom-complex cocycles to Yoneda cochains through L_{*,i}.
 
-        Every step solves one operator, right multiplication by a
-        differential of L_{*,i}, so all the cocycles go through each step
-        together.
+        ``groups`` lists (j, n, cocycles) of Ext^n(M_j, M_i); returns the
+        lifts of each group.  Step m of a degree-n lift solves
+        phi_{m+1} * D_{m,i} = -sign * D_{n+m,j} * phi_m for an unknown of
+        shape rank_j(n+m+1) x rank_i(m+1).  The operator, right
+        multiplication by D_{m,i} on that shape, is the same for every lift
+        of that shape, so at each step they go through one solve.
         """
         bundle = self.bundle
-        res_i, res_j = bundle.res(i), bundle.res(j)
+        res_i = bundle.res(i)
         pres = bundle.pres
-        lifts = []
-        for hom_vec in hom_vecs:
-            phi0 = {}
-            for (r, w), c in hom_vec.items():
-                key = (r, 0)
-                cur = phi0.get(key, pres.zero())
-                phi0[key] = cur + pres.element({w: c})
-            lifts.append([Mat(res_j.rank(n), res_i.rank(0), phi0)])
-        sign = Fraction(-1) if (n + 1) % 2 else Fraction(1)
-        for m in range(bundle.mmax - n):
-            # solve phi_{m+1} * D_{m,i} = -D_{n+m,j} * phi_m  (up to sign)
-            target_rows = res_j.rank(n + m + 1)
-            target_cols = res_i.rank(m + 1)
-            if target_rows == 0 or target_cols == 0 or res_i.rank(m) == 0:
-                sols = [Mat(target_rows, target_cols) for _ in lifts]
-            else:
-                rhss = [res_j.diff(n + m).mul(mats[m]).scale(-1).scale(sign)
-                        for mats in lifts]
-                sols = self._solve_unknown_times_known(
-                    target_rows, target_cols, res_i.diff(m), rhss)
-            for mats, sol in zip(lifts, sols):
-                mats.append(sol)
-        phis = [Cochain(bundle, n, i, j, mats) for mats in lifts]
-        for phi in phis:
-            if not is_cocycle(phi):
-                raise SolverBoundError("lifted cochain failed the cocycle check")
-        return phis
+        lifts = []  # per group, the components so far of each lift
+        for j, n, hom_vecs in groups:
+            group = []
+            for hom_vec in hom_vecs:
+                phi0 = {}
+                for (r, w), c in hom_vec.items():
+                    key = (r, 0)
+                    cur = phi0.get(key, pres.zero())
+                    phi0[key] = cur + pres.element({w: c})
+                group.append([Mat(bundle.res(j).rank(n), res_i.rank(0), phi0)])
+            lifts.append(group)
+        for m in range(bundle.mmax):
+            ncols = res_i.rank(m + 1)
+            batches = {}  # unknown row count -> (j, n, components) taking step m
+            for (j, n, _), group in zip(groups, lifts):
+                if m < bundle.mmax - n:
+                    batches.setdefault(bundle.res(j).rank(n + m + 1), []).extend(
+                        (j, n, mats) for mats in group)
+            for nrows, batch in batches.items():
+                if nrows == 0 or ncols == 0 or res_i.rank(m) == 0:
+                    sols = [Mat(nrows, ncols) for _ in batch]
+                else:
+                    # -sign = (-1)^n, with sign = (-1)^(n+1) as in d(phi)
+                    rhss = [bundle.res(j).diff(n + m).mul(mats[m]).scale((-1) ** n)
+                            for j, n, mats in batch]
+                    sols = self._solve_unknown_times_known(nrows, ncols,
+                                                           res_i.diff(m), rhss)
+                for (_, _, mats), sol in zip(batch, sols):
+                    mats.append(sol)
+        out = [[Cochain(bundle, n, i, j, mats) for mats in group]
+               for (j, n, _), group in zip(groups, lifts)]
+        if not all(is_cocycle(phi) for phis in out for phi in phis):
+            raise SolverBoundError("lifted cochain failed the cocycle check")
+        return out
 
     def _solve_unknown_times_known(self, nrows, ncols, known, rhss):
         """Solve U * known == rhs for an nrows x ncols U of bounded degree, per rhs."""
@@ -482,20 +501,29 @@ class ExtComputer:
             raise SolverBoundError("no bounded-degree solution for the lift")
         return out
 
-    def ext_basis(self, i, j, n):
-        """Deterministic Yoneda representatives spanning Ext^n(M_j, M_i).
+    def ext_basis(self, i):
+        """Deterministic Yoneda representatives of Ext^n(M_j, M_i), n = 1, 2.
 
-        They are certified as ``ExtBasis.certify`` would, against the same
-        boundary echelon they were chosen with.
+        Returns {(n, j): representatives} for every j.  All the lifts of
+        the source module M_i go through ``_lift_to_yoneda`` together; each
+        group is certified as ``ExtBasis.certify`` would, against the same
+        boundary echelon its representatives were chosen with.
         """
-        bound = self.degree_bound
-        dim, boundaries = self._dimension_and_boundaries(i, j, n, bound)
-        reps = self._lift_to_yoneda(
-            i, j, n, self._hom_representatives(i, j, n, bound, dim, boundaries))
-        _certify_independent(self, n, i, j, reps, dim, boundaries)
-        return reps
+        groups, echelons = [], []
+        for j in range(1, self.bundle.p + 1):
+            for n in (1, 2):
+                dim, boundaries, images = self._dimension_and_boundaries(i, j, n)
+                vecs = self._hom_representatives(images, dim, boundaries)
+                groups.append((j, n, vecs))
+                echelons.append((dim, boundaries))
+        out = {}
+        for (j, n, _), reps, (dim, boundaries) in zip(
+                groups, self._lift_to_yoneda(i, groups), echelons):
+            _certify_independent(self, n, i, j, reps, dim, boundaries)
+            out[(n, j)] = reps
+        return out
 
-    def hom_vector(self, phi, bound):
+    def hom_vector(self, phi):
         """Image of a Yoneda cochain in the Hom complex (compose with rho)."""
         module = self.bundle.res(phi.i).module
         vec = {}
@@ -503,8 +531,6 @@ class ExtComputer:
         for (r, c), a in mat.entries.items():
             red = module.reduce(a)
             for w, cw in red.terms.items():
-                if self.bundle.pres.word_degree(w) > bound:
-                    raise ShapeMismatch("representative exceeds bound %d" % bound)
                 key = (r, w)
                 val = vec.get(key, Fraction(0)) + cw
                 if val:
@@ -729,14 +755,14 @@ class ExtBasis:
         bundle = computer.bundle
         ext1, ext2 = {}, {}
         for i in range(1, bundle.p + 1):
+            reps = computer.ext_basis(i)
             for j in range(1, bundle.p + 1):
-                ext1[(i, j)] = computer.ext_basis(i, j, 1)
-                ext2[(i, j)] = computer.ext_basis(i, j, 2)
+                ext1[(i, j)] = reps[(1, j)]
+                ext2[(i, j)] = reps[(2, j)]
         return ExtBasis(bundle, ext1, ext2, "computed")
 
     def certify(self, computer):
         """Check cocycle conditions, dimensions, and independence."""
-        bound = computer.degree_bound
         for n, table in ((1, self.ext1), (2, self.ext2)):
             for (i, j), reps in table.items():
                 for phi in reps:
@@ -746,20 +772,32 @@ class ExtBasis:
                         raise ValidationError(
                             "representative for Ext^%d(%d,%d) is not a cocycle"
                             % (n, i, j))
-                dim, boundaries = computer._dimension_and_boundaries(i, j, n, bound)
-                _certify_independent(computer, n, i, j, reps, dim, boundaries)
+                dim, boundaries, _ = computer._dimension_and_boundaries(i, j, n)
+                _certify_independent(computer, n, i, j, reps, dim, boundaries,
+                                     outside=ValidationError)
         return True
 
 
-def _certify_independent(computer, n, i, j, reps, dim, boundaries):
-    """Check that ``reps`` are ``dim`` classes independent modulo ``boundaries``."""
+def _certify_independent(computer, n, i, j, reps, dim, boundaries,
+                         outside=ShapeMismatch):
+    """Check that ``reps`` are ``dim`` classes independent modulo ``boundaries``.
+
+    A representative with a Hom-complex term above the degree bound raises
+    ``outside``: bad input for a given basis, a broken invariant for a
+    computed one.
+    """
     if dim != len(reps):
         raise ValidationError(
             "Ext^%d(M%d, M%d) has dim %d but %d representatives"
             % (n, j, i, dim, len(reps)))
+    bound = computer.degree_bound
+    degree = computer.bundle.pres.word_degree
     seen = Echelon(priority=lambda c: (c[0], c[1]))
     for phi in reps:
-        vec = computer.hom_vector(phi, computer.degree_bound)
+        vec = computer.hom_vector(phi)
+        if any(degree(w) > bound for _, w in vec):
+            raise outside("a representative of Ext^%d(M%d, M%d) exceeds degree bound %d"
+                          % (n, j, i, bound))
         resid = seen.reduce(boundaries.reduce(vec))
         if not resid:
             raise ValidationError(

@@ -370,3 +370,21 @@ def test_spec_ext_basis_non_cocycle_fails_validation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "not a cocycle" in err
     assert "Traceback" not in err
+
+
+def test_spec_ext_basis_above_the_degree_bound_fails_validation(tmp_path, capsys):
+    # the weyl2-simple4 class of Ext^1(M2, M1) plus d(psi), psi_0 = x^9: a
+    # cocycle of the right class whose terms reach degree 10, above bound 4
+    resolutions = [(["Dx", "Dy"], [[["Dx"], ["Dy"]], [["Dy", "-Dx"]]]),
+                   (["Dx", "y"], [[["Dx"], ["y"]], [["y", "-Dx"]]])]
+    spec = {"schema": "ncdef-problem/1", "algebra": "weyl2",
+            "modules": [{"ideal": ideal, "ranks": [1, 2, 1], "diffs": diffs}
+                        for ideal, diffs in resolutions],
+            "ext_basis": {"ext1": {
+                "1,2": [{"mats": [[["x^9*Dx + 9*x^8"], ["x^9*y + 1"]], [["1", "0"]]]}],
+                "2,1": [{"mats": [[["0"], ["1"]], [["1", "0"]]]}]}}}
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Ext^1(M2, M1)" in err and "bound 4" in err
+    assert "Traceback" not in err
