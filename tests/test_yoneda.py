@@ -483,7 +483,13 @@ def test_batched_ext_lifts_equal_separate_lifts(problem, request, monkeypatch):
                     for vec in vecs:
                         for key, c in vec.items():
                             total[key] = total.get(key, 0) + c
-                    groups.append((j, n, vecs + [{k: c for k, c in total.items() if c}]))
+                    with_sum = vecs + [{k: c for k, c in total.items() if c}]
+                    # the batch holding the dependent target against each
+                    # vector lifted alone
+                    assert computer._lift_to_yoneda(i, [(j, n, with_sum)])[0] == [
+                        computer._lift_to_yoneda(i, [(j, n, [v])])[0][0]
+                        for v in with_sum]
+                    groups.append((j, n, with_sum))
                 lifted += len(vecs)
         assert computer._lift_to_yoneda(i, groups) == [
             computer._lift_to_yoneda(i, [group])[0] for group in groups]
