@@ -1,10 +1,12 @@
 """Associative algebras presented by generators and a rewriting system.
 
 An algebra element is kept as a sparse map from normal-form words to exact
-rational coefficients.  A word is normal when no adjacent generator pair is
-the left side of a rewrite rule; every rule rewrites a length-2 word into a
-linear combination of words of no larger degree, so exhaustive rewriting
-terminates for the shipped presets (a step budget guards user presentations).
+rational coefficients, ints or Fractions: every coefficient enters through
+``linalg.exact``, so an integral one stays an int.  A word is normal when
+no adjacent generator pair is the left side of a rewrite rule; every rule
+rewrites a length-2 word into a linear combination of words of no larger
+degree, so exhaustive rewriting terminates for the shipped presets (a step
+budget guards user presentations).
 
 The built-in preset ``weyl2`` is the second Weyl algebra k[x,y]<Dx,Dy> with
 [Dx,x] = [Dy,y] = 1, generators ordered x < y < Dx < Dy so that normal words
@@ -17,6 +19,7 @@ import re
 from fractions import Fraction
 
 from .errors import StepBudgetExceeded, UnsupportedIdeal, ValidationError
+from .linalg import exact
 
 Word = tuple  # tuple of generator names
 
@@ -42,7 +45,7 @@ class AlgebraPresentation:
             lhs = tuple(lhs)
             if len(lhs) != 2 or any(g not in self.gen_index for g in lhs):
                 raise ValidationError("rule left sides must be two-generator words")
-            terms = [(tuple(w), Fraction(c)) for w, c in rhs]
+            terms = [(tuple(w), exact(c)) for w, c in rhs]
             lhs_deg = self.word_degree(lhs)
             for w, _ in terms:
                 if any(g not in self.gen_index for g in w):
@@ -63,12 +66,12 @@ class AlgebraPresentation:
         return AlgebraElement(self, {})
 
     def one(self):
-        return AlgebraElement(self, {(): Fraction(1)})
+        return AlgebraElement(self, {(): 1})
 
     def element(self, terms):
         out = {}
         for w, c in terms.items():
-            c = Fraction(c)
+            c = exact(c)
             if c:
                 out[tuple(w)] = c
         return AlgebraElement(self, out)
@@ -153,7 +156,7 @@ class AlgebraElement:
         self._check(other)
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, Fraction(0)) + c
+            s = out.get(w, 0) + c
             if s:
                 out[w] = s
             else:
@@ -167,7 +170,7 @@ class AlgebraElement:
         return AlgebraElement(self.pres, {w: -c for w, c in self.terms.items()})
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return self.pres.zero()
         return AlgebraElement(self.pres, {w: c * v for w, v in self.terms.items()})
@@ -205,7 +208,7 @@ def normal_form(word, pres):
     if cached is not None:
         return AlgebraElement(pres, dict(cached))
     result = {}
-    stack = [(word, Fraction(1))]
+    stack = [(word, 1)]
     steps = 0
     while stack:
         w, c = stack.pop()
@@ -220,7 +223,7 @@ def normal_form(word, pres):
                     stack.append((w[:k] + rw + w[k + 2:], c * rc))
                 break
         else:
-            s = result.get(w, Fraction(0)) + c
+            s = result.get(w, 0) + c
             if s:
                 result[w] = s
             else:
@@ -245,7 +248,7 @@ def _linked_pairs(pres):
     """Generator pairs whose rewrite rule is not a pure transposition."""
     pairs = []
     for (a, b), rhs in pres.rules.items():
-        if rhs != [((b, a), Fraction(1))]:
+        if rhs != [((b, a), 1)]:
             pairs.append(frozenset((a, b)))
     return pairs
 
@@ -293,7 +296,7 @@ class QuotientModule:
             # w == nf(v*g) - corrections, so w ~ -corrections mod A*g
             correction = normal_form(v + (g,), pres) - pres.element({w: 1})
             for w2, c2 in correction.terms.items():
-                s = terms.get(w2, Fraction(0)) - c * c2
+                s = terms.get(w2, 0) - c * c2
                 if s:
                     terms[w2] = s
                 else:
@@ -322,7 +325,7 @@ _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+
 
 def _parse_scalar(num, text):
     try:
-        return Fraction(num)
+        return exact(num)
     except ZeroDivisionError:
         raise ValidationError("zero denominator in %r" % text)
 
@@ -340,7 +343,7 @@ def parse_element(pres, text, allow_reducible=False):
         pos = m.end()
         tokens.append(m)
     result = pres.zero()
-    sign = Fraction(1)
+    sign = 1
     coeff = None
     word = []
     have_term = False
@@ -349,12 +352,12 @@ def parse_element(pres, text, allow_reducible=False):
         nonlocal result, sign, coeff, word, have_term
         if not have_term:
             raise ValidationError("empty term in %r" % text)
-        c = sign * (coeff if coeff is not None else Fraction(1))
+        c = sign * (coeff if coeff is not None else 1)
         if allow_reducible:
-            result = result + pres.element({tuple(word): Fraction(1)}).scale(c)
+            result = result + pres.element({tuple(word): 1}).scale(c)
         else:
             result = result + normal_form(word, pres).scale(c)
-        sign, coeff, word, have_term = Fraction(1), None, [], False
+        sign, coeff, word, have_term = 1, None, [], False
 
     i = 0
     while i < len(tokens):
@@ -391,7 +394,7 @@ def parse_element(pres, text, allow_reducible=False):
 
 
 def format_scalar(c):
-    c = Fraction(c)
+    c = exact(c)
     if c.denominator == 1:
         return str(c.numerator)
     return "%d/%d" % (c.numerator, c.denominator)
@@ -447,10 +450,10 @@ def _commutation_rules(order, brackets):
         for b in order:
             if idx[a] > idx[b]:
                 # a*b -> b*a + [a,b]
-                rhs = [((b, a), Fraction(1))]
+                rhs = [((b, a), 1)]
                 c = brackets.get((a, b), 0)
                 if c:
-                    rhs.append(((), Fraction(c)))
+                    rhs.append(((), exact(c)))
                 rules.append(((a, b), rhs))
     return rules
 

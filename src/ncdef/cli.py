@@ -13,6 +13,7 @@ import json
 import sys
 from pathlib import Path
 
+from .algebra import format_scalar
 from .checker import LiftedComplex, verify_lifted_complex
 from .errors import (InternalInvariantError, NcdefError, SolverBoundError,
                      ValidationError)
@@ -133,7 +134,7 @@ def cmd_massey(args):
     value = immediate_massey(mono, cochains, basis, problem.options)
     table = basis.table()
     if value.defined:
-        parts = {format_tag(t, table): str(c)
+        parts = {format_tag(t, table): format_scalar(c)
                  for t, c in sorted(value.coefficients.items())}
         payload = {"defined": True, "monomial": args.monomial, "value": parts}
     else:

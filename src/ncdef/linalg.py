@@ -1,6 +1,10 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts mapping hashable column labels to nonzero Fractions.
+Vectors are dicts mapping hashable column labels to nonzero ints or
+Fractions.  Scalars enter through ``exact``, which keeps an integral value
+an int, so the small integers that make up most systems stay ints through
+the elimination; a float is refused.
+
 Column labels need not be integers; an Echelon is parametrized by a pivot
 priority function so quotient constructions can steer which coordinates get
 eliminated.
@@ -25,8 +29,24 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def exact(c):
+    """``c`` as an int when its value is integral, else as a Fraction.
+
+    Accepts ints, Fractions and the strings ``Fraction`` parses; a float
+    raises TypeError, so an inexact quotient such as ``int / int`` cannot
+    pass for a scalar.
+    """
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if isinstance(c, float):
+            raise TypeError("inexact scalar %r" % (c,))
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def vec_scale(a, c):
-    c = Fraction(c)
+    c = exact(c)
     if not c:
         return {}
     return {k: c * v for k, v in a.items()}
@@ -98,7 +118,8 @@ class Echelon:
         if not vec:
             return None
         pivot = max(vec, key=self.priority)
-        row = vec_scale(vec, Fraction(1) / vec[pivot])
+        lead = vec[pivot]
+        row = vec if lead == 1 else vec_scale(vec, Fraction(1, lead))
         holders = self._holders
         for p in tuple(holders.get(pivot, ())):
             other = self.rows[p]
@@ -138,9 +159,9 @@ def solve_sparse(equations, targets):
 
     ``equations`` are (coeff_vec, rhs) pairs, where ``rhs`` maps a target
     index in range(targets) to that target's right-hand side (an absent
-    index is 0).  Returns one entry per target: a dict of variable ->
-    Fraction in sorted variable order with free variables omitted (treated
-    as 0), or None when that target's system is inconsistent.
+    index is 0).  Returns one entry per target: a dict of variable -> int
+    or Fraction in sorted variable order with free variables omitted
+    (treated as 0), or None when that target's system is inconsistent.
 
     Target t rides in every row as its own augmented column, ranked below
     every variable and below the columns of the targets before it, and the
@@ -163,7 +184,7 @@ def solve_sparse(equations, targets):
         row = dict(vec)
         for t, value in rhs.items():
             if value:
-                row[columns[t]] = Fraction(value)
+                row[columns[t]] = exact(value)
         pivot = ech.add(row)
         if type(pivot) is _Augmented:
             # such a row later changes only by multiples of rows added the
@@ -199,7 +220,7 @@ def kernel_basis(vectors, tags):
     ech = Echelon(priority=lambda c: c.index if type(c) is _Augmented else real)
     kernel = []
     for k, vec in enumerate(vectors):
-        pivot = ech.add({**vec, _Augmented(k): Fraction(1)})
+        pivot = ech.add({**vec, _Augmented(k): 1})
         if type(pivot) is _Augmented:
             kernel.append({tags[c.index]: v for c, v in ech.rows[pivot].items()})
     return kernel

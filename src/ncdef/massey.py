@@ -22,7 +22,6 @@ last relation, must already be flat.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .checker import LiftedComplex, curvature, verify_lifted_complex
 from .errors import (FlatnessViolated, NcdefError, NotACoboundary, NotACocycle,
@@ -145,7 +144,7 @@ def _project(state, cochains):
             ys, ext2.get(typ, []), degree_bound=opts.degree_bound,
             retry_step=opts.retry_step, max_bound=opts.max_bound)])
     return {key: projected[key] if key in projected
-            else [Fraction(0)] * len(ext2.get(y.type, []))
+            else [0] * len(ext2.get(y.type, []))
             for key, y in cochains.items()}
 
 
@@ -158,8 +157,7 @@ def advance_order(state):
     # relation-class consistency: each tagged curvature must represent the
     # dual basis vector of its own tag
     for tag, coeffs in _project(state, ws).items():
-        want = [Fraction(1) if l + 1 == tag.l else Fraction(0)
-                for l in range(len(coeffs))]
+        want = [1 if l + 1 == tag.l else 0 for l in range(len(coeffs))]
         if coeffs != want:
             raise FlatnessViolated("relation class %s does not project to its "
                                    "dual basis vector" % (format_tag(tag),))
@@ -179,7 +177,7 @@ def advance_order(state):
     for tag in sorted(new_series, key=lambda t: (t.i, t.j, t.l)):
         vec = {}
         if tag in R.index:
-            vec[R.index[tag]] = Fraction(1)
+            vec[R.index[tag]] = 1
         for x, value in products.items():
             if tag in value:
                 vec[R.index[x]] = value[tag]
@@ -312,7 +310,7 @@ class MasseyValue:
     """Outcome of an immediately defined matric Massey product."""
 
     defined: bool
-    coefficients: dict | None = None     # RelTag -> Fraction
+    coefficients: dict | None = None     # RelTag -> int or Fraction
     failed_at: object = None             # divisor where no system extends
 
     def __repr__(self):
@@ -373,7 +371,7 @@ def immediate_massey(x, cochains, ext, options):
                                % (x, failure))
     basis = ext.ext2.get(x.type, [])
     if value.is_zero():
-        coeffs = [Fraction(0)] * len(basis)
+        coeffs = [0] * len(basis)
     else:
         try:
             ((coeffs, _),) = project_ext2([value], basis,

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import InconsistentRelations, InternalInvariantError, ValidationError
-from .linalg import Echelon
+from .linalg import Echelon, exact
 
 RelTag = namedtuple("RelTag", ["i", "j", "l"])
 
@@ -219,7 +218,7 @@ class MatricPoly:
         self.type = tuple(type)
         self.terms = {}
         for m, c in (terms or {}).items():
-            c = Fraction(c)
+            c = exact(c)
             if not c:
                 continue
             if m.type != self.type:
@@ -238,7 +237,7 @@ class MatricPoly:
 
     def add_term(self, m, c):
         terms = dict(self.terms)
-        s = terms.get(m, Fraction(0)) + c
+        s = terms.get(m, 0) + c
         if s:
             terms[m] = s
         else:
@@ -422,7 +421,7 @@ def _ideal_rows(table, relations, cutoff, exclude_unit=False):
                 for mono, c in f.terms.items():
                     full = concat(concat(ml, mono), mr)
                     if full.degree < cutoff:
-                        row[full] = row.get(full, Fraction(0)) + c
+                        row[full] = row.get(full, 0) + c
                 row = {m: c for m, c in row.items() if c}
                 if row:
                     rows.append(row)
@@ -442,9 +441,9 @@ def _assemble(table, cutoff, elim, extra_tags):
     exp_label = {}
     for m in all_monos:
         if m in pivots:
-            exp_label[m] = elim.reduce({m: Fraction(1)})
+            exp_label[m] = elim.reduce({m: 1})
         else:
-            exp_label[m] = {m: Fraction(1)}
+            exp_label[m] = {m: 1}
     expansion = {m: {index[c]: v for c, v in e.items()} for m, e in exp_label.items()}
     products = {}
     for a, la in enumerate(basis):
@@ -483,7 +482,7 @@ def _tagged_rows(table, series, cutoff):
         if f.is_zero():
             continue
         vec = dict(f.terms)
-        vec[tag] = Fraction(-1)
+        vec[tag] = -1
         rows.append(vec)
         tags.append(tag)
     return rows, tags
@@ -557,8 +556,8 @@ def divisor_truncation(x, p):
     basis += divisor_monomials(x) + [x]
     basis.sort(key=label_sort_key)
     index = {b: k for k, b in enumerate(basis)}
-    products = {(index[left], index[right]): {index[z]: Fraction(1)}
+    products = {(index[left], index[right]): {index[z]: 1}
                 for z in basis for left, right in factorizations(z)}
-    expansion = {m: {index[m]: Fraction(1)} for m in basis}
+    expansion = {m: {index[m]: 1} for m in basis}
     return FiniteDimPointedAlgebra(p, basis, products, expansion,
                                    cutoff=x.degree + 1)

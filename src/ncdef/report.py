@@ -287,10 +287,10 @@ def match_up_to_rescaling(rels_a, rels_b, arrows):
             return None
         monos = sorted(fa.terms, key=Monomial.key)
         base = monos[0]
-        base_ratio = fa.terms[base] / fb.terms[base]
+        base_ratio = Fraction(fa.terms[base], fb.terms[base])
         base_info[tag] = (base, base_ratio)
         for x in monos[1:]:
-            ratio = (fa.terms[x] / fb.terms[x]) / base_ratio
+            ratio = Fraction(fa.terms[x], fb.terms[x]) / base_ratio
             exps = {}
             for a in x.arrows:
                 exps[a] = exps.get(a, 0) + 1

@@ -13,10 +13,10 @@ D_{n+m,j} * phi_m + (-1)^(n+1) phi_{m+1} * D_{m,i}.
 Ext^n(M_j, M_i) is computed from the complex Hom(L_{*,j}, M_i) with all
 module coefficients truncated at a filtration degree B: cocycles are taken
 with entries of degree <= B while coboundaries come from potentials of
-degree <= B + BOUNDARY_SLACK, and the resulting dimension must agree at B
-and B+1 to be certified.  Each image in the complex is computed once, at
-the larger bound; the sets at B are taken from these.  Classes are then
-lifted through the projectives to Yoneda cochains by bounded-degree solves.
+degree <= B + BOUNDARY_SLACK, and the resulting dimension must be stable
+at B and B + 1.  Each image in the complex is computed once, at the larger
+bound; the sets at B are taken from these.  Classes are then lifted
+through the projectives to Yoneda cochains by bounded-degree solves.
 
 Every bounded-degree solve -- the lifts here, coboundary primitives and
 Ext^2 projections below, and the equivalence intertwiners of the checker --
@@ -36,10 +36,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import QuotientModule, multiply
+from .algebra import AlgebraElement, QuotientModule, multiply
 from .errors import (NotACoboundary, NotStabilized, ProjectionFailed, ShapeMismatch,
                      SolverBoundError, ValidationError)
-from .linalg import Echelon, kernel_basis, solve_sparse
+from .linalg import Echelon, kernel_basis, solve_sparse, vec_scale
 
 DEFAULT_BOUND = 4
 RETRY_STEP = 2
@@ -73,8 +73,11 @@ class Mat:
             for c, v in enumerate(row):
                 if isinstance(v, str):
                     v = pres.parse(v)
-                elif isinstance(v, (int, Fraction)):
+                elif type(v) in (int, Fraction):
                     v = pres.one().scale(v)
+                elif not isinstance(v, AlgebraElement):
+                    raise ValidationError("matrix entry %r is neither an element "
+                                          "nor an exact scalar" % (v,))
                 if not v.is_zero():
                     entries[(r, c)] = v
         return Mat(nrows, ncols, entries)
@@ -261,7 +264,7 @@ def yoneda_differential(phi):
     """The Yoneda complex differential of a cochain."""
     bundle = phi.bundle
     n = phi.degree
-    sign = Fraction(-1) if (n + 1) % 2 else Fraction(1)
+    sign = -1 if (n + 1) % 2 else 1
     res_i = bundle.res(phi.i)
     res_j = bundle.res(phi.j)
     mats = []
@@ -329,7 +332,7 @@ class ExtComputer:
                 acted = module.act(a, rep)
                 for w2, c2 in acted.terms.items():
                     key = (s, w2)
-                    val = out.get(key, Fraction(0)) + c * c2
+                    val = out.get(key, 0) + c * c2
                     if val:
                         out[key] = val
                     else:
@@ -338,30 +341,40 @@ class ExtComputer:
 
     def _images(self, i, j, m, bound):
         """{label: image under d_m} of the Hom(L_{m,j}, M_i) coordinates at bound."""
-        return {lab: self._apply_d(i, j, m, {lab: Fraction(1)})
+        return {lab: self._apply_d(i, j, m, {lab: 1})
                 for lab in self._coords(i, j, m, bound)}
 
     def ext_dimension(self, i, j, n):
-        """Certified dim Ext^n(M_j, M_i); stable at two consecutive bounds."""
+        """dim Ext^n(M_j, M_i), stable at B and B + 1."""
         if (i, j, n) not in self._dim_cache:
             self._dimension_and_boundaries(i, j, n)
         return self._dim_cache[(i, j, n)]
 
-    def _dimension_and_boundaries(self, i, j, n):
-        """Certified dim Ext^n(M_j, M_i), its boundary echelon at the degree
-        bound B, and the images of the Hom(L_{n,j}, M_i) coordinates at B.
+    def _dimension_and_boundaries(self, i, j, n, ext1_images=None):
+        """dim Ext^n(M_j, M_i), stable at B and B + 1, its boundary echelon
+        at the degree bound B, and the images of the Hom(L_{n,j}, M_i)
+        coordinates at B.
 
         Each image is computed once: the coordinates' at B + 1, the
         potentials' at B + 1 + BOUNDARY_SLACK.  Those at B are taken from
         these in ``_coords`` order, so every vector comes out in the same
-        order as when each bound computed its own.
+        order as when each bound computed its own.  ``ext1_images``, when
+        given, are the images of the Hom(L_{1,j}, M_i) coordinates at
+        B + 1 + BOUNDARY_SLACK: the coordinates' images for n = 1 and the
+        potentials' for n = 2 are both taken from them the same way.
         """
         if n == 0:
             raise ValidationError("ext_dimension computes n = 1 or 2")
         bound = self.degree_bound
-        images_next = self._images(i, j, n, bound + 1)
+
+        def images_at(m, at):
+            if m != 1 or ext1_images is None:
+                return self._images(i, j, m, at)
+            return {lab: ext1_images[lab] for lab in self._coords(i, j, 1, at)}
+
+        images_next = images_at(n, bound + 1)
         images = {lab: images_next[lab] for lab in self._coords(i, j, n, bound)}
-        potentials_next = self._images(i, j, n - 1, bound + 1 + BOUNDARY_SLACK)
+        potentials_next = images_at(n - 1, bound + 1 + BOUNDARY_SLACK)
         potentials = [potentials_next[lab]
                       for lab in self._coords(i, j, n - 1, bound + BOUNDARY_SLACK)]
         # the rank at B + 1 extends the echelon of the images at B
@@ -415,7 +428,7 @@ class ExtComputer:
             if resid:
                 lead = min(resid, key=lambda lab: (
                     self.bundle.pres.word_degree(lab[1]), lab[1], lab[0]))
-                resid = {k: c / resid[lead] for k, c in resid.items()}
+                resid = vec_scale(resid, Fraction(1, resid[lead]))
                 chosen.append(resid)
                 chosen_ech.add(dict(resid))
             if len(chosen) == dim:
@@ -504,15 +517,20 @@ class ExtComputer:
     def ext_basis(self, i):
         """Deterministic Yoneda representatives of Ext^n(M_j, M_i), n = 1, 2.
 
-        Returns {(n, j): representatives} for every j.  All the lifts of
-        the source module M_i go through ``_lift_to_yoneda`` together; each
-        group is certified as ``ExtBasis.certify`` would, against the same
-        boundary echelon its representatives were chosen with.
+        Returns {(n, j): representatives} for every j.  The images of the
+        Hom(L_{1,j}, M_i) coordinates serve both degrees and are computed
+        once per j.  All the lifts of the source module M_i go through
+        ``_lift_to_yoneda`` together; each group is certified as
+        ``ExtBasis.certify`` would, against the same boundary echelon its
+        representatives were chosen with.
         """
         groups, echelons = [], []
         for j in range(1, self.bundle.p + 1):
+            ext1_images = self._images(i, j, 1,
+                                       self.degree_bound + 1 + BOUNDARY_SLACK)
             for n in (1, 2):
-                dim, boundaries, images = self._dimension_and_boundaries(i, j, n)
+                dim, boundaries, images = self._dimension_and_boundaries(
+                    i, j, n, ext1_images)
                 vecs = self._hom_representatives(images, dim, boundaries)
                 groups.append((j, n, vecs))
                 echelons.append((dim, boundaries))
@@ -532,7 +550,7 @@ class ExtComputer:
             red = module.reduce(a)
             for w, cw in red.terms.items():
                 key = (r, w)
-                val = vec.get(key, Fraction(0)) + cw
+                val = vec.get(key, 0) + cw
                 if val:
                     vec[key] = val
                 else:
@@ -681,7 +699,7 @@ def _solve_cochain_equation(targets, basis, degree_bound, retry_step, max_bound)
         return system
 
     def accept(k, sol):
-        coeffs = [sol.get(("c", l), Fraction(0)) for l in range(len(basis))]
+        coeffs = [sol.get(("c", l), 0) for l in range(len(basis))]
         entries = decode_entries(sol, "a", pres)
         alpha = Cochain(bundle, 1, i, j,
                         [Mat(res_j.rank(m + 1), res_i.rank(m), entries.get((m,), {}))

@@ -12,8 +12,8 @@ import pytest
 from ncdef.checker import LiftedComplex, verify_lifted_complex
 from ncdef.massey import (advance_order, compute_hull, immediate_massey,
                           init_order2, order_obstructions)
-from ncdef.matrix_ring import (RelTag, format_monomial, format_poly, format_tag,
-                               parse_monomial)
+from ncdef.matrix_ring import (MatricPoly, RelTag, format_monomial, format_poly,
+                               format_tag, parse_monomial)
 from ncdef.presets import RunOptions
 from ncdef.report import match_up_to_rescaling
 from ncdef.algebra import normal_form
@@ -82,6 +82,18 @@ def test_criterion_2_order2_products(weyl, weyl_computer, weyl_computed_basis):
     assert lam_mu is not None
     _verdict(2, "eight signed products exact; computed-basis relations match "
                 "after rescaling")
+
+
+def test_rescaling_match_divides_exactly():
+    # ratios of integral coefficients must be Fractions: int / int is a float
+    x, y = parse_monomial("x12*x24", 4), parse_monomial("x13*x34", 4)
+    tag = RelTag(1, 4, 1)
+    rels_a = {tag: MatricPoly((1, 4), {x: 2, y: 3})}
+    rels_b = {tag: MatricPoly((1, 4), {x: 1, y: 7})}
+    lam, mu = match_up_to_rescaling(rels_a, rels_b, [(1, 2, 1), (2, 4, 1),
+                                                     (1, 3, 1), (3, 4, 1)])
+    assert all(type(c) in (int, Fraction) for c in [*lam.values(), *mu.values()])
+    assert mu[tag] * lam[(1, 3, 1)] * lam[(3, 4, 1)] * 7 == 3
 
 
 def test_criterion_3_hull(weyl):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncdef.algebra import (AlgebraPresentation, QuotientModule, format_element,
-                           multiply, normal_form, parse_element,
+                           format_scalar, multiply, normal_form, parse_element,
                            preset_presentation)
 from ncdef.errors import StepBudgetExceeded, UnsupportedIdeal, ValidationError
 
@@ -144,3 +144,18 @@ def test_rule_validation():
         AlgebraPresentation(["a"], [(("a",), [((), 1)])])
     with pytest.raises(ValidationError):
         AlgebraPresentation(["a", "b"], [(("a", "b"), [(("a", "b", "b"), 1)])])
+
+
+def test_integral_coefficients_stay_ints_and_floats_are_refused():
+    pres = preset_presentation("weyl2")
+    a = parse_element(pres, "Dx*x - 4/2*y + 1/2")  # Dx*x = x*Dx + 1
+    assert {w: (c, type(c)) for w, c in a.terms.items()} == {
+        ("x", "Dx"): (1, int), ("y",): (-2, int), (): (Fraction(3, 2), Fraction)}
+    b = parse_element(pres, "x*Dx - 2*y").scale(Fraction(6, 3))
+    assert b == parse_element(pres, "2*x*Dx - 4*y")
+    assert all(type(c) is int for c in b.terms.values())
+    assert format_scalar(Fraction(-4, 2)) == "-2" and format_scalar(Fraction(3, 6)) == "1/2"
+    for bad in (lambda: format_scalar(0.5), lambda: a.scale(1.0),
+                lambda: pres.element({("x",): 0.5})):
+        with pytest.raises(TypeError):
+            bad()

@@ -52,6 +52,14 @@ def test_massey_subcommand(capsys):
     assert "<x12*x24> = -1*y14" in out
 
 
+def test_massey_json_prints_scalars_as_reports_do(capsys):
+    assert main(["massey", "--preset", "weyl2-simple4", "--monomial", "x12*x24",
+                 "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "defined": true,\n  "monomial": "x12*x24",\n'
+        '  "value": {\n    "y14": "-1"\n  }\n}\n')
+
+
 def test_massey_undefined(capsys):
     assert main(["massey", "--preset", "weyl2-simple4",
                  "--monomial", "x12*x24*x43"]) == 0
@@ -275,6 +283,14 @@ def test_spec_options_apply_and_flags_override_them(tmp_path, capsys):
     assert report["final_order"] == 5
     assert report["problem"]["options"]["max_order"] == 4
     assert report["problem"]["options"]["stop_on_stabilized"] is False
+
+
+@pytest.mark.parametrize("entry", [1.5, 2.0, True, None])
+def test_inexact_differential_entry_fails_validation(entry, tmp_path, capsys):
+    spec = {"schema": "ncdef-problem/1", "algebra": "poly1",
+            "modules": [{"ideal": ["x"], "ranks": [1, 1], "diffs": [[[entry]]]}]}
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def _write(tmp_path, name, document):

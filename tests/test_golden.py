@@ -4,10 +4,12 @@ To regenerate after an intended output change, run the listed arguments with
 ``--out tests/golden/<name>`` and review the diff.
 """
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from ncdef import algebra, cli, linalg
 from ncdef.cli import main
 
 HERE = Path(__file__).parent
@@ -28,9 +30,59 @@ CASES = {
 }
 
 
+@pytest.fixture
+def coefficient_types(monkeypatch):
+    """Record every coefficient that is not an int or a Fraction.
+
+    Checks the vectors given to ``Echelon.add`` and the rows it stores and
+    the terms of every ``AlgebraElement``, where a float or a bool is
+    recorded, and the documents given to ``canonical_json``, which print
+    coefficients as strings and would print a float silently.
+    """
+    bad = []
+
+    def check(values, where):
+        bad.extend((where, c) for c in values if type(c) not in (int, Fraction))
+
+    add = linalg.Echelon.add
+
+    def checked_add(self, vec):
+        check(vec.values(), "Echelon.add input")
+        pivot = add(self, vec)
+        if pivot is not None:
+            check(self.rows[pivot].values(), "Echelon row")
+        return pivot
+
+    init = algebra.AlgebraElement.__init__
+
+    def checked_init(self, pres, terms):
+        check(terms.values(), "AlgebraElement")
+        init(self, pres, terms)
+
+    canonical_json = cli.canonical_json
+
+    def checked_json(obj):
+        stack = [obj]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, dict):
+                stack.extend(item.values())
+            elif isinstance(item, (list, tuple)):
+                stack.extend(item)
+            elif isinstance(item, float):
+                bad.append(("canonical_json", item))
+        return canonical_json(obj)
+
+    monkeypatch.setattr(linalg.Echelon, "add", checked_add)
+    monkeypatch.setattr(algebra.AlgebraElement, "__init__", checked_init)
+    monkeypatch.setattr(cli, "canonical_json", checked_json)
+    return bad
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_run_matches_golden(name, tmp_path, capsys):
+def test_run_matches_golden(name, tmp_path, capsys, coefficient_types):
     assert main(["run", *CASES[name], "--out", str(tmp_path)]) == 0
     for filename in ("report.json", "presentation.txt"):
         fresh = (tmp_path / filename).read_bytes()
         assert fresh == (GOLDEN / name / filename).read_bytes(), filename
+    assert not coefficient_types[:5]

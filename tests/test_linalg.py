@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncdef.linalg import Echelon, _Augmented, kernel_basis, solve_sparse
+from ncdef.linalg import Echelon, _Augmented, exact, kernel_basis, solve_sparse, vec_scale
 from ncdef.matrix_ring import divisor_truncation, parse_monomial
 
 
@@ -37,6 +37,83 @@ def test_echelon_priority_steers_pivot():
     ech = Echelon(priority=lambda c: -c)  # prefer small column labels
     pivot = ech.add({0: F(1), 5: F(7)})
     assert pivot == 0
+
+
+def test_exact_keeps_integral_values_as_ints():
+    assert type(exact(7)) is int and exact(7) == 7
+    two = exact(Fraction(4, 2))
+    assert type(two) is int and two == 2
+    half = exact(Fraction(1, 2))
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type(exact(True)) is int
+    assert exact("-6/4") == Fraction(-3, 2) and type(exact("6/3")) is int
+    for value in (0.5, 2.0, 1 / 2):
+        with pytest.raises(TypeError):
+            exact(value)
+    with pytest.raises(TypeError):
+        vec_scale({0: 1}, 0.5)
+
+
+def test_echelon_keeps_a_unit_pivot_row_as_given():
+    ech = Echelon()
+    ech.add({0: 2, 1: 1})
+    assert list(ech.rows[1].items()) == [(0, 2), (1, 1)]
+    assert all(type(c) is int for c in ech.rows[1].values())
+    ech.add({0: 3})
+    assert ech.rows == {1: {1: 1}, 0: {0: 1}}
+
+
+def _typed(entries):
+    """An int-only and a mixed int/Fraction copy of drawn (value, as_fraction)
+    entries, zeros dropped."""
+    ints = {k: v for k, (v, _) in entries.items() if v}
+    mixed = {k: Fraction(v) if wrap else v for k, (v, wrap) in entries.items() if v}
+    return ints, mixed
+
+
+def _items(vec):
+    return None if vec is None else list(vec.items())
+
+
+def _assert_scalars(vectors):
+    for vec in vectors:
+        for c in (vec or {}).values():
+            assert type(c) in (int, Fraction), c
+
+
+def test_int_and_fraction_entries_eliminate_alike():
+    """Echelon rows, solve_sparse solutions and kernel_basis relations are
+    equal, dict order included, whether each entry is an int or a Fraction."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entry = st.tuples(st.integers(-3, 3), st.booleans())
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(st.integers(1, 4).flatmap(lambda nvars: st.tuples(
+        st.just(nvars),
+        st.lists(st.tuples(st.dictionaries(st.integers(0, nvars - 1), entry, max_size=4),
+                           st.dictionaries(st.integers(0, 2), entry, max_size=3)),
+                 min_size=1, max_size=6))))
+    def check(args):
+        nvars, rows = args
+        sides = [[], []]
+        for coeffs, rhs in rows:
+            for side, vec, target in zip(sides, _typed(coeffs), _typed(rhs)):
+                side.append(({("x", v): c for v, c in vec.items()}, target))
+        results = []
+        for equations in sides:
+            ech = Echelon()
+            pivots = [ech.add(vec) for vec, _ in equations]
+            rows_out = [(p, _items(r)) for p, r in ech.rows.items()]
+            solutions = solve_sparse(equations, 3)
+            vectors = [vec for vec, _ in equations]
+            kernel = kernel_basis(vectors, tags=list(range(len(vectors))))
+            _assert_scalars(list(ech.rows.values()) + solutions + kernel)
+            results.append((pivots, rows_out, [_items(s) for s in solutions],
+                            [_items(r) for r in kernel]))
+        assert results[0] == results[1]
+
+    check()
 
 
 def test_solve_sparse_consistent():

@@ -568,3 +568,38 @@ def test_hom_images_once_match_per_bound_images(problem, bound, request):
                 assert [_in_order(v) for v in got] == [_in_order(v) for v in want]
                 chosen += len(got)
     assert chosen >= p
+
+
+@pytest.mark.parametrize("problem", ["weyl", "poly3"])
+def test_ext_basis_computes_each_hom_image_once(problem, request):
+    # the degree-1 images serve Ext^1 at B + 1 and, as potentials, Ext^2 at
+    # B + 1 + BOUNDARY_SLACK; taken from one set, they give what each
+    # degree gets from images of its own
+    bundle = request.getfixturevalue(problem).bundle
+    computer = ExtComputer(bundle, degree_bound=4)
+    apply_d = computer._apply_d
+    calls = {}
+
+    def counted(i, j, m, vec):
+        key = (i, j, m, tuple(vec))
+        calls[key] = calls.get(key, 0) + 1
+        return apply_d(i, j, m, vec)
+
+    computer._apply_d = counted
+    for i in range(1, bundle.p + 1):
+        computer.ext_basis(i)
+    assert calls and set(calls.values()) == {1}
+    assert {m for _, _, m, _ in calls} == {0, 1, 2}
+    computer._apply_d = apply_d
+    for i in range(1, bundle.p + 1):
+        for j in range(1, bundle.p + 1):
+            ext1_images = computer._images(i, j, 1, 5 + BOUNDARY_SLACK)
+            for n in (1, 2):
+                got = [computer._dimension_and_boundaries(i, j, n, images)
+                       for images in (ext1_images, None)]
+                (dim, boundaries, images), (dim2, boundaries2, images2) = got
+                assert dim == dim2
+                assert [(p, _in_order(row)) for p, row in boundaries.rows.items()] == \
+                    [(p, _in_order(row)) for p, row in boundaries2.rows.items()]
+                assert [(lab, _in_order(v)) for lab, v in images.items()] == \
+                    [(lab, _in_order(v)) for lab, v in images2.items()]
