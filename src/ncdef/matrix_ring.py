@@ -2,39 +2,60 @@
 
 A monomial of type (i, j) is a composable word x_{i i1}(l1) ... x_{i_{n-1} j}(ln)
 in arrows (a, b, l); degree-0 monomials are the idempotents e_i.  Finite
-dimensional pointed quotients are built by exact Gaussian elimination of a
-two-sided ideal together with all monomials of degree >= cutoff.
+dimensional pointed quotients of the free matrix ring by a two-sided ideal
+together with all monomials of degree >= cutoff are built from a reduced
+Gröbner basis of the ideal, by the diamond lemma (Bergman, Adv. Math. 29,
+1978) for path algebras (Green, Prog. Math. 173, 1999).
 
 The elimination order is static: lower degree first, then, within a degree,
-the largest word under a fixed arrow key is removed from the basis; the tags
-of residual relation classes rank below every monomial.  The arrow key is
-(source, |source-target|, target, index): sorting arrows by block distance
-before target makes the surviving bases of the shipped truncations
-reproducible and matches the hand-picked bases of the flagship example.
+the largest word under a fixed arrow key leads and is removed from the
+basis; the tags of residual relation classes rank below every monomial.
+The arrow key is (source, |source-target|, target, index): sorting arrows by
+block distance before target makes the surviving bases of the shipped
+truncations reproducible and matches the hand-picked bases of the flagship
+example.
 
 This priority is a multiplicative local order on paths, so the leading word
-of m * g * m' is m * LM(g) * m' whenever it lies below the cutoff.  The
-eliminated monomials are therefore closed under two-sided multiples, and the
-surviving monomials form an order ideal: they are closed under divisors
-(Mora, TCS 134, 1994; Ufnarovski, LMS LN 251, 1998).  For a fixed column
-order the fully reduced echelon of a span does not depend on the order its
-rows arrive in, so the basis and expansions are unique.
+of m * g * m' is m * LM(g) * m' whenever it lies below the cutoff, and
+Buchberger completion ends on the finitely many words below it.  Each
+overlap of two tips is resolved by its S-polynomial, an element whose tip
+contains a newer tip is removed and reduced again, and words and overlaps
+of length >= cutoff vanish.  The leading words of the ideal are the
+multiples of the tips; the other monomials, the survivors, are closed under
+divisors, so the survivors of degree d are the one-arrow extensions of
+those of degree d - 1 that have no tip as a suffix, and no other free
+monomial is ever formed (Mora, TCS 134, 1994; Ufnarovski, LMS LN 251,
+1998).  Normal forms are unique, so the basis and products do not depend on
+the order of the relations.
+
+Each (survivor, arrow) word is reduced once; the product s * t of two
+survivors folds t's arrows into s through that table, one arrow at a time.
+The class of any monomial below the cutoff, the beta table, is the same
+fold of its arrows' classes through the products, made on demand, so no
+table of monomials is stored.
+
+The bookkeeping ring of the order step carries tags: each nonzero truncated
+series f enters the ideal as f - tag.  A tag times any arrow is zero, so
+u * (f - tag) * v = u * f * v unless u and v are both units, which is
+I*f + f*I; a remainder of tags alone relates the tags, and the tags that
+pivot in the echelon of those relations leave the basis.
 
 The order step collapses the tags of a bookkeeping ring by substitution:
 each collapse vector is a tag plus monomials of its type of the top degree
 cutoff - 1.  No products of tags are recorded and a top-degree monomial
 times the radical passes the cutoff, so these vectors already span a
 two-sided ideal, and the quotient is one echelon of them pushed into the
-products and expansions.
+products and the arrows' classes.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from fractions import Fraction
 
 from .errors import InconsistentRelations, InternalInvariantError, ValidationError
-from .linalg import Echelon, exact
+from .linalg import Echelon, _add_multiple, exact
 
 RelTag = namedtuple("RelTag", ["i", "j", "l"])
 
@@ -244,10 +265,6 @@ class MatricPoly:
             terms.pop(m, None)
         return MatricPoly(self.type, terms)
 
-    def truncate(self, max_degree):
-        return MatricPoly(self.type, {m: c for m, c in self.terms.items()
-                                      if m.degree <= max_degree})
-
     def __eq__(self, other):
         return (isinstance(other, MatricPoly) and self.type == other.type
                 and self.terms == other.terms)
@@ -341,16 +358,24 @@ class FiniteDimPointedAlgebra:
 
     basis: labels (Monomials, possibly RelTags for residual relation classes)
     products: dict[(a_index, b_index)] -> sparse coords over basis indices
-    expansion: Monomial -> index coords, for all monomials below the cutoff
+    arrow_classes: arrow -> index coords of its class; by default each arrow
+        in the basis is its own class
+
+    No table of monomials is stored: the class of a monomial below the
+    cutoff (the beta table) is its arrows' classes multiplied through the
+    products, on demand.
     """
 
-    def __init__(self, p, basis, products, expansion, cutoff):
+    def __init__(self, p, basis, products, cutoff, arrow_classes=None):
         self.p = p
         self.basis = list(basis)
         self.index = {b: k for k, b in enumerate(self.basis)}
         self.products = products
-        self._expansion = expansion
         self.cutoff = cutoff
+        if arrow_classes is None:
+            arrow_classes = {b.arrows[0]: {k: 1} for k, b in enumerate(self.basis)
+                             if isinstance(b, Monomial) and b.degree == 1}
+        self.arrow_classes = arrow_classes
         for i in range(1, p + 1):
             if Monomial.idempotent(i) not in self.index:
                 raise InconsistentRelations("idempotent e%d was eliminated" % i)
@@ -372,120 +397,250 @@ class FiniteDimPointedAlgebra:
         """Index coordinates of a monomial class over the basis (beta table)."""
         if mono.degree >= self.cutoff:
             return {}
-        coords = self._expansion.get(mono)
-        if coords is None:
-            raise ValidationError("no expansion stored for %r" % mono)
+        if not mono.arrows:
+            return {self.index[mono]: 1}
+        coords = None
+        for arrow in mono.arrows:
+            right = self.arrow_classes.get(arrow)
+            if right is None:
+                raise ValidationError("no class stored for the arrow %s of %r"
+                                      % (arrow, mono))
+            if coords is None:
+                coords = dict(right)
+                continue
+            out = {}
+            for a, ca in coords.items():
+                for b, cb in right.items():
+                    _add_multiple(out, self.products.get((a, b), {}), ca * cb)
+            coords = out
         return coords
 
     def product(self, a_idx, b_idx):
         return self.products.get((a_idx, b_idx), {})
 
 
-def _elimination_priority(col):
-    """Static pivot priority: tags below monomials, then lower degree first."""
-    if isinstance(col, RelTag):
-        return (0, col)
-    return (1, -col.degree, col.key())
+def _leading(word):
+    """The elimination order on words of arrow numbers: the leader is largest."""
+    return (-len(word), word)
 
 
-def _eliminate(rows):
-    elim = Echelon(priority=_elimination_priority)
-    for row in rows:
-        elim.add(row)
-    return elim
+def _occurs(part, word):
+    n = len(part)
+    return any(word[k:k + n] == part for k in range(len(word) - n + 1))
 
 
-def _ideal_rows(table, relations, cutoff, exclude_unit=False):
-    """Truncations of all products m * f * m' with degree < cutoff support."""
-    rows = []
-    for f in relations:
+class _StandardBasis:
+    """Reduced Gröbner basis of a two-sided ideal of a truncated path algebra.
+
+    Arrows are numbered in arrow-key order, so a positive-degree word is a
+    tuple of arrow numbers and ``_leading`` is the elimination order on
+    words.  Words of length >= cutoff are zero.  ``rules`` maps each tip,
+    the leading word of a monic basis element, to the rest of that element
+    as (words, tags): the tip rewrites to minus the rest.  A tag times any
+    arrow is zero, so a rewrite inside a longer word drops the tags of the
+    rest, and a remainder of tags alone is a relation among the tags, kept
+    in the echelon ``tags``, where the largest tag pivots.
+    """
+
+    def __init__(self, table, cutoff):
+        self.arrows = sorted(table.all_arrows(), key=arrow_key)
+        self.number = {a: k for k, a in enumerate(self.arrows)}
+        self.after = [[k for k, b in enumerate(self.arrows) if b[0] == a[1]]
+                      for a in self.arrows]
+        self.cutoff = cutoff
+        self.rules = {}
+        self.tags = Echelon()
+
+    def word(self, mono):
+        return tuple(self.number[a] for a in mono.arrows)
+
+    def monomial(self, word):
+        return Monomial.from_arrows([self.arrows[k] for k in word])
+
+    def _tip_in(self, word):
+        """(start, tip) of the leftmost shortest tip in ``word``, or None."""
+        rules = self.rules
+        for start in range(len(word) - 1):
+            for stop in range(start + 2, len(word) + 1):
+                if word[start:stop] in rules:
+                    return start, word[start:stop]
+        return None
+
+    def has_tip_suffix(self, word):
+        return any(word[start:] in self.rules for start in range(len(word) - 1))
+
+    def reduce(self, words, tags=()):
+        """(words, tags) rewritten until no word holds a tip."""
+        words = dict(words)
+        tags = dict(tags)
+        out = {}
+        while words:
+            word = max(words, key=_leading)
+            c = words.pop(word)
+            found = self._tip_in(word)
+            if found is None:
+                out[word] = c
+                continue
+            start, tip = found
+            left, right = word[:start], word[start + len(tip):]
+            rest, rest_tags = self.rules[tip]
+            if left or right:
+                room = self.cutoff - len(left) - len(right)
+                rest = {left + w + right: v for w, v in rest.items() if len(w) < room}
+            else:
+                _add_multiple(tags, rest_tags, -c)
+            _add_multiple(words, rest, -c)
+        return out, tags
+
+    def complete(self, elements):
+        """Buchberger completion of the rules by elements (words, tags).
+
+        Each element is reduced and made monic.  A rule whose tip holds the
+        new tip is removed and its element queued again (an inclusion), and
+        the S-polynomials of the new tip's overlaps with every tip are
+        queued.  At the end each rest is reduced, so the basis is reduced.
+        """
+        queue = list(elements)
+        while queue:
+            words, tags = self.reduce(*queue.pop())
+            if not words:
+                if tags:
+                    self.tags.add(tags)
+                continue
+            tip = max(words, key=_leading)
+            lead = words.pop(tip)
+            if lead != 1:
+                words = {w: exact(Fraction(v, lead)) for w, v in words.items()}
+                tags = {t: exact(Fraction(v, lead)) for t, v in tags.items()}
+            for other in [other for other in self.rules if _occurs(tip, other)]:
+                queue.append(self._remove(other))
+            self.rules[tip] = (words, tags)
+            for other in list(self.rules):
+                queue.extend(self._overlaps(tip, other))
+                if other != tip:
+                    queue.extend(self._overlaps(other, tip))
+        for tip, (words, tags) in self.rules.items():
+            words, tags = self.reduce(words, tags)
+            self.rules[tip] = (words, self.tags.reduce(tags))
+
+    def _remove(self, tip):
+        """Drop a rule whose tip holds a newer tip; its element is reduced again."""
+        words, tags = self.rules.pop(tip)
+        words = dict(words)
+        words[tip] = 1
+        return words, tags
+
+    def _overlaps(self, a, b):
+        """S-polynomials (rest_a * C - A * rest_b, no tags) of a = A*B, b = B*C."""
+        cutoff = self.cutoff
+        rest_a = self.rules[a][0]
+        rest_b = self.rules[b][0]
+        out = []
+        for k in range(max(1, len(a) + len(b) - cutoff + 1), min(len(a), len(b))):
+            if a[len(a) - k:] != b[:k]:
+                continue
+            left, right = a[:len(a) - k], b[k:]
+            s = {w + right: v for w, v in rest_a.items() if len(w) + len(right) < cutoff}
+            _add_multiple(s, {left + w: v for w, v in rest_b.items()
+                              if len(left) + len(w) < cutoff}, -1)
+            out.append((s, {}))
+        return out
+
+
+def _truncation(table, relations, cutoff):
+    """Quotient by (f, tag) pairs and all words of degree >= cutoff.
+
+    Each nonzero truncated f enters as f, or as f - tag when tagged.  The
+    survivors of degree d are the one-arrow extensions of those of degree
+    d - 1 with no tip as a suffix; each (survivor, arrow) word is reduced
+    once, and the product of survivors s * t folds t's arrows into s
+    through those normal forms.
+    """
+    std = _StandardBasis(table, cutoff)
+    elements = []
+    tags = []
+    for f, tag in relations:
         if f.is_zero():
             continue
         if f.min_degree() < 2:
             raise ValidationError("relations must have order >= 2")
-        fi, fj = f.type
-        room = cutoff - 1 - f.min_degree()
-        if room < 0:
-            continue
-        lefts = [m for d in range(0, room + 1)
-                 for m in monomials_of_degree(table, d) if m.j == fi]
-        rights = [m for d in range(0, room + 1)
-                  for m in monomials_of_degree(table, d) if m.i == fj]
-        for ml in lefts:
-            for mr in rights:
-                if exclude_unit and ml.degree + mr.degree == 0:
-                    continue
-                if ml.degree + f.min_degree() + mr.degree >= cutoff:
-                    continue
-                row = {}
-                for mono, c in f.terms.items():
-                    full = concat(concat(ml, mono), mr)
-                    if full.degree < cutoff:
-                        row[full] = row.get(full, 0) + c
-                row = {m: c for m, c in row.items() if c}
-                if row:
-                    rows.append(row)
-    return rows
+        words = {std.word(m): c for m, c in f.terms.items() if m.degree < cutoff}
+        if words:
+            elements.append((words, {} if tag is None else {tag: -1}))
+            if tag is not None:
+                tags.append(tag)
+    std.complete(elements)
 
-
-def _assemble(table, cutoff, elim, extra_tags):
-    all_monos = [m for d in range(cutoff) for m in monomials_of_degree(table, d)]
-    pivots = elim.pivots()
-    for piv in pivots:
-        if isinstance(piv, Monomial) and piv.degree == 0:
-            raise InconsistentRelations("a relation forces an idempotent to vanish")
-    basis = [m for m in all_monos if m not in pivots]
-    basis += [t for t in extra_tags if t not in pivots]
+    level = [(k,) for k in range(len(std.arrows))] if cutoff > 1 else []
+    survivors = []
+    while level:
+        survivors += level
+        if len(level[0]) + 1 >= cutoff:
+            break
+        level = [w + (k,) for w in level for k in std.after[w[-1]]
+                 if not std.has_tip_suffix(w + (k,))]
+    labels = {w: std.monomial(w) for w in survivors}
+    basis = [Monomial.idempotent(i) for i in range(1, table.p + 1)]
+    basis += labels.values()
+    basis += [t for t in tags if t not in std.tags.rows]
     basis.sort(key=label_sort_key)
     index = {b: k for k, b in enumerate(basis)}
-    exp_label = {}
-    for m in all_monos:
-        if m in pivots:
-            exp_label[m] = elim.reduce({m: 1})
-        else:
-            exp_label[m] = {m: 1}
-    expansion = {m: {index[c]: v for c, v in e.items()} for m, e in exp_label.items()}
+    position = {w: index[m] for w, m in labels.items()}
+
+    steps = {}
+    for w in survivors:
+        if len(w) + 1 >= cutoff:
+            continue
+        for k in std.after[w[-1]]:
+            x = w + (k,)
+            if x in position:
+                coords = {position[x]: 1}
+            else:
+                words, residual = std.reduce({x: 1})
+                coords = {position[v]: c for v, c in words.items()}
+                coords.update((index[t], c)
+                              for t, c in std.tags.reduce(residual).items())
+            steps[(position[w], k)] = coords
+
+    prefix = {}
+    starting = {}
+    for k, label in enumerate(basis):
+        if isinstance(label, Monomial):
+            starting.setdefault(label.i, []).append(k)
+            if label.arrows:
+                head = Monomial(label.i, label.arrows[-1][0], label.arrows[:-1])
+                prefix[k] = (index[head], std.number[label.arrows[-1]])
     products = {}
     for a, la in enumerate(basis):
-        for b, lb in enumerate(basis):
-            if isinstance(la, RelTag) or isinstance(lb, RelTag):
-                continue
-            m = concat(la, lb)
-            if m is INCOMPATIBLE or m.degree >= cutoff:
-                continue
-            coords = expansion[m]
+        if isinstance(la, RelTag):
+            continue
+        for b in starting[la.j]:
+            lb = basis[b]
+            if la.degree + lb.degree >= cutoff:
+                break
+            if not lb.degree:
+                coords = {a: 1}
+            elif not la.degree:
+                coords = {b: 1}
+            else:
+                head, arrow = prefix[b]
+                coords = {}
+                for k, c in products.get((a, head), {}).items():
+                    _add_multiple(coords, steps.get((k, arrow), {}), c)
             if coords:
                 products[(a, b)] = coords
-    return FiniteDimPointedAlgebra(table.p, basis, products, expansion,
-                                   cutoff=cutoff)
+    return FiniteDimPointedAlgebra(table.p, basis, products, cutoff)
 
 
 def build_quotient(table, relations, cutoff):
     """Quotient of the free matrix ring by relations plus all degree >= cutoff.
 
     Returns a FiniteDimPointedAlgebra whose basis is the surviving monomials;
-    expansions of eliminated monomials give the beta coefficient table.
+    the class of an eliminated monomial (the beta table) is its expansion.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    elim = _eliminate(_ideal_rows(table, relations, cutoff))
-    return _assemble(table, cutoff, elim, [])
-
-
-def _tagged_rows(table, series, cutoff):
-    """Ideal rows, then a row f - tag per nonzero truncated series; and tags."""
-    relations = [f for f in series.values() if not f.is_zero()]
-    rows = _ideal_rows(table, relations, cutoff, exclude_unit=True)
-    tags = []
-    for tag in sorted(series, key=lambda t: (t.i, t.j, t.l)):
-        f = series[tag].truncate(cutoff - 1)
-        if f.is_zero():
-            continue
-        vec = dict(f.terms)
-        vec[tag] = -1
-        rows.append(vec)
-        tags.append(tag)
-    return rows, tags
+    return _truncation(table, [(f, None) for f in relations], cutoff)
 
 
 def build_tagged_truncation(table, series, cutoff):
@@ -496,8 +651,7 @@ def build_tagged_truncation(table, series, cutoff):
     the bookkeeping ring of the order step has exactly this mixed basis of
     monomials and truncated series.
     """
-    rows, tags = _tagged_rows(table, series, cutoff)
-    return _assemble(table, cutoff, _eliminate(rows), tags)
+    return _truncation(table, [(f, tag) for tag, f in series.items()], cutoff)
 
 
 def quotient_by_vectors(algebra, vectors):
@@ -541,9 +695,9 @@ def quotient_by_vectors(algebra, vectors):
         pushed = push(dict(coords))
         if pushed:
             products[(reindex[a], reindex[b])] = pushed
-    expansion = {m: push(dict(coords)) for m, coords in algebra._expansion.items()}
+    classes = {arrow: push(coords) for arrow, coords in algebra.arrow_classes.items()}
     return FiniteDimPointedAlgebra(algebra.p, [algebra.basis[k] for k in keep],
-                                   products, expansion, algebra.cutoff)
+                                   products, algebra.cutoff, classes)
 
 
 def divisor_truncation(x, p):
@@ -558,6 +712,4 @@ def divisor_truncation(x, p):
     index = {b: k for k, b in enumerate(basis)}
     products = {(index[left], index[right]): {index[z]: 1}
                 for z in basis for left, right in factorizations(z)}
-    expansion = {m: {index[m]: 1} for m in basis}
-    return FiniteDimPointedAlgebra(p, basis, products, expansion,
-                                   cutoff=x.degree + 1)
+    return FiniteDimPointedAlgebra(p, basis, products, cutoff=x.degree + 1)

@@ -177,8 +177,17 @@ def problem_from_json(data, options=None):
     for k, mod in enumerate(modules, start=1):
         if not isinstance(mod, dict) or not {"ideal", "ranks", "diffs"} <= set(mod):
             raise ValidationError("module %d needs 'ideal', 'ranks' and 'diffs'" % k)
-        resolutions.append(FreeResolution(pres, mod["ideal"], mod["ranks"],
-                                          mod["diffs"]))
+        ranks, diffs = mod["ranks"], mod["diffs"]
+        if not (isinstance(ranks, list)
+                and all(type(r) is int and r >= 0 for r in ranks)):
+            raise ValidationError("module %d 'ranks' must be a list of "
+                                  "nonnegative integers" % k)
+        if not (isinstance(diffs, list) and all(
+                isinstance(d, list) and all(isinstance(row, list) for row in d)
+                for d in diffs)):
+            raise ValidationError("module %d 'diffs' must be a list of matrices, "
+                                  "each a list of rows" % k)
+        resolutions.append(FreeResolution(pres, mod["ideal"], ranks, diffs))
     bundle = ResolutionBundle(pres, resolutions)
     preset_basis = None
     if "ext_basis" in data:

@@ -355,6 +355,20 @@ def _poly3_spec():
     return json.loads((Path(__file__).parent / "specs" / "poly3.json").read_text())
 
 
+@pytest.mark.parametrize("module", [
+    {"ranks": 5},
+    {"diffs": 5},
+    {"ranks": [1, 1], "diffs": [[5]]},
+])
+def test_malformed_spec_resolution_fails_validation(module, tmp_path, capsys):
+    spec = _poly3_spec()
+    spec["modules"][0].update(module)
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:")
+    assert "Traceback" not in err
+
+
 def test_fractional_exponent_fails_validation(tmp_path, capsys):
     # x^1/2 once read as x^0 = 1, so this d_0 entry silently read as x
     spec = _poly3_spec()

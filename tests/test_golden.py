@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ncdef import algebra, cli, linalg
+from ncdef import algebra, cli, linalg, matrix_ring
 from ncdef.cli import main
 
 HERE = Path(__file__).parent
@@ -34,10 +34,12 @@ CASES = {
 def coefficient_types(monkeypatch):
     """Record every coefficient that is not an int or a Fraction.
 
-    Checks the vectors given to ``Echelon.add`` and the rows it stores and
-    the terms of every ``AlgebraElement``, where a float or a bool is
-    recorded, and the documents given to ``canonical_json``, which print
-    coefficients as strings and would print a float silently.
+    Checks the vectors given to ``Echelon.add`` and the rows it stores, the
+    terms of every ``AlgebraElement`` and the products of every truncated
+    algebra, whose normal forms do not pass through ``Echelon``, where a
+    float or a bool is recorded, and the documents given to
+    ``canonical_json``, which print coefficients as strings and would print
+    a float silently.
     """
     bad = []
 
@@ -59,6 +61,13 @@ def coefficient_types(monkeypatch):
         check(terms.values(), "AlgebraElement")
         init(self, pres, terms)
 
+    truncation = matrix_ring.FiniteDimPointedAlgebra.__init__
+
+    def checked_truncation(self, p, basis, products, *args, **kwargs):
+        for coords in products.values():
+            check(coords.values(), "FiniteDimPointedAlgebra products")
+        truncation(self, p, basis, products, *args, **kwargs)
+
     canonical_json = cli.canonical_json
 
     def checked_json(obj):
@@ -75,6 +84,7 @@ def coefficient_types(monkeypatch):
 
     monkeypatch.setattr(linalg.Echelon, "add", checked_add)
     monkeypatch.setattr(algebra.AlgebraElement, "__init__", checked_init)
+    monkeypatch.setattr(matrix_ring.FiniteDimPointedAlgebra, "__init__", checked_truncation)
     monkeypatch.setattr(cli, "canonical_json", checked_json)
     return bad
 

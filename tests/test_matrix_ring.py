@@ -6,7 +6,6 @@ import pytest
 
 from ncdef.errors import InternalInvariantError, ValidationError
 from ncdef.matrix_ring import (GeneratorTable, MatricPoly, Monomial, RelTag,
-                               _eliminate, _elimination_priority, _tagged_rows,
                                build_quotient, build_tagged_truncation, concat,
                                divisor_monomials, factorizations, format_monomial,
                                monomials_of_degree, parse_monomial,
@@ -165,21 +164,25 @@ def test_tagged_truncation(weyl_table):
         assert any(f in deg2_set for f in faces)
 
 
-def test_elimination_ignores_row_order(weyl_table):
-    # the flagship's bookkeeping ring at order 5 (cutoff 6)
-    rows, _ = _tagged_rows(weyl_table, relation_series(weyl_table), 6)
-    shuffled = list(rows)
-    random.Random(7).shuffle(shuffled)
-    probes = [{m: Fraction(1)} for d in range(6)
-              for m in monomials_of_degree(weyl_table, d)]
+def test_truncation_ignores_relation_order(weyl_table):
+    # the flagship's bookkeeping ring at order 5 (cutoff 6), and the quotient
+    # by its relations with an inhomogeneous combination of one added
+    series = relation_series(weyl_table)
+    f = series[RelTag(1, 4, 1)]
+    cycle = parse_monomial("x12*x21", 4)
+    extra = {m: 2 * c for m, c in f.terms.items()}
+    extra.update((concat(cycle, m), c) for m, c in f.terms.items())
+    relations = list(series.values()) + [MatricPoly(f.type, extra)]
     results = []
-    for order in (rows, rows[::-1], shuffled):
-        elim = _eliminate(order)
-        # each pivot leads its row under the static priority
-        for pivot, row in elim.rows.items():
-            assert max(row, key=_elimination_priority) == pivot
-        results.append((elim.pivots(), [elim.reduce(v) for v in probes]))
-    assert results[0][0]
+    for seed in range(3):
+        rng = random.Random(seed)
+        tags = sorted(series)
+        rng.shuffle(tags)
+        rng.shuffle(relations)
+        ring = build_tagged_truncation(weyl_table, {t: series[t] for t in tags}, 6)
+        alg = build_quotient(weyl_table, relations, 6)
+        results.append([(a.basis, a.products) for a in (ring, alg)])
+    assert len(results[0][0][0]) == len(results[0][1][0]) + 4
     assert results[1] == results[0]
     assert results[2] == results[0]
 
