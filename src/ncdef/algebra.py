@@ -11,6 +11,12 @@ budget guards user presentations).
 The built-in preset ``weyl2`` is the second Weyl algebra k[x,y]<Dx,Dy> with
 [Dx,x] = [Dy,y] = 1, generators ordered x < y < Dx < Dy so that normal words
 are the nondecreasing (PBW) ones.
+
+No rewriting is done twice: ``AlgebraPresentation._nf_cache`` maps a word to
+its normal form's terms and ``QuotientModule._action_cache`` maps (word u,
+basis word w) to the terms of u*w reduced, each capped at ``CACHE_CAP``
+entries; ``AlgebraPresentation._word_cache`` maps (degree bound, generator
+tuple) to the sorted normal words, one entry per bound and alphabet.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ import re
 from fractions import Fraction
 
 from .errors import StepBudgetExceeded, UnsupportedIdeal, ValidationError
-from .linalg import exact
+from .linalg import _add_multiple, exact
 
 Word = tuple  # tuple of generator names
 
 DEFAULT_STEP_BUDGET = 10**6
+CACHE_CAP = 200000
 
 
 class AlgebraPresentation:
@@ -78,30 +85,27 @@ class AlgebraPresentation:
 
     def normal_words(self, max_degree):
         """All normal words of degree <= max_degree, in (degree, lex) order."""
-        key = max_degree
+        return self._words(max_degree, tuple(self.generators))
+
+    def _words(self, max_degree, gens):
+        """Normal words over ``gens`` of degree <= max_degree, by word_key."""
+        key = (max_degree, gens)
         if key in self._word_cache:
             return self._word_cache[key]
-        by_degree = {0: [()]}
-        frontier = [()]
         # weight-0 generators would make degree layers infinite
         if any(self.weights[g] == 0 for g in self.generators):
             raise ValidationError("normal word enumeration needs positive weights")
-        deg = 0
         words = [()]
+        frontier = [((), 0)]
         while frontier:
             new = []
-            for w in frontier:
-                for g in self.generators:
-                    if w and (w[-1], g) in self.rules:
-                        continue
-                    w2 = w + (g,)
-                    if self.word_degree(w2) <= max_degree:
-                        new.append(w2)
+            for w, deg in frontier:
+                for g in gens:
+                    deg2 = deg + self.weights[g]
+                    if deg2 <= max_degree and not (w and (w[-1], g) in self.rules):
+                        new.append((w + (g,), deg2))
+            words.extend(w for w, _ in new)
             frontier = new
-            words.extend(new)
-            deg += 1
-            if deg > max_degree:
-                break
         words.sort(key=self.word_key)
         self._word_cache[key] = words
         return words
@@ -198,29 +202,34 @@ def normal_form(word, pres):
 
     Reduction picks the leftmost reducible pair each step; the result is
     order-independent for the shipped confluent presets (see the overlap
-    test in the suite).
+    test in the suite).  The scan of a word rewritten at pair k resumes at
+    k - 1, since the pairs left of k are unchanged and were not reducible:
+    it finds the leftmost pair a scan from 0 finds, so the steps, their
+    count and the order of the result's terms stay those of a full rescan.
     """
     word = tuple(word)
-    for g in word:
-        if g not in pres.gen_index:
-            raise ValidationError("unknown generator %r" % g)
     cached = pres._nf_cache.get(word)
     if cached is not None:
         return AlgebraElement(pres, dict(cached))
+    for g in word:
+        if g not in pres.gen_index:
+            raise ValidationError("unknown generator %r" % g)
+    rules = pres.rules
     result = {}
-    stack = [(word, 1)]
+    stack = [(word, 1, 0)]
     steps = 0
     while stack:
-        w, c = stack.pop()
-        for k in range(len(w) - 1):
-            rhs = pres.rules.get((w[k], w[k + 1]))
+        w, c, start = stack.pop()
+        for k in range(start, len(w) - 1):
+            rhs = rules.get((w[k], w[k + 1]))
             if rhs is not None:
                 steps += 1
                 if steps > pres.step_budget:
                     raise StepBudgetExceeded(
                         "rewriting exceeded %d steps" % pres.step_budget)
+                resume = max(k - 1, 0)
                 for rw, rc in rhs:
-                    stack.append((w[:k] + rw + w[k + 2:], c * rc))
+                    stack.append((w[:k] + rw + w[k + 2:], c * rc, resume))
                 break
         else:
             s = result.get(w, 0) + c
@@ -228,7 +237,7 @@ def normal_form(word, pres):
                 result[w] = s
             else:
                 result.pop(w, None)
-    if len(pres._nf_cache) < 200000:
+    if len(pres._nf_cache) < CACHE_CAP:
         pres._nf_cache[word] = dict(result)
     return AlgebraElement(pres, result)
 
@@ -237,11 +246,11 @@ def multiply(a, b):
     """Product of two elements, bilinear over word concatenation."""
     a._check(b)
     pres = a.pres
-    out = pres.zero()
+    out = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            out = out + normal_form(wa + wb, pres).scale(ca * cb)
-    return out
+            _add_multiple(out, normal_form(wa + wb, pres).terms, exact(ca * cb))
+    return AlgebraElement(pres, out)
 
 
 def _linked_pairs(pres):
@@ -262,6 +271,9 @@ class QuotientModule:
     well-defined linear section exactly for ideals in the supported class
     (no two generators linked by an inhomogeneous rule), which covers the
     shipped presets.
+
+    ``_action_cache`` maps (word u, basis word w) to the terms of u*w
+    reduced, at most ``CACHE_CAP`` entries, so each is reduced only once.
     """
 
     def __init__(self, pres, ideal_gens):
@@ -276,7 +288,8 @@ class QuotientModule:
                 raise UnsupportedIdeal(
                     "generators %s are linked by an inhomogeneous relation" % sorted(pair))
         self._gen_set = gens
-        self._basis_cache = {}
+        self._basis_gens = tuple(g for g in pres.generators if g not in gens)
+        self._action_cache = {}
 
     def reduce(self, a):
         """Canonical representative of ``a`` modulo the left ideal."""
@@ -285,7 +298,7 @@ class QuotientModule:
         pres = self.pres
         terms = dict(a.terms)
         while True:
-            reducible = [w for w in terms if any(g in self._gen_set for g in w)]
+            reducible = [w for w in terms if not self._gen_set.isdisjoint(w)]
             if not reducible:
                 break
             w = max(reducible, key=pres.word_key)
@@ -305,16 +318,25 @@ class QuotientModule:
 
     def basis_words(self, max_degree):
         """Normal words avoiding the ideal generators, up to max_degree."""
-        if max_degree not in self._basis_cache:
-            self._basis_cache[max_degree] = [
-                w for w in self.pres.normal_words(max_degree)
-                if not any(g in self._gen_set for g in w)
-            ]
-        return self._basis_cache[max_degree]
+        return self.pres._words(max_degree, self._basis_gens)
 
-    def act(self, a, rep):
-        """Left action of a on a class representative, reduced."""
-        return self.reduce(multiply(a, rep))
+    def word_action(self, a, word):
+        """``reduce(a * word)`` for a basis word, in the same term order.
+
+        A single term c*u scales the cached class of u*word, which reduction
+        reaches by the same steps; a sum is reduced whole, since adding the
+        classes of its terms would order the result differently.
+        """
+        if len(a.terms) != 1:
+            return self.reduce(multiply(a, self.pres.element({word: 1})))
+        (u, c), = a.terms.items()
+        key = (u, word)
+        terms = self._action_cache.get(key)
+        if terms is None:
+            terms = self.reduce(normal_form(u + word, self.pres)).terms
+            if len(self._action_cache) < CACHE_CAP:
+                self._action_cache[key] = terms
+        return AlgebraElement(self.pres, terms).scale(c)
 
 
 # ---------------------------------------------------------------------------

@@ -314,23 +314,19 @@ class ExtComputer:
     def _coords(self, i, j, m, bound):
         """Coordinate labels of Hom(L_{m,j}, M_i) truncated at degree bound."""
         res_j = self.bundle.res(j)
-        module = self.bundle.res(i).module
-        words = [w for w in module.basis_words(bound)]
+        words = self.bundle.res(i).module.basis_words(bound)
         return [(r, w) for r in range(res_j.rank(m)) for w in words]
 
     def _apply_d(self, i, j, m, vec):
         """Image of a Hom(L_m, M_i) vector under composition with d_m."""
         module = self.bundle.res(i).module
-        pres = self.bundle.pres
-        D = self.bundle.res(j).diff(m)
+        column = {}
+        for (s, t), a in self.bundle.res(j).diff(m).entries.items():
+            column.setdefault(t, []).append((s, a))
         out = {}
         for (t, w), c in vec.items():
-            rep = pres.element({w: 1})
-            for (s, t2), a in D.entries.items():
-                if t2 != t:
-                    continue
-                acted = module.act(a, rep)
-                for w2, c2 in acted.terms.items():
+            for s, a in column.get(t, ()):
+                for w2, c2 in module.word_action(a, w).terms.items():
                     key = (s, w2)
                     val = out.get(key, 0) + c * c2
                     if val:

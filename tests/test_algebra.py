@@ -159,3 +159,107 @@ def test_integral_coefficients_stay_ints_and_floats_are_refused():
                 lambda: pres.element({("x",): 0.5})):
         with pytest.raises(TypeError):
             bad()
+
+
+# ---------------------------------------------------------------------------
+# the rewriting kernel against the definitions it replaces
+
+
+def _reference_normal_form(word, pres):
+    """Leftmost-first rewriting that rescans every rewritten word from
+    position 0, uncached; returns the terms and the number of steps."""
+    result = {}
+    stack = [(tuple(word), 1)]
+    steps = 0
+    while stack:
+        w, c = stack.pop()
+        for k in range(len(w) - 1):
+            rhs = pres.rules.get((w[k], w[k + 1]))
+            if rhs is not None:
+                steps += 1
+                for rw, rc in rhs:
+                    stack.append((w[:k] + rw + w[k + 2:], c * rc))
+                break
+        else:
+            s = result.get(w, 0) + c
+            if s:
+                result[w] = s
+            else:
+                result.pop(w, None)
+    return result, steps
+
+
+def _non_confluent():
+    # (x*x)*x and x*(x*x) rewrite to x*y - 1 and x*y
+    return AlgebraPresentation(
+        ["x", "y"],
+        [(("x", "x"), [(("y",), 1)]), (("y", "x"), [(("x", "y"), 1), ((), -1)])],
+        weights={"x": 1, "y": 2})
+
+
+def test_non_confluent_presentation_depends_on_the_order():
+    pres = _non_confluent()
+    left = normal_form(("y", "x"), pres)
+    right = multiply(pres.parse("x"), normal_form(("x", "x"), pres))
+    assert left != right
+
+
+@pytest.mark.parametrize("make", [lambda: preset_presentation("weyl2"), _non_confluent],
+                         ids=["weyl2", "non-confluent"])
+def test_normal_form_matches_leftmost_first_rescanning(make):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    gens = make().generators
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.sampled_from(gens), max_size=9))
+    def check(word):
+        pres = make()
+        expected, steps = _reference_normal_form(word, pres)
+        assert list(normal_form(word, pres).terms.items()) == list(expected.items())
+        # the cached copy keeps the order too
+        assert list(normal_form(word, pres).terms.items()) == list(expected.items())
+        rules = list(pres.rules.items())
+        at_budget = AlgebraPresentation(gens, rules, pres.weights, step_budget=steps)
+        assert normal_form(word, at_budget).terms == expected
+        if steps:
+            below = AlgebraPresentation(gens, rules, pres.weights, step_budget=steps - 1)
+            with pytest.raises(StepBudgetExceeded):
+                normal_form(word, below)
+
+    check()
+
+
+def _modules(weyl, poly3):
+    for problem in (weyl, poly3):
+        for res in problem.bundle.resolutions.values():
+            yield res.module
+
+
+def test_basis_words_are_the_normal_words_avoiding_the_ideal(weyl, poly3):
+    for module in _modules(weyl, poly3):
+        ideal = set(module.ideal_gens)
+        for bound in range(16):
+            expected = [w for w in module.pres.normal_words(bound)
+                        if not ideal.intersection(w)]
+            assert module.basis_words(bound) == expected
+
+
+def test_word_action_is_the_reduced_product(weyl, poly3):
+    rng = random.Random(13)
+    for module in _modules(weyl, poly3):
+        pres = module.pres
+        words = pres.normal_words(3)
+        basis = module.basis_words(4)
+        for _ in range(40):
+            nterms = rng.choice((1, 1, 2, 3))
+            a = pres.element({words[rng.randrange(len(words))]:
+                              Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 1, 2)))
+                              for _ in range(nterms)})
+            if a.is_zero():
+                continue
+            word = rng.choice(basis)
+            expected = module.reduce(multiply(a, pres.element({word: 1})))
+            for _ in range(2):  # computed, then cached
+                got = module.word_action(a, word)
+                assert list(got.terms.items()) == list(expected.terms.items())

@@ -4,6 +4,8 @@ To regenerate after an intended output change, run the listed arguments with
 ``--out tests/golden/<name>`` and review the diff.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from ncdef.cli import main
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
+BENCH = HERE.parent / "perfbench"
 
 CASES = {
     "weyl2-simple4": ["--preset", "weyl2-simple4"],
@@ -96,3 +99,25 @@ def test_run_matches_golden(name, tmp_path, capsys, coefficient_types):
         fresh = (tmp_path / filename).read_bytes()
         assert fresh == (GOLDEN / name / filename).read_bytes(), filename
     assert not coefficient_types[:5]
+
+
+# The benchmark's degree-bound-12 workloads, pinned by the digests it checks.
+BOUND12 = {
+    "weyl2-ext12": ["ext", "--preset", "weyl2-simple4", "--computed-basis",
+                    "--degree-bound", "12", "--json"],
+    "poly3-proj12/xyz": ["run", "--spec", str(BENCH / "poly3.json"),
+                         "--degree-bound", "12"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(BOUND12))
+def test_bound12_output_matches_benchmark_digest(key, tmp_path, capsys):
+    command = BOUND12[key]
+    if command[0] == "run":
+        assert main(command + ["--out", str(tmp_path)]) == 0
+        output = (tmp_path / "report.json").read_bytes()
+    else:
+        assert main(command) == 0
+        output = capsys.readouterr().out.encode()
+    expected = json.loads((BENCH / "expected.json").read_text())[key]
+    assert hashlib.sha256(output).hexdigest() == expected
