@@ -16,16 +16,19 @@ No rewriting is done twice: ``AlgebraPresentation._nf_cache`` maps a word to
 its normal form's terms and ``QuotientModule._action_cache`` maps (word u,
 basis word w) to the terms of u*w reduced, each capped at ``CACHE_CAP``
 entries; ``AlgebraPresentation._word_cache`` maps (degree bound, generator
-tuple) to the sorted normal words, one entry per bound and alphabet.
+tuple) to the sorted normal words, one entry per bound and alphabet, and
+``_class_cache`` maps a word to its ``word_class``, capped at ``CACHE_CAP``;
+the grading behind it is built on the first call.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .errors import StepBudgetExceeded, UnsupportedIdeal, ValidationError
-from .linalg import _add_multiple, exact
+from .linalg import Echelon, _add_multiple, exact
 
 Word = tuple  # tuple of generator names
 
@@ -62,9 +65,31 @@ class AlgebraPresentation:
             self.rules[lhs] = terms
         self._nf_cache = {}
         self._word_cache = {}
+        self._class_cache = {}
+        self._grading = None
 
     def word_degree(self, word):
         return sum(self.weights[g] for g in word)
+
+    def word_class(self, word):
+        """A word's generator counts modulo counts(lhs) - counts(u) over every
+        rule term u, as a tuple over the generators.  Rewriting keeps the
+        class, so each term of a normal form or product has its word's class.
+        """
+        cls = self._class_cache.get(word)
+        if cls is None:
+            if self._grading is None:
+                self._grading = Echelon()
+                for lhs, rhs in self.rules.items():
+                    for u, _ in rhs:
+                        change = Counter(lhs)
+                        change.subtract(u)
+                        self._grading.add({g: c for g, c in change.items() if c})
+            counts = self._grading.reduce(Counter(word))
+            cls = tuple(counts.get(g, 0) for g in self.generators)
+            if len(self._class_cache) < CACHE_CAP:
+                self._class_cache[word] = cls
+        return cls
 
     def word_key(self, word):
         return (self.word_degree(word), tuple(self.gen_index[g] for g in word))

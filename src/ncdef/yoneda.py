@@ -29,12 +29,16 @@ module, the obstructions of one type): each rung builds and eliminates the
 operator once, with one augmented column per right-hand side still
 pending, and a right-hand side whose solution fails there, or fails the
 exact check, moves on to the next rung.  Each gets the solution it would
-get alone.
+get alone.  Their rungs build only the components of the operator that
+the pending right-hand sides reach under ``AlgebraPresentation.word_class``
+(``_reached_system``): the other components can only solve to zero.  The
+checker still builds its whole operator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .algebra import AlgebraElement, QuotientModule, multiply
 from .errors import (NotACoboundary, NotStabilized, ProjectionFailed, ShapeMismatch,
@@ -404,10 +408,12 @@ class ExtComputer:
         are dropped, so ``rank`` is the boundary dimension in the window.
         """
         degree = self.bundle.pres.word_degree
-        ech = Echelon(priority=lambda c: (degree(c[1]) > bound, c[0], c[1]))
+        words = {w for v in potentials for _, w in v}
+        outside = {w: degree(w) > bound for w in words}
+        ech = Echelon(priority=lambda c: (outside[c[1]], c[0], c[1]))
         for v in potentials:
             ech.add(v)
-        ech.restrict(lambda p: degree(p[1]) <= bound)
+        ech.restrict(lambda p: not outside[p[1]])
         return ech
 
     def _hom_representatives(self, images, dim, boundaries):
@@ -488,16 +494,10 @@ class ExtComputer:
         if ncols != known.nrows:
             raise ShapeMismatch("inner dimensions differ")
 
-        def operator(bound):
-            words = pres.normal_words(bound)
-            system = SparseSystem()
-            # variable u[r,t] carrying word w feeds output entry (r, c)
-            for (t, c), a in known.entries.items():
-                for w in words:
-                    prod = multiply(pres.element({w: 1}), a)
-                    for r in range(nrows):
-                        system.add((r, c), prod, ("u", r, t, w))
-            return system
+        # variable u[r,t] carrying word w adds w * known[t,c] to entry (r, c)
+        blocks = [(("u", r, t), (r, c), a, True)
+                  for (t, c), a in known.entries.items() for r in range(nrows)]
+        operator = partial(_reached_system, pres, blocks, ())
 
         def accept(k, sol):
             out = Mat(nrows, ncols, decode_entries(sol, "u", pres).get((), {}))
@@ -557,12 +557,13 @@ class ExtComputer:
 # ---------------------------------------------------------------------------
 # cochain equation solving
 #
-# Each solve enumerates the normal words once per rung for all of its
-# right-hand sides; one without a solution that passes the exact check
-# moves on to the next rung (``_solve_on_ladder``).  Variables are
-# keyed (kind, *component, row, col, word).  solve_sparse pivots on the
-# least variable, so the key order decides which particular solution is
-# returned (and so the report bytes); the order of the equations does not.
+# Each rung multiplies only the normal words of the variable classes that
+# its pending right-hand sides reach (``_reached_system``); one without a
+# solution that passes the exact check moves on to the next rung
+# (``_solve_on_ladder``).  Variables are keyed (kind, *component, row, col,
+# word).  solve_sparse pivots on the least variable, so the key order
+# decides which particular solution is returned (and so the report bytes);
+# the order of the equations and the unreached components do not.
 
 def bound_ladder(degree_bound, retry_step, max_bound):
     """The degree bounds of one bounded solve, each tried once.
@@ -585,8 +586,8 @@ def bound_ladder(degree_bound, retry_step, max_bound):
 def _solve_on_ladder(ladder, rhss, operator, accept):
     """Solve several right-hand sides of one operator, rung by rung.
 
-    ``operator(bound)`` builds the coefficient part of a rung as a
-    ``SparseSystem``; ``rhss[k]`` lists the (equation, element) terms of
+    ``operator(bound, pending_rhss)`` builds the coefficient part of a rung
+    as a ``SparseSystem``; ``rhss[k]`` lists the (equation, element) terms of
     right-hand side k.  Each rung solves every right-hand side still pending
     in one elimination, and ``accept(k, solution)`` returns the exactly
     verified result for k or None, which leaves k pending for the next rung.
@@ -597,7 +598,7 @@ def _solve_on_ladder(ladder, rhss, operator, accept):
     for bound in ladder:
         if not pending:
             break
-        system = operator(bound)
+        system = operator(bound, [rhss[k] for k in pending])
         for target, k in enumerate(pending):
             for eq, elem in rhss[k]:
                 system.add(eq, elem, target=target)
@@ -606,6 +607,56 @@ def _solve_on_ladder(ladder, rhss, operator, accept):
                 out[k] = accept(k, sol)
         pending = [k for k in pending if out[k] is None]
     return out
+
+
+def _reached_system(pres, blocks, fixed, bound, rhs_terms):
+    """The components of a bounded solve's system that ``rhs_terms`` reach.
+
+    Block (var, eq, a, word_first): variable var + (w,), w a normal word of
+    degree <= bound, adds w * a (a * w if not word_first) to equations
+    eq + (word,); fixed column (var, eq, elem) adds elem.  A term of w * a
+    has class(w) + class(u) for a term u of a, so the (eq, class) nodes of
+    the right-hand sides (lists of (eq, elem)) and of the fixed columns are
+    closed, eq -> var by class - alpha and var -> eq by class + alpha, and
+    only the words of the reached var classes are multiplied, in normal-word
+    order.  The rows kept are whole components of the full system, row for
+    row, and only they can hold a nonzero solution entry or an inconsistency.
+    """
+    words = pres.normal_words(bound)
+    by_class = {}
+    for n, w in enumerate(words):
+        by_class.setdefault(pres.word_class(w), []).append(n)
+    feeds, fed_by = {}, {}  # var -> [(eq, alphas)], eq -> [(var, alphas)]
+    for var, eq, a, _ in blocks:
+        alphas = {pres.word_class(u) for u in a.terms}
+        feeds.setdefault(var, []).append((eq, alphas))
+        fed_by.setdefault(eq, []).append((var, alphas))
+    seeds = [(eq, elem) for terms in rhs_terms for eq, elem in terms]
+    seeds += [(eq, elem) for _, eq, elem in fixed]
+    todo = [(eq, pres.word_class(w)) for eq, elem in seeds for w in elem.terms]
+    done, reached = set(), {}  # reached: var -> its reached classes
+    while todo:
+        eq, cls = node = todo.pop()
+        if node in done:
+            continue
+        done.add(node)
+        for var, alphas in fed_by.get(eq, ()):
+            classes = reached.setdefault(var, set())
+            for alpha in alphas:
+                vc = tuple(x - y for x, y in zip(cls, alpha))
+                if vc in by_class and vc not in classes:
+                    classes.add(vc)
+                    todo.extend((eq2, tuple(x + y for x, y in zip(vc, beta)))
+                                for eq2, betas in feeds[var] for beta in betas)
+    system = SparseSystem()
+    for var, eq, a, word_first in blocks:
+        for n in sorted(n for cls in reached.get(var, ()) for n in by_class[cls]):
+            one = pres.element({words[n]: 1})
+            system.add(eq, multiply(one, a) if word_first else multiply(a, one),
+                       var + (words[n],))
+    for var, eq, elem in fixed:
+        system.add(eq, elem, var)
+    return system
 
 
 class SparseSystem:
@@ -673,26 +724,18 @@ def _solve_cochain_equation(targets, basis, degree_bound, retry_step, max_bound)
     pres = bundle.pres
     res_i, res_j = bundle.res(i), bundle.res(j)
 
-    def operator(bound):
-        words = pres.normal_words(bound)
-        system = SparseSystem()
-        for m in range(bundle.mmax - 1):
-            # D_{m+1,j} * alpha_m : entry (r2, c2) sums D[r2,t] * alpha_m[t,c2]
-            for (r2, t), a in res_j.diff(m + 1).entries.items():
-                for w in words:
-                    prod = multiply(a, pres.element({w: 1}))
-                    for c2 in range(res_i.rank(m)):
-                        system.add((m, r2, c2), prod, ("a", m, t, c2, w))
-            # alpha_{m+1} * D_{m,i} : entry (r2, c2) sums alpha[r2,t] * D[t,c2]
-            for (t, c2), a in res_i.diff(m).entries.items():
-                for w in words:
-                    prod = multiply(pres.element({w: 1}), a)
-                    for r2 in range(res_j.rank(m + 2)):
-                        system.add((m, r2, c2), prod, ("a", m + 1, r2, t, w))
-        for l, b in enumerate(basis):
-            for eq, v in _terms(b):
-                system.add(eq, v, ("c", l))
-        return system
+    blocks = []
+    for m in range(bundle.mmax - 1):
+        # D_{m+1,j} * alpha_m : entry (r2, c2) sums D[r2,t] * alpha_m[t,c2]
+        blocks.extend((("a", m, t, c2), (m, r2, c2), a, False)
+                      for (r2, t), a in res_j.diff(m + 1).entries.items()
+                      for c2 in range(res_i.rank(m)))
+        # alpha_{m+1} * D_{m,i} : entry (r2, c2) sums alpha[r2,t] * D[t,c2]
+        blocks.extend((("a", m + 1, r2, t), (m, r2, c2), a, True)
+                      for (t, c2), a in res_i.diff(m).entries.items()
+                      for r2 in range(res_j.rank(m + 2)))
+    fixed = [(("c", l), eq, v) for l, b in enumerate(basis) for eq, v in _terms(b)]
+    operator = partial(_reached_system, pres, blocks, fixed)
 
     def accept(k, sol):
         coeffs = [sol.get(("c", l), 0) for l in range(len(basis))]

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ncdef.algebra import AlgebraPresentation
 from ncdef.massey import compute_hull
 from ncdef.presets import RunOptions, load_preset, problem_from_json
 from ncdef.yoneda import ExtBasis, ExtComputer
@@ -53,3 +54,12 @@ def poly3_computed_basis(poly3):
     basis = ExtBasis.computed(computer)
     basis.certify(computer)
     return basis
+
+
+@pytest.fixture(scope="session")
+def count_changing():
+    """U(g) for [y, x] = x and z central: the rule y*x -> x*y + x drops a y."""
+    return AlgebraPresentation(
+        ["x", "y", "z"],
+        [(("y", "x"), [(("x", "y"), 1), (("x",), 1)]),
+         (("z", "x"), [(("x", "z"), 1)]), (("z", "y"), [(("y", "z"), 1)])])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import ncdef.algebra as algebra_module
 from ncdef.algebra import (AlgebraPresentation, QuotientModule, format_element,
                            format_scalar, multiply, normal_form, parse_element,
                            preset_presentation)
@@ -228,6 +229,44 @@ def test_normal_form_matches_leftmost_first_rescanning(make):
                 normal_form(word, below)
 
     check()
+
+
+@pytest.mark.parametrize("name", ["weyl2", "poly3", "count-changing", "non-confluent"])
+def test_every_term_has_the_class_of_its_word(name, request):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    pres = {"weyl2": lambda: preset_presentation("weyl2"),
+            "poly3": lambda: request.getfixturevalue("poly3").bundle.pres,
+            "count-changing": lambda: request.getfixturevalue("count_changing"),
+            "non-confluent": _non_confluent}[name]()
+    words = st.lists(st.sampled_from(pres.generators), max_size=7).map(tuple)
+
+    def added(c1, c2):
+        return tuple(x + y for x, y in zip(c1, c2))
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(words, words)
+    def check(u, v):
+        cls = pres.word_class(u + v)
+        assert added(pres.word_class(u), pres.word_class(v)) == cls
+        assert all(pres.word_class(w) == cls for w in normal_form(u + v, pres).terms)
+        product = multiply(normal_form(u, pres), normal_form(v, pres))
+        assert all(pres.word_class(w) == cls for w in product.terms)
+
+    check()
+
+
+def test_word_class_grading_is_lazy_and_its_cache_capped(count_changing, monkeypatch):
+    pres = AlgebraPresentation(count_changing.generators, list(count_changing.rules.items()))
+    assert pres._grading is None
+    monkeypatch.setattr(algebra_module, "CACHE_CAP", 3)
+    words = pres.normal_words(3)
+    classes = [pres.word_class(w) for w in words]
+    assert len(pres._class_cache) == 3
+    # y*x -> x*y + x drops a y, so only the counts of x and z survive
+    assert [pres.word_class(w) for w in words] == classes
+    assert {c[1] for c in classes} == {0}
+    assert pres.word_class(("x", "z", "z")) != pres.word_class(("x", "x", "z"))
 
 
 def _modules(weyl, poly3):
