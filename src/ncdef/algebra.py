@@ -14,11 +14,14 @@ are the nondecreasing (PBW) ones.
 
 No rewriting is done twice: ``AlgebraPresentation._nf_cache`` maps a word to
 its normal form's terms and ``QuotientModule._action_cache`` maps (word u,
-basis word w) to the terms of u*w reduced, each capped at ``CACHE_CAP``
-entries; ``AlgebraPresentation._word_cache`` maps (degree bound, generator
-tuple) to the sorted normal words, one entry per bound and alphabet, and
-``_class_cache`` maps a word to its ``word_class``, capped at ``CACHE_CAP``;
-the grading behind it is built on the first call.
+basis word w) to the class of u*w, each capped at ``CACHE_CAP`` entries;
+``AlgebraPresentation._word_cache`` maps (degree bound, generator tuple) to
+the sorted normal words and ``_class_groups`` a bound to those words grouped
+by ``word_class``; ``_class_cache`` and ``_degree_cache`` map a word to its
+class and its degree, capped at ``CACHE_CAP``; the grading behind
+``word_class`` is built on the first call.  A module acts through a table
+of generator actions on basis words, as one computes in solvable (PBW)
+algebras (Kandri-Rody and Weispfenning, J. Symb. Comp. 9 (1990)).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ Word = tuple  # tuple of generator names
 
 DEFAULT_STEP_BUDGET = 10**6
 CACHE_CAP = 200000
+ACTION_DEPTH = 100
 
 
 class AlgebraPresentation:
@@ -50,6 +54,7 @@ class AlgebraPresentation:
             if not isinstance(w, int) or w < 0:
                 raise ValidationError("generator weights must be nonnegative integers")
         self.step_budget = step_budget
+        self._degree_cache = {}
         self.rules = {}
         for lhs, rhs in rules:
             lhs = tuple(lhs)
@@ -65,11 +70,17 @@ class AlgebraPresentation:
             self.rules[lhs] = terms
         self._nf_cache = {}
         self._word_cache = {}
+        self._class_groups = {}
         self._class_cache = {}
         self._grading = None
 
     def word_degree(self, word):
-        return sum(self.weights[g] for g in word)
+        deg = self._degree_cache.get(word)
+        if deg is None:
+            deg = sum(self.weights[g] for g in word)
+            if len(self._degree_cache) < CACHE_CAP:
+                self._degree_cache[word] = deg
+        return deg
 
     def word_class(self, word):
         """A word's generator counts modulo counts(lhs) - counts(u) over every
@@ -111,6 +122,18 @@ class AlgebraPresentation:
     def normal_words(self, max_degree):
         """All normal words of degree <= max_degree, in (degree, lex) order."""
         return self._words(max_degree, tuple(self.generators))
+
+    def class_groups(self, max_degree):
+        """{word_class: positions in ``normal_words(max_degree)``}, built once
+        per bound."""
+        groups = self._class_groups.get(max_degree)
+        if groups is None:
+            groups = {}
+            words = self._words(max_degree, tuple(self.generators))
+            for n, w in enumerate(words):
+                groups.setdefault(self.word_class(w), []).append(n)
+            self._class_groups[max_degree] = groups
+        return groups
 
     def _words(self, max_degree, gens):
         """Normal words over ``gens`` of degree <= max_degree, by word_key."""
@@ -297,8 +320,8 @@ class QuotientModule:
     (no two generators linked by an inhomogeneous rule), which covers the
     shipped presets.
 
-    ``_action_cache`` maps (word u, basis word w) to the terms of u*w
-    reduced, at most ``CACHE_CAP`` entries, so each is reduced only once.
+    ``_action_cache`` maps (word u, basis word w) to the class of u*w, at
+    most ``CACHE_CAP`` entries, so each action is computed only once.
     """
 
     def __init__(self, pres, ideal_gens):
@@ -322,10 +345,10 @@ class QuotientModule:
             raise ValidationError("element from a different presentation")
         pres = self.pres
         terms = dict(a.terms)
-        while True:
+        for _ in range(pres.step_budget + 1):
             reducible = [w for w in terms if not self._gen_set.isdisjoint(w)]
             if not reducible:
-                break
+                return AlgebraElement(pres, terms)
             w = max(reducible, key=pres.word_key)
             c = terms.pop(w)
             g = next(gg for gg in reversed(w) if gg in self._gen_set)
@@ -333,35 +356,76 @@ class QuotientModule:
             v = w[:k] + w[k + 1:]
             # w == nf(v*g) - corrections, so w ~ -corrections mod A*g
             correction = normal_form(v + (g,), pres) - pres.element({w: 1})
-            for w2, c2 in correction.terms.items():
-                s = terms.get(w2, 0) - c * c2
-                if s:
-                    terms[w2] = s
-                else:
-                    terms.pop(w2, None)
-        return AlgebraElement(pres, terms)
+            _add_multiple(terms, correction.terms, -c)
+        raise StepBudgetExceeded("module reduction exceeded %d steps" % pres.step_budget)
 
     def basis_words(self, max_degree):
         """Normal words avoiding the ideal generators, up to max_degree."""
         return self.pres._words(max_degree, self._basis_gens)
 
-    def word_action(self, a, word):
-        """``reduce(a * word)`` for a basis word, in the same term order.
+    def word_action(self, u, word):
+        """The class of ``u * word`` (u a word, ``word`` a basis word) as terms
+        over the basis words: the cached dict, not to be changed.
 
-        A single term c*u scales the cached class of u*word, which reduction
-        reaches by the same steps; a sum is reduced whole, since adding the
-        classes of its terms would order the result differently.
+        A word acts one letter at a time, right to left, through the table
+        of generator actions.  For w = h*r, the first case that applies is
+          1. a rule g*h -> sum c_v v:  g*w = sum c_v (v*r);
+          2. g is not an ideal generator:  g*w is a basis word;
+          3. a rule h*g -> c (g*h) + sum c_v v, c != 0:
+             g*w = (h*(g*r) - sum c_v (v*r)) / c;
+          4. ``reduce(normal_form(g*w))``, which also serves every entry
+             nested ``ACTION_DEPTH`` deep, so endless rewriting hits the
+             step budget;
+        and g*() is 0 for an ideal generator g, the word g otherwise.  A
+        class has one expansion over the basis words, so only the order of
+        its terms can differ from ``reduce``'s, and nothing reads it:
+        echelons pivot by label and ``format_terms`` sorts.
         """
-        if len(a.terms) != 1:
-            return self.reduce(multiply(a, self.pres.element({word: 1})))
-        (u, c), = a.terms.items()
-        key = (u, word)
-        terms = self._action_cache.get(key)
+        return self._act(tuple(u), word, 0)
+
+    def _act(self, u, w, depth):
+        terms = self._action_cache.get((u, w))
+        if terms is not None:
+            return terms
+        depth += 1
+        rules, ideal = self.pres.rules, self._gen_set
+        if depth > ACTION_DEPTH:
+            pass  # case 4
+        elif len(u) != 1:
+            terms = self._apply(u, {w: 1}, depth)
+        elif not w:
+            terms = {} if u[0] in ideal else {u: 1}
+        elif u + w[:1] in rules:  # case 1
+            terms = {}
+            for v, c in rules[u + w[:1]]:
+                _add_multiple(terms, self._apply(v, {w[1:]: 1}, depth), c)
+        elif u[0] not in ideal:  # case 2
+            terms = {u + w: 1}
+        else:
+            h, r = w[:1], w[1:]
+            rhs = rules.get(h + u, ())
+            c = sum(cv for v, cv in rhs if v == u + h)
+            if c:  # case 3, else case 4
+                terms = self._apply(h, self._act(u, r, depth), depth)
+                for v, cv in rhs:
+                    if v != u + h:
+                        _add_multiple(terms, self._apply(v, {r: 1}, depth), -cv)
+                if c != 1:
+                    terms = {x: exact(Fraction(y) / c) for x, y in terms.items()}
         if terms is None:
-            terms = self.reduce(normal_form(u + word, self.pres)).terms
-            if len(self._action_cache) < CACHE_CAP:
-                self._action_cache[key] = terms
-        return AlgebraElement(self.pres, terms).scale(c)
+            terms = self.reduce(normal_form(u + w, self.pres)).terms
+        if len(self._action_cache) < CACHE_CAP:
+            self._action_cache[(u, w)] = terms
+        return terms
+
+    def _apply(self, v, vec, depth):
+        """The class of v * vec for a word v and basis-word terms, a new dict."""
+        for g in reversed(v):
+            out = {}
+            for w, c in vec.items():
+                _add_multiple(out, self._act((g,), w, depth), c)
+            vec = out
+        return vec
 
 
 # ---------------------------------------------------------------------------

@@ -207,20 +207,20 @@ def solve_sparse(equations, targets):
 
 
 def kernel_basis(vectors, tags):
-    """Basis of linear relations among ``vectors``.
+    """The linear relations among ``vectors``, yielded one by one.
 
     Vector k carries one augmented column, of coefficient 1, that ranks
     below every real column and above the augmented columns of the vectors
     before it.  A vector that reduces into the span of the earlier ones
     therefore pivots on its own augmented column, and its augmented part is
     the unique relation expressing it over the earlier independent vectors,
-    returned over ``tags``, one per vector.  Deterministic.
+    over ``tags``, one per vector.  Each relation is yielded as soon as its
+    vector is added, so a caller that stops early leaves the later vectors
+    uneliminated.  Deterministic.
     """
     real = len(vectors)
     ech = Echelon(priority=lambda c: c.index if type(c) is _Augmented else real)
-    kernel = []
     for k, vec in enumerate(vectors):
         pivot = ech.add({**vec, _Augmented(k): 1})
         if type(pivot) is _Augmented:
-            kernel.append({tags[c.index]: v for c, v in ech.rows[pivot].items()})
-    return kernel
+            yield {tags[c.index]: v for c, v in ech.rows[pivot].items()}

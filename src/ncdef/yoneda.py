@@ -14,9 +14,13 @@ Ext^n(M_j, M_i) is computed from the complex Hom(L_{*,j}, M_i) with all
 module coefficients truncated at a filtration degree B: cocycles are taken
 with entries of degree <= B while coboundaries come from potentials of
 degree <= B + BOUNDARY_SLACK, and the resulting dimension must be stable
-at B and B + 1.  Each image in the complex is computed once, at the larger
-bound; the sets at B are taken from these.  Classes are then lifted
-through the projectives to Yoneda cochains by bounded-degree solves.
+at B and B + 1.  The images come from the modules' action tables
+(``QuotientModule.word_action``), each computed once.  Every count comes
+from one rank profile per differential and pair (i, j), an echelon that
+takes the coordinates bound by bound; only the groups with classes build
+the window echelon that their representatives are reduced against.
+Classes are then lifted through the projectives to Yoneda cochains by
+bounded-degree solves.
 
 Every bounded-degree solve -- the lifts here, coboundary primitives and
 Ext^2 projections below, and the equivalence intertwiners of the checker --
@@ -321,77 +325,106 @@ class ExtComputer:
         words = self.bundle.res(i).module.basis_words(bound)
         return [(r, w) for r in range(res_j.rank(m)) for w in words]
 
-    def _apply_d(self, i, j, m, vec):
-        """Image of a Hom(L_m, M_i) vector under composition with d_m."""
+    def _images(self, i, j, m, labels):
+        """{label: image under d_m} of Hom(L_{m,j}, M_i) coordinates (row, word).
+
+        The image of (t, w) sums c * (u * w) over the terms c*u of the
+        entries in column t of d_m, from the module's action table.
+        """
         module = self.bundle.res(i).module
         column = {}
         for (s, t), a in self.bundle.res(j).diff(m).entries.items():
-            column.setdefault(t, []).append((s, a))
+            column.setdefault(t, []).extend((s, u, c) for u, c in a.terms.items())
         out = {}
-        for (t, w), c in vec.items():
-            for s, a in column.get(t, ()):
-                for w2, c2 in module.word_action(a, w).terms.items():
+        for t, w in labels:
+            image = {}
+            for s, u, c in column.get(t, ()):
+                for w2, c2 in module.word_action(u, w).items():
                     key = (s, w2)
-                    val = out.get(key, 0) + c * c2
+                    val = image.get(key, 0) + c * c2
                     if val:
-                        out[key] = val
+                        image[key] = val
                     else:
-                        out.pop(key, None)
+                        image.pop(key, None)
+            out[(t, w)] = image
         return out
 
-    def _images(self, i, j, m, bound):
-        """{label: image under d_m} of the Hom(L_{m,j}, M_i) coordinates at bound."""
-        return {lab: self._apply_d(i, j, m, {lab: 1})
-                for lab in self._coords(i, j, m, bound)}
+    def _rank_profile(self, i, j, m, bounds):
+        """{bound: pivot degrees} of d_m on the Hom(L_{m,j}, M_i) coordinates
+        of degree <= each ascending bound, and the images at the last one.
+
+        One echelon takes the coordinates of the first bound, then each
+        later bound's new ones, in ``_coords`` order; their number of
+        pivots is the rank.  A pivot is its row's column of highest degree
+        and occurs in no other row, so the rows with a pivot above degree k
+        count the rank of the images' terms above k.
+        """
+        degree = self.bundle.pres.word_degree
+        images = self._images(i, j, m, self._coords(i, j, m, bounds[-1]))
+        ech = Echelon(priority=lambda c: (degree(c[1]), c[0], c[1]))
+        added, pivots = set(), {}
+        for bound in bounds:
+            for lab in self._coords(i, j, m, bound):
+                if lab not in added:
+                    added.add(lab)
+                    if images[lab]:
+                        ech.add(images[lab])
+            pivots[bound] = [degree(w) for _, w in ech.rows]
+        return pivots, images
 
     def ext_dimension(self, i, j, n):
         """dim Ext^n(M_j, M_i), stable at B and B + 1."""
         if (i, j, n) not in self._dim_cache:
-            self._dimension_and_boundaries(i, j, n)
+            self._hom_groups(i, j, (n,))
         return self._dim_cache[(i, j, n)]
 
-    def _dimension_and_boundaries(self, i, j, n, ext1_images=None):
-        """dim Ext^n(M_j, M_i), stable at B and B + 1, its boundary echelon
-        at the degree bound B, and the images of the Hom(L_{n,j}, M_i)
-        coordinates at B.
+    def _hom_groups(self, i, j, degrees=(1, 2)):
+        """(n, dim, boundaries, images) for Ext^n(M_j, M_i), n in ``degrees``:
+        its dimension, stable at the degree bound B and B + 1; and, when the
+        dimension is not 0, its boundary echelon at B and the images of the
+        Hom(L_{n,j}, M_i) coordinates at B, else None for both.
 
-        Each image is computed once: the coordinates' at B + 1, the
-        potentials' at B + 1 + BOUNDARY_SLACK.  Those at B are taken from
-        these in ``_coords`` order, so every vector comes out in the same
-        order as when each bound computed its own.  ``ext1_images``, when
-        given, are the images of the Hom(L_{1,j}, M_i) coordinates at
-        B + 1 + BOUNDARY_SLACK: the coordinates' images for n = 1 and the
-        potentials' for n = 2 are both taken from them the same way.
+        One rank profile per differential d_m (``_rank_profile``) gives
+        every count.  The cocycles at bound k number the coordinates at k
+        less the rank of d_n there.  The boundaries inside the window W of
+        degree <= k are V n W for the image V of the potentials at
+        k + BOUNDARY_SLACK, and dim(V n W) = dim V - dim pi_out(V) for the
+        projection pi_out onto the columns above k, both read off the
+        d_{n-1} profile.  So the d_1 profile, over B ... B + 1 +
+        BOUNDARY_SLACK, serves the Ext^1 cocycles and Ext^2 boundaries.
         """
-        if n == 0:
+        if 0 in degrees:
             raise ValidationError("ext_dimension computes n = 1 or 2")
-        bound = self.degree_bound
-
-        def images_at(m, at):
-            if m != 1 or ext1_images is None:
-                return self._images(i, j, m, at)
-            return {lab: ext1_images[lab] for lab in self._coords(i, j, 1, at)}
-
-        images_next = images_at(n, bound + 1)
-        images = {lab: images_next[lab] for lab in self._coords(i, j, n, bound)}
-        potentials_next = images_at(n - 1, bound + 1 + BOUNDARY_SLACK)
-        potentials = [potentials_next[lab]
-                      for lab in self._coords(i, j, n - 1, bound + BOUNDARY_SLACK)]
-        # the rank at B + 1 extends the echelon of the images at B
-        kernel = Echelon(priority=lambda c: (c[0], c[1]))
-        rank = sum(1 for v in images.values() if v and kernel.add(v) is not None)
-        rank_next = rank + sum(1 for lab, v in images_next.items()
-                               if v and lab not in images and kernel.add(v) is not None)
-        boundaries = self._boundary_echelon(bound, potentials)
-        dim_here = len(images) - rank - boundaries.rank
-        dim_next = (len(images_next) - rank_next
-                    - self._boundary_echelon(bound + 1, potentials_next.values()).rank)
-        if dim_here != dim_next:
-            raise NotStabilized(
-                "Ext^%d(M%d, M%d) is %d at bound %d but %d at bound %d"
-                % (n, j, i, dim_here, bound, dim_next, bound + 1))
-        self._dim_cache[(i, j, n)] = dim_here
-        return dim_here, boundaries, images
+        bound, slack = self.degree_bound, BOUNDARY_SLACK
+        windows = (bound, bound + 1)
+        needed = {}
+        for n in degrees:
+            needed.setdefault(n, set()).update(windows)
+            needed.setdefault(n - 1, set()).update(k + slack for k in windows)
+        profiles = {m: self._rank_profile(i, j, m, sorted(bounds))
+                    for m, bounds in sorted(needed.items())}
+        out = []
+        for n in degrees:
+            pivots, images = profiles[n]
+            potential_pivots, potentials = profiles[n - 1]
+            dims = []
+            for k in windows:
+                spanned = potential_pivots[k + slack]
+                dims.append(len(self._coords(i, j, n, k)) - len(pivots[k])
+                            - (len(spanned) - sum(1 for d in spanned if d > k)))
+            if dims[0] != dims[1]:
+                raise NotStabilized(
+                    "Ext^%d(M%d, M%d) is %d at bound %d but %d at bound %d"
+                    % (n, j, i, dims[0], bound, dims[1], bound + 1))
+            self._dim_cache[(i, j, n)] = dims[0]
+            boundaries = coords = None
+            if dims[0]:
+                boundaries = self._boundary_echelon(
+                    bound, [potentials[lab]
+                            for lab in self._coords(i, j, n - 1, bound + slack)])
+                coords = {lab: images[lab] for lab in self._coords(i, j, n, bound)}
+            out.append((n, dims[0], boundaries, coords))
+        return out
 
     # -- representatives --------------------------------------------------
 
@@ -513,20 +546,14 @@ class ExtComputer:
     def ext_basis(self, i):
         """Deterministic Yoneda representatives of Ext^n(M_j, M_i), n = 1, 2.
 
-        Returns {(n, j): representatives} for every j.  The images of the
-        Hom(L_{1,j}, M_i) coordinates serve both degrees and are computed
-        once per j.  All the lifts of the source module M_i go through
-        ``_lift_to_yoneda`` together; each group is certified as
-        ``ExtBasis.certify`` would, against the same boundary echelon its
-        representatives were chosen with.
+        Returns {(n, j): representatives} for every j.  All the lifts of the
+        source module M_i go through ``_lift_to_yoneda`` together; each
+        group is certified as ``ExtBasis.certify`` would, against the same
+        boundary echelon its representatives were chosen with.
         """
         groups, echelons = [], []
         for j in range(1, self.bundle.p + 1):
-            ext1_images = self._images(i, j, 1,
-                                       self.degree_bound + 1 + BOUNDARY_SLACK)
-            for n in (1, 2):
-                dim, boundaries, images = self._dimension_and_boundaries(
-                    i, j, n, ext1_images)
+            for n, dim, boundaries, images in self._hom_groups(i, j):
                 vecs = self._hom_representatives(images, dim, boundaries)
                 groups.append((j, n, vecs))
                 echelons.append((dim, boundaries))
@@ -623,9 +650,7 @@ def _reached_system(pres, blocks, fixed, bound, rhs_terms):
     row, and only they can hold a nonzero solution entry or an inconsistency.
     """
     words = pres.normal_words(bound)
-    by_class = {}
-    for n, w in enumerate(words):
-        by_class.setdefault(pres.word_class(w), []).append(n)
+    by_class = pres.class_groups(bound)
     feeds, fed_by = {}, {}  # var -> [(eq, alphas)], eq -> [(var, alphas)]
     for var, eq, a, _ in blocks:
         alphas = {pres.word_class(u) for u in a.terms}
@@ -820,8 +845,10 @@ class ExtBasis:
 
     def certify(self, computer):
         """Check cocycle conditions, dimensions, and independence."""
-        for n, table in ((1, self.ext1), (2, self.ext2)):
-            for (i, j), reps in table.items():
+        for i, j in dict.fromkeys([*self.ext1, *self.ext2]):
+            tables = [(n, table[(i, j)]) for n, table in ((1, self.ext1), (2, self.ext2))
+                      if (i, j) in table]
+            for n, reps in tables:
                 for phi in reps:
                     if phi.degree != n or phi.type != (i, j):
                         raise ShapeMismatch("misfiled representative")
@@ -829,7 +856,8 @@ class ExtBasis:
                         raise ValidationError(
                             "representative for Ext^%d(%d,%d) is not a cocycle"
                             % (n, i, j))
-                dim, boundaries, _ = computer._dimension_and_boundaries(i, j, n)
+            groups = computer._hom_groups(i, j, tuple(n for n, _ in tables))
+            for (n, reps), (_, dim, boundaries, _) in zip(tables, groups):
                 _certify_independent(computer, n, i, j, reps, dim, boundaries,
                                      outside=ValidationError)
         return True

@@ -284,21 +284,69 @@ def test_basis_words_are_the_normal_words_avoiding_the_ideal(weyl, poly3):
             assert module.basis_words(bound) == expected
 
 
-def test_word_action_is_the_reduced_product(weyl, poly3):
-    rng = random.Random(13)
-    for module in _modules(weyl, poly3):
+def _case4_presentation():
+    """y*x -> u*y and u*y -> x*y with ideal (x, u): x*y^a is x*y^a in A, so
+    no rule gives x*y^a directly and the table takes reduce's value (case 4)."""
+    return AlgebraPresentation(
+        ["x", "y", "u"],
+        [(("y", "x"), [(("u", "y"), 1)]), (("u", "y"), [(("x", "y"), 1)]),
+         (("y", "u"), [(("u", "y"), 1)])])
+
+
+def _action_modules(request):
+    """(name, module, table entries that may reduce) for the action table checks."""
+    for problem in ("weyl", "poly1", "poly3"):
+        for k, res in request.getfixturevalue(problem).bundle.resolutions.items():
+            yield "%s-M%d" % (problem, k), res.module, False
+    weyl1 = preset_presentation("weyl1")
+    for ideal in (["Dx"], ["x"]):
+        yield "weyl1-" + ideal[0], QuotientModule(weyl1, ideal), False
+    count_changing = request.getfixturevalue("count_changing")
+    for ideal in (["x"], ["y"]):
+        pres = AlgebraPresentation(count_changing.generators,
+                                   list(count_changing.rules.items()))
+        yield "count-changing-" + ideal[0], QuotientModule(pres, ideal), False
+    yield "case4", QuotientModule(_case4_presentation(), ["x", "u"]), True
+
+
+def test_action_table_is_the_reduced_product(request, monkeypatch):
+    # every generator on every basis word up to degree 9, and every word of
+    # degree 2 acting letter by letter: the class of u*w, whatever the order
+    # of its terms.  Words of degree 2 skip the case-4 module, whose reduce
+    # never ends on u*x*y.
+    for name, module, may_reduce in _action_modules(request):
         pres = module.pres
-        words = pres.normal_words(3)
-        basis = module.basis_words(4)
-        for _ in range(40):
-            nterms = rng.choice((1, 1, 2, 3))
-            a = pres.element({words[rng.randrange(len(words))]:
-                              Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 1, 2)))
-                              for _ in range(nterms)})
-            if a.is_zero():
-                continue
-            word = rng.choice(basis)
-            expected = module.reduce(multiply(a, pres.element({word: 1})))
-            for _ in range(2):  # computed, then cached
-                got = module.word_action(a, word)
-                assert list(got.terms.items()) == list(expected.terms.items())
+        reduced = []
+        reduce = QuotientModule.reduce
+        monkeypatch.setattr(QuotientModule, "reduce",
+                            lambda self, a: reduced.append(a) or reduce(self, a))
+        words = [u for u in pres.normal_words(2 - may_reduce) if u]
+        basis = module.basis_words(9)
+        table = {(u, w): dict(module.word_action(u, w)) for u in words for w in basis}
+        assert bool(reduced) == may_reduce, name
+        monkeypatch.setattr(QuotientModule, "reduce", reduce)
+        for (u, w), terms in table.items():
+            expected = module.reduce(normal_form(u + w, pres)).terms
+            assert terms == expected, (name, u, w)
+            assert all(set(x).isdisjoint(module.ideal_gens) for x in terms)
+            # cached
+            assert module.word_action(u, w) == terms
+
+
+def test_action_table_of_a_non_terminating_presentation_stops_on_the_budget():
+    looping = AlgebraPresentation(
+        ["a", "b"],
+        [(("a", "b"), [(("b", "a"), 1)]), (("b", "a"), [(("a", "b"), 1)])],
+        step_budget=500)
+    module = QuotientModule(looping, [])
+    with pytest.raises(StepBudgetExceeded):
+        module.word_action(("a",), ("b",))
+
+
+def test_module_reduction_stops_on_the_budget():
+    # y*x -> x*x with the ideal (x): the trade of x*y for the corrections
+    # of y*x brings x*y back, so the reduction never ends
+    pres = AlgebraPresentation(["x", "y"], [(("y", "x"), [(("x", "x"), 1)])],
+                               step_budget=500)
+    with pytest.raises(StepBudgetExceeded):
+        QuotientModule(pres, ["x"]).reduce(pres.parse("x*y"))

@@ -107,7 +107,7 @@ def test_int_and_fraction_entries_eliminate_alike():
             rows_out = [(p, _items(r)) for p, r in ech.rows.items()]
             solutions = solve_sparse(equations, 3)
             vectors = [vec for vec, _ in equations]
-            kernel = kernel_basis(vectors, tags=list(range(len(vectors))))
+            kernel = list(kernel_basis(vectors, tags=list(range(len(vectors)))))
             _assert_scalars(list(ech.rows.values()) + solutions + kernel)
             results.append((pivots, rows_out, [_items(s) for s in solutions],
                             [_items(r) for r in kernel]))
@@ -276,7 +276,7 @@ def test_solve_sparse_batch_property():
 
 def test_kernel_basis():
     vectors = [{0: F(1)}, {0: F(2)}, {1: F(1)}, {0: F(1), 1: F(1)}]
-    kernel = kernel_basis(vectors, tags=["a", "b", "c", "d"])
+    kernel = list(kernel_basis(vectors, tags=["a", "b", "c", "d"]))
     assert len(kernel) == 2
     for combo in kernel:
         total = {}
@@ -349,7 +349,7 @@ def test_kernel_basis_against_sympy():
         ncols = rng.randint(1, 6)
         vectors = _random_vectors(rng, ncols)
         tags = ["t%d" % k for k in range(len(vectors))]
-        _assert_kernel(sympy, vectors, tags, kernel_basis(vectors, tags=tags), ncols)
+        _assert_kernel(sympy, vectors, tags, list(kernel_basis(vectors, tags=tags)), ncols)
 
 
 def test_kernel_basis_tags_never_meet_column_labels():
@@ -358,7 +358,7 @@ def test_kernel_basis_tags_never_meet_column_labels():
     sympy = pytest.importorskip("sympy")
     vectors = [{0: F(1), 1: F(2)}, {1: F(1)}, {0: F(2), 1: F(5)}, {2: F(3)}]
     tags = [0, 1, 2, 3]
-    kernel = kernel_basis(vectors, tags=tags)
+    kernel = list(kernel_basis(vectors, tags=tags))
     assert kernel == [{2: F(1), 0: F(-2), 1: F(-1)}]
     _assert_kernel(sympy, vectors, tags, kernel, 3)
 

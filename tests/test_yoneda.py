@@ -4,8 +4,9 @@ from itertools import islice
 
 import pytest
 
-from ncdef.algebra import preset_presentation
-from ncdef.errors import NotACoboundary, ProjectionFailed, ShapeMismatch, ValidationError
+from ncdef.algebra import AlgebraPresentation, QuotientModule, preset_presentation
+from ncdef.errors import (NotACoboundary, NotStabilized, ProjectionFailed, ShapeMismatch,
+                          ValidationError)
 from ncdef.linalg import Echelon, kernel_basis
 from ncdef.massey import init_order2, order_obstructions
 from ncdef.presets import RunOptions
@@ -225,8 +226,8 @@ def test_boundary_echelon_is_the_window_part_of_the_boundaries(problem, request)
             for n in (1, 2):
                 for bound in (4, 5):
                     whole, outside, potentials = Echelon(), Echelon(), []
-                    for lab in computer._coords(i, j, n - 1, bound + BOUNDARY_SLACK):
-                        v = computer._apply_d(i, j, n - 1, {lab: Fraction(1)})
+                    for _, v in _reference_images(computer, i, j, n - 1,
+                                                  bound + BOUNDARY_SLACK):
                         potentials.append(v)
                         whole.add(v)
                         outside.add({c: x for c, x in v.items() if degree(c[1]) > bound})
@@ -471,8 +472,7 @@ def test_batched_ext_lifts_equal_separate_lifts(problem, request, monkeypatch):
         assert len(calls) == solves == len(set(calls))
         groups = []
         for j in range(1, p + 1):
-            for n in (1, 2):
-                dim, boundaries, images = computer._dimension_and_boundaries(i, j, n)
+            for n, dim, boundaries, images in computer._hom_groups(i, j):
                 vecs = computer._hom_representatives(images, dim, boundaries)
                 assert computer._lift_to_yoneda(i, [(j, n, vecs)]) == [reps[(n, j)]]
                 assert reps[(n, j)] == [computer._lift_to_yoneda(i, [(j, n, [v])])[0][0]
@@ -497,7 +497,8 @@ def test_batched_ext_lifts_equal_separate_lifts(problem, request, monkeypatch):
 
 
 def _reference_images(computer, i, j, m, bound):
-    return [(lab, computer._apply_d(i, j, m, {lab: Fraction(1)}))
+    """Each coordinate's image computed on its own, at ``bound``."""
+    return [(lab, computer._images(i, j, m, [lab])[lab])
             for lab in computer._coords(i, j, m, bound)]
 
 
@@ -538,6 +539,10 @@ def _in_order(vec):
     return list(vec.items())
 
 
+def _rows(ech):
+    return [(p, _in_order(row)) for p, row in ech.rows.items()]
+
+
 @pytest.mark.parametrize("problem", ["weyl", "poly3"])
 @pytest.mark.parametrize("bound", [4, 5])
 def test_hom_images_once_match_per_bound_images(problem, bound, request):
@@ -548,20 +553,27 @@ def test_hom_images_once_match_per_bound_images(problem, bound, request):
     chosen = 0
     for i in range(1, p + 1):
         for j in range(1, p + 1):
-            for n in (1, 2):
+            for n, dim, boundaries, images in computer._hom_groups(i, j):
                 kz, want_ech = _reference_hom_dims(computer, i, j, n, bound)
                 kz2, ech2 = _reference_hom_dims(computer, i, j, n, bound + 1)
                 want_dim = kz - want_ech.rank
                 assert want_dim == kz2 - ech2.rank
-                dim, boundaries, images = computer._dimension_and_boundaries(i, j, n)
                 assert dim == want_dim == computer.ext_dimension(i, j, n)
+                if not dim:
+                    # no rows are kept for a group without classes; built
+                    # directly, its window rows are still the reference's
+                    assert boundaries is None and images is None
+                    potentials = [v for _, v in _reference_images(
+                        computer, i, j, n - 1, bound + BOUNDARY_SLACK)]
+                    assert _rows(computer._boundary_echelon(bound, potentials)) == \
+                        _rows(want_ech)
+                    continue
                 # on these problems the representatives would come out the
                 # same from the images at bound + 1, so check the images too
                 assert [(lab, _in_order(v)) for lab, v in images.items()] == \
                     [(lab, _in_order(v))
                      for lab, v in _reference_images(computer, i, j, n, bound)]
-                assert [(p, _in_order(row)) for p, row in boundaries.rows.items()] == \
-                    [(p, _in_order(row)) for p, row in want_ech.rows.items()]
+                assert _rows(boundaries) == _rows(want_ech)
                 want = _reference_hom_representatives(computer, i, j, n, bound,
                                                       want_dim, want_ech)
                 got = computer._hom_representatives(images, dim, boundaries)
@@ -572,34 +584,98 @@ def test_hom_images_once_match_per_bound_images(problem, bound, request):
 
 @pytest.mark.parametrize("problem", ["weyl", "poly3"])
 def test_ext_basis_computes_each_hom_image_once(problem, request):
-    # the degree-1 images serve Ext^1 at B + 1 and, as potentials, Ext^2 at
-    # B + 1 + BOUNDARY_SLACK; taken from one set, they give what each
-    # degree gets from images of its own
+    # the degree-1 images serve the Ext^1 cocycles up to B + 1 and, as
+    # potentials, the Ext^2 boundaries up to B + 1 + BOUNDARY_SLACK; taken
+    # from one rank profile, they give what each degree gets alone
     bundle = request.getfixturevalue(problem).bundle
     computer = ExtComputer(bundle, degree_bound=4)
-    apply_d = computer._apply_d
+    images = computer._images
     calls = {}
 
-    def counted(i, j, m, vec):
-        key = (i, j, m, tuple(vec))
-        calls[key] = calls.get(key, 0) + 1
-        return apply_d(i, j, m, vec)
+    def counted(i, j, m, labels):
+        for lab in labels:
+            calls[(i, j, m, lab)] = calls.get((i, j, m, lab), 0) + 1
+        return images(i, j, m, labels)
 
-    computer._apply_d = counted
+    computer._images = counted
     for i in range(1, bundle.p + 1):
         computer.ext_basis(i)
     assert calls and set(calls.values()) == {1}
     assert {m for _, _, m, _ in calls} == {0, 1, 2}
-    computer._apply_d = apply_d
+    computer._images = images
     for i in range(1, bundle.p + 1):
         for j in range(1, bundle.p + 1):
-            ext1_images = computer._images(i, j, 1, 5 + BOUNDARY_SLACK)
-            for n in (1, 2):
-                got = [computer._dimension_and_boundaries(i, j, n, images)
-                       for images in (ext1_images, None)]
-                (dim, boundaries, images), (dim2, boundaries2, images2) = got
+            for n, dim, boundaries, images_n in computer._hom_groups(i, j):
+                ((_, dim2, boundaries2, images2),) = computer._hom_groups(i, j, (n,))
                 assert dim == dim2
-                assert [(p, _in_order(row)) for p, row in boundaries.rows.items()] == \
-                    [(p, _in_order(row)) for p, row in boundaries2.rows.items()]
-                assert [(lab, _in_order(v)) for lab, v in images.items()] == \
-                    [(lab, _in_order(v)) for lab, v in images2.items()]
+                if dim:
+                    assert _rows(boundaries) == _rows(boundaries2)
+                    assert [(lab, _in_order(v)) for lab, v in images_n.items()] == \
+                        [(lab, _in_order(v)) for lab, v in images2.items()]
+
+
+def _reference_dimension(computer, i, j, n):
+    """dim Ext^n(M_j, M_i) counted as kernel dim less window boundaries, each
+    bound with its own images and its own window echelon."""
+    dims = []
+    for bound in (computer.degree_bound, computer.degree_bound + 1):
+        kernel_dim, boundaries = _reference_hom_dims(computer, i, j, n, bound)
+        dims.append(kernel_dim - boundaries.rank)
+    if dims[0] != dims[1]:
+        raise NotStabilized("unstable")
+    return dims[0]
+
+
+def _line_over_the_plane():
+    pres = AlgebraPresentation(["x", "y"], [(("y", "x"), [(("x", "y"), 1)])])
+    return ResolutionBundle(pres, [FreeResolution(pres, ["x"], [1, 1], [[["x"]]])])
+
+
+@pytest.mark.parametrize("problem", ["weyl", "poly3", "poly1", "weyl1", "line"])
+def test_rank_profile_dims_match_the_window_echelons(problem, request):
+    # cocycles from one rank profile per differential and boundaries as
+    # rank(V) - rank(pi_out V) against the window echelons they replace
+    if problem == "weyl1":
+        bundle = _weyl1_problem()
+    elif problem == "line":
+        bundle = _line_over_the_plane()
+    else:
+        bundle = request.getfixturevalue(problem).bundle
+    outcomes = set()
+    for bound in range(1, 9):
+        computer = ExtComputer(bundle, degree_bound=bound)
+        for i in range(1, bundle.p + 1):
+            for j in range(1, bundle.p + 1):
+                for n in (1, 2):
+                    try:
+                        want = _reference_dimension(computer, i, j, n)
+                    except NotStabilized:
+                        want = NotStabilized
+                    try:
+                        got = computer.ext_dimension(i, j, n)
+                    except NotStabilized:
+                        got = NotStabilized
+                    assert got == want, (bound, i, j, n)
+                    outcomes.add(got)
+    # the line's self-extensions grow with the bound, so it never stabilizes
+    assert outcomes == {"weyl": {0, 1}, "poly3": {3}, "poly1": {0, 1}, "weyl1": {0, 1},
+                        "line": {0, NotStabilized}}[problem]
+
+
+def test_ext_of_weyl2_at_degree_bound_12_stays_small(monkeypatch, capsys):
+    # the module actions come from the action table, not from reducing each
+    # product (2,196 reduce calls before it), and only the 12 nonzero Ext
+    # groups build a window echelon (64 before)
+    from ncdef.cli import main
+    reduced, windows = [], []
+    reduce = QuotientModule.reduce
+    monkeypatch.setattr(QuotientModule, "reduce",
+                        lambda self, a: reduced.append(a) or reduce(self, a))
+    window = ExtComputer._boundary_echelon
+    monkeypatch.setattr(ExtComputer, "_boundary_echelon",
+                        lambda self, *args: windows.append(args) or window(self, *args))
+    assert main(["ext", "--preset", "weyl2-simple4", "--computed-basis",
+                 "--degree-bound", "12", "--json"]) == 0
+    capsys.readouterr()
+    assert len(reduced) <= 100
+    assert len(windows) == 12
