@@ -17,9 +17,9 @@ its normal form's terms and ``QuotientModule._action_cache`` maps (word u,
 basis word w) to the class of u*w, each capped at ``CACHE_CAP`` entries;
 ``AlgebraPresentation._word_cache`` maps (degree bound, generator tuple) to
 the sorted normal words and ``_class_groups`` a bound to those words grouped
-by ``word_class``; ``_class_cache`` and ``_degree_cache`` map a word to its
-class and its degree, capped at ``CACHE_CAP``; the grading behind
-``word_class`` is built on the first call.  A module acts through a table
+by ``word_class``; ``_degree_cache`` maps a word to its degree, capped at
+``CACHE_CAP``; ``_letter_classes`` maps each generator to its class, built
+on the first ``word_class`` call.  A module acts through a table
 of generator actions on basis words, as one computes in solvable (PBW)
 algebras (Kandri-Rody and Weispfenning, J. Symb. Comp. 9 (1990)).
 """
@@ -71,8 +71,7 @@ class AlgebraPresentation:
         self._nf_cache = {}
         self._word_cache = {}
         self._class_groups = {}
-        self._class_cache = {}
-        self._grading = None
+        self._letter_classes = None
 
     def word_degree(self, word):
         deg = self._degree_cache.get(word)
@@ -86,21 +85,22 @@ class AlgebraPresentation:
         """A word's generator counts modulo counts(lhs) - counts(u) over every
         rule term u, as a tuple over the generators.  Rewriting keeps the
         class, so each term of a normal form or product has its word's class.
+        The class is linear in the counts: the sum of its letters' classes.
         """
-        cls = self._class_cache.get(word)
-        if cls is None:
-            if self._grading is None:
-                self._grading = Echelon()
-                for lhs, rhs in self.rules.items():
-                    for u, _ in rhs:
-                        change = Counter(lhs)
-                        change.subtract(u)
-                        self._grading.add({g: c for g, c in change.items() if c})
-            counts = self._grading.reduce(Counter(word))
-            cls = tuple(counts.get(g, 0) for g in self.generators)
-            if len(self._class_cache) < CACHE_CAP:
-                self._class_cache[word] = cls
-        return cls
+        letters = self._letter_classes
+        if letters is None:
+            grading = Echelon()
+            for lhs, rhs in self.rules.items():
+                for u, _ in rhs:
+                    change = Counter(lhs)
+                    change.subtract(u)
+                    grading.add({g: c for g, c in change.items() if c})
+            letters = self._letter_classes = {}
+            for g in self.generators:
+                counts = grading.reduce({g: 1})
+                letters[g] = tuple(counts.get(h, 0) for h in self.generators)
+        return tuple(map(sum, zip((0,) * len(self.generators),
+                                  *(letters[g] for g in word))))
 
     def word_key(self, word):
         return (self.word_degree(word), tuple(self.gen_index[g] for g in word))
@@ -193,11 +193,6 @@ class AlgebraElement:
 
     def is_zero(self):
         return not self.terms
-
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(self.pres.word_degree(w) for w in self.terms)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):

@@ -8,8 +8,10 @@ weighted sum of matrix products
     sum over pairs (X', X'') with coefficient of Z in X'*X''
         of  alpha(X'')_{m+1} * alpha(X')_m
 
-vanishes.  This file recomputes that condition from raw structure constants
-only, making it an independent cross-check of the order-by-order engine.
+vanishes.  ``product_sum`` forms every such sum (this curvature, the
+certificate's free-ring square and the chain-map check alpha1 * q = q * alpha2
+of an intertwiner) from raw structure constants only, which makes it an
+independent cross-check of the order-by-order engine.
 """
 
 from __future__ import annotations
@@ -23,6 +25,35 @@ from .yoneda import (DEFAULT_BOUND, MAX_BOUND, RETRY_STEP, Cochain, Mat,
                      is_cocycle, multiply)
 
 
+def product_sum(left, right, product):
+    """{z: sum over (a, b) of <z, a*b> left[a] . right[b]}, zero sums omitted.
+
+    ``left`` and ``right`` map keys to cochains, ``product(a, b)`` gives a*b
+    as {z: coefficient}, and . is the Yoneda product ``compose_cochains``.
+    """
+    acc = {}
+    for a, ca in left.items():
+        for b, cb in right.items():
+            if ca.j != cb.i:
+                continue
+            coords = product(a, b)
+            if not coords:
+                continue
+            prod = compose_cochains(ca, cb)
+            if prod.is_zero():
+                continue
+            for z, coeff in coords.items():
+                if z not in acc:
+                    acc[z] = (prod, [Mat(t.nrows, t.ncols) for t in prod.mats])
+                slot = acc[z][1]
+                for m, term in enumerate(prod.mats):
+                    if not term.is_zero():
+                        slot[m] = slot[m].add(term.scale(coeff))
+    return {z: Cochain(shape.bundle, shape.degree, shape.i, shape.j, mats)
+            for z, (shape, mats) in acc.items()
+            if any(not mat.is_zero() for mat in mats)}
+
+
 def curvature(algebra, system, bundle):
     """Per-basis-label components of d*d for the lifted differential.
 
@@ -30,7 +61,7 @@ def curvature(algebra, system, bundle):
     as zero; idempotent labels must carry the resolution differentials).
     Returns a dict label -> degree-2 Cochain, omitting zero entries.
     """
-    items = []
+    items = {}
     for label, phi in system.items():
         if label not in algebra.index:
             continue
@@ -38,36 +69,9 @@ def curvature(algebra, system, bundle):
             raise ShapeMismatch("cochain for %r has degree %d type %s"
                                 % (label, phi.degree, phi.type))
         if not phi.is_zero():
-            items.append((algebra.index[label], label, phi))
-    acc = {}
-    ncomp = bundle.mmax - 1
-    for ia, la, ca in items:
-        for ib, lb, cb in items:
-            if label_type(la)[1] != label_type(lb)[0]:
-                continue
-            coords = algebra.product(ia, ib)
-            if not coords:
-                continue
-            terms = compose_cochains(ca, cb).mats
-            if all(t.is_zero() for t in terms):
-                continue
-            for zidx, coeff in coords.items():
-                zlabel = algebra.basis[zidx]
-                if zlabel not in acc:
-                    zi, zj = label_type(zlabel)
-                    acc[zlabel] = [Mat(bundle.res(zj).rank(m + 2),
-                                       bundle.res(zi).rank(m))
-                                   for m in range(ncomp)]
-                slot = acc[zlabel]
-                for m in range(ncomp):
-                    if not terms[m].is_zero():
-                        slot[m] = slot[m].add(terms[m].scale(coeff))
-    out = {}
-    for zlabel, mats in acc.items():
-        if any(not m.is_zero() for m in mats):
-            zi, zj = label_type(zlabel)
-            out[zlabel] = Cochain(bundle, 2, zi, zj, mats)
-    return out
+            items[algebra.index[label]] = phi
+    curv = product_sum(items, items, algebra.product)
+    return {algebra.basis[z]: phi for z, phi in curv.items()}
 
 
 class LiftedComplex:
@@ -200,38 +204,21 @@ def equivalence_check(c1, c2, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
 
 
 def _intertwines(c1, c2, q_entries):
-    """Exact check that q (entries keyed (label index, m)) is a chain map."""
+    """Exact check that q (entries keyed (label index, m)) is a chain map:
+    alpha1 * q == q * alpha2 over the basis, with q = 1 on idempotents."""
     bundle = c1.bundle
     algebra = c1.algebra
-    pres = bundle.pres
-
-    def qmat(label, m):
-        if isinstance(label, Monomial) and label.degree == 0:
-            rank = bundle.res(label.i).rank(m)
-            return Mat(rank, rank, {(t, t): pres.one() for t in range(rank)})
+    q = {}
+    for idx, label in enumerate(algebra.basis):
         li, lj = label_type(label)
-        return Mat(bundle.res(lj).rank(m), bundle.res(li).rank(m),
-                   q_entries.get((algebra.index[label], m), {}))
-
-    sys1 = c1.system()
-    sys2 = c2.system()
-    for zidx, zlabel in enumerate(algebra.basis):
-        zi, zj = label_type(zlabel)
-        for m in range(bundle.mmax):
-            total = Mat(bundle.res(zj).rank(m + 1), bundle.res(zi).rank(m))
-            for aidx, alabel in enumerate(algebra.basis):
-                for bidx, blabel in enumerate(algebra.basis):
-                    coeff = algebra.product(aidx, bidx).get(zidx)
-                    if not coeff:
-                        continue
-                    phi1 = sys1.get(blabel)
-                    if phi1 is not None:
-                        total = total.add(
-                            phi1.mats[m].mul(qmat(alabel, m)).scale(coeff))
-                    phi2 = sys2.get(alabel)
-                    if phi2 is not None:
-                        total = total.add(
-                            qmat(blabel, m + 1).mul(phi2.mats[m]).scale(-coeff))
-            if not total.is_zero():
-                return False
-    return True
+        if isinstance(label, Monomial) and label.degree == 0:
+            mats = [Mat(r, r, {(t, t): bundle.pres.one() for t in range(r)})
+                    for r in map(bundle.res(li).rank, range(bundle.mmax + 1))]
+        else:
+            mats = [Mat(bundle.res(lj).rank(m), bundle.res(li).rank(m),
+                        q_entries.get((idx, m), {})) for m in range(bundle.mmax + 1)]
+        q[idx] = Cochain(bundle, 0, li, lj, mats)
+    sys1, sys2 = ({algebra.index[label]: phi for label, phi in c.system().items()
+                   if label in algebra.index} for c in (c1, c2))
+    return (product_sum(q, sys1, algebra.product)
+            == product_sum(sys2, q, algebra.product))

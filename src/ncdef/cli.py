@@ -20,8 +20,8 @@ from .errors import (InternalInvariantError, NcdefError, SolverBoundError,
 from .massey import compute_hull, immediate_massey
 from .matrix_ring import format_monomial, format_tag, parse_monomial
 from .presets import RunOptions, load_preset, preset_names, problem_from_json
-from .report import (build_report, canonical_json, diff_reports, ext_tables,
-                     text_presentation, verify_report)
+from .report import (build_report, canonical_json, diff_reports, ext_table_lines,
+                     ext_tables, text_presentation, verify_report)
 from .yoneda import ExtBasis, ExtComputer
 
 EXIT_VALIDATION = 2
@@ -111,12 +111,7 @@ def cmd_ext(args):
                                          "problem": problem.to_json(),
                                          "ext_table": tables}))
     else:
-        print("ext^1 dimensions (entry [i][j] = dim Ext^1(M_i, M_j)):")
-        for row in tables["ext1"]:
-            print("  " + " ".join(str(v) for v in row))
-        print("ext^2 dimensions:")
-        for row in tables["ext2"]:
-            print("  " + " ".join(str(v) for v in row))
+        print("\n".join(ext_table_lines(tables)))
     return 0
 
 

@@ -137,10 +137,6 @@ class Echelon:
                 if col != p:
                     _forget(self._holders, col, p)
 
-    @property
-    def rank(self):
-        return len(self.rows)
-
     def pivots(self):
         return set(self.rows)
 

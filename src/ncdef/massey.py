@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .checker import LiftedComplex, curvature, verify_lifted_complex
+from .checker import LiftedComplex, curvature, product_sum, verify_lifted_complex
 from .errors import (FlatnessViolated, NcdefError, NotACoboundary, NotACocycle,
                      ProjectionFailed, ValidationError)
 from .matrix_ring import (MatricPoly, Monomial, RelTag, build_quotient,
                           build_tagged_truncation, concat, divisor_truncation,
                           format_monomial, format_tag, quotient_by_vectors)
-from .yoneda import compose_cochains, is_cocycle, project_ext2, solve_coboundary
+from .yoneda import is_cocycle, project_ext2, solve_coboundary
 
 
 @dataclass
@@ -258,28 +258,19 @@ def check_stabilized(state):
 def _raw_products(state):
     """Free-ring components of d*d before reduction, for the certificate."""
     from .algebra import format_element
-    items = [(label, phi) for label, phi in sorted(state.system.items(),
-                                                   key=lambda kv: kv[0].key())
-             if not phi.is_zero()]
-    acc = {}
-    for la, ca in items:
-        for lb, cb in items:
-            m = concat(la, lb)
-            if m is None or m.degree == 0:
-                continue
-            prod = compose_cochains(ca, cb)
-            if not prod.is_zero():
-                acc[m] = acc[m].add(prod) if m in acc else prod
-    out = {}
-    for m in sorted(acc, key=Monomial.key):
-        mats = acc[m].mats
-        if all(t.is_zero() for t in mats):
-            continue
-        out[format_monomial(m)] = [
-            [[format_element(mat.get(r, c)) if mat.get(r, c) else "0"
-              for c in range(mat.ncols)] for r in range(mat.nrows)]
-            for mat in mats]
-    return out
+    items = {label: phi for label, phi in sorted(state.system.items(),
+                                                 key=lambda kv: kv[0].key())
+             if not phi.is_zero()}
+
+    def free_product(a, b):
+        m = concat(a, b)
+        return {m: 1} if m is not None and m.degree > 0 else {}
+
+    raw = product_sum(items, items, free_product)
+    return {format_monomial(m): [
+        [[format_element(mat.get(r, c)) if mat.get(r, c) else "0"
+          for c in range(mat.ncols)] for r in range(mat.nrows)]
+        for mat in raw[m].mats] for m in sorted(raw, key=Monomial.key)}
 
 
 def compute_hull(ext, options):

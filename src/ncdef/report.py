@@ -98,18 +98,18 @@ def canonical_json(report):
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def ext_table_lines(tables):
+    """The printed Ext^1 and Ext^2 dimension tables, one line each row."""
+    lines = ["ext^1 dimensions (entry [i][j] = dim Ext^1(M_i, M_j)):"]
+    lines.extend("  " + " ".join(str(v) for v in row) for row in tables["ext1"])
+    lines.append("ext^2 dimensions:")
+    lines.extend("  " + " ".join(str(v) for v in row) for row in tables["ext2"])
+    return lines
+
+
 def text_presentation(problem, state, tables):
     table = state.table
-    lines = []
-    lines.append("hull computation: %s" % problem.name)
-    lines.append("")
-    lines.append("ext^1 dimensions (entry [i][j] = dim Ext^1(M_i, M_j)):")
-    for row in tables["ext1"]:
-        lines.append("  " + " ".join(str(v) for v in row))
-    lines.append("ext^2 dimensions:")
-    for row in tables["ext2"]:
-        lines.append("  " + " ".join(str(v) for v in row))
-    lines.append("")
+    lines = ["hull computation: %s" % problem.name, ""] + ext_table_lines(tables) + [""]
     gens = [format_monomial(Monomial.from_arrows([a]), table)
             for a in table.all_arrows()]
     lines.append("generators: %s" % (", ".join(gens) if gens else "(none)"))

@@ -8,7 +8,10 @@ phi_m : L_{m+n, j} -> L_{m, i}, and the differential is
     d(phi)_m = phi_m . d_{n+m, j} + (-1)^(n+1) d_{m, i} . phi_{m+1}
 
 which in right-multiplication matrices reads
-D_{n+m,j} * phi_m + (-1)^(n+1) phi_{m+1} * D_{m,i}.
+D_{n+m,j} * phi_m + (-1)^(n+1) phi_{m+1} * D_{m,i}: the Yoneda products
+compose(phi, delta_j) + (-1)^(n+1) compose(delta_i, phi), where delta_i is
+the differentials of M_i as a 1-cochain and ``compose_cochains``, for any
+degrees, has components inner_{m+p} * outer_m with p the degree of outer.
 
 Ext^n(M_j, M_i) is computed from the complex Hom(L_{*,j}, M_i) with all
 module coefficients truncated at a filtration degree B: cocycles are taken
@@ -135,9 +138,6 @@ class Mat:
                     out[(r, c)] = prod
         return Mat(self.nrows, other.ncols, out)
 
-    def max_degree(self):
-        return max((v.degree() for v in self.entries.values()), default=-1)
-
     def __repr__(self):
         return "Mat(%dx%d, %r)" % (self.nrows, self.ncols, self.entries)
 
@@ -204,6 +204,9 @@ class ResolutionBundle:
         self.resolutions = dict(enumerate(resolutions, start=1))
         self.p = len(resolutions)
         self.mmax = max(max(res.mmax for res in resolutions), 2)
+        self._differentials = {
+            i: Cochain(self, 1, i, i, [res.diff(m) for m in range(self.mmax)])
+            for i, res in self.resolutions.items()}
 
     def res(self, i):
         return self.resolutions[i]
@@ -214,9 +217,8 @@ class ResolutionBundle:
         return Cochain(self, n, i, j, mats)
 
     def differential_cochain(self, i):
-        """The resolution differentials of M_i packaged as a 1-cochain."""
-        mats = tuple(self.res(i).diff(m) for m in range(self.mmax))
-        return Cochain(self, 1, i, i, mats)
+        """The resolution differentials of M_i packaged as a 1-cochain, built once."""
+        return self._differentials[i]
 
 
 class Cochain:
@@ -269,18 +271,11 @@ class Cochain:
 
 
 def yoneda_differential(phi):
-    """The Yoneda complex differential of a cochain."""
+    """The Yoneda complex differential of a cochain, as a sum of two products."""
     bundle = phi.bundle
-    n = phi.degree
-    sign = -1 if (n + 1) % 2 else 1
-    res_i = bundle.res(phi.i)
-    res_j = bundle.res(phi.j)
-    mats = []
-    for m in range(bundle.mmax - n):
-        term = res_j.diff(n + m).mul(phi.mats[m])
-        term = term.add(phi.mats[m + 1].mul(res_i.diff(m)).scale(sign))
-        mats.append(term)
-    return Cochain(bundle, n + 1, phi.i, phi.j, mats)
+    sign = -1 if (phi.degree + 1) % 2 else 1
+    return compose_cochains(phi, bundle.differential_cochain(phi.j)).add(
+        compose_cochains(bundle.differential_cochain(phi.i), phi).scale(sign))
 
 
 def is_cocycle(phi):
@@ -288,19 +283,19 @@ def is_cocycle(phi):
 
 
 def compose_cochains(outer, inner):
-    """Yoneda product of 1-cochains: outer of type (i,t) after inner of (t,j).
+    """Yoneda product: outer of type (i,t) and degree p after inner of (t,j).
 
-    The result represents the monomial (outer arrow)(inner arrow) of type
-    (i,j); component m is the matrix product inner_{m+1} * outer_m.
+    Component m of the result, of degree p + inner.degree, is inner_{m+p} *
+    outer_m; two 1-cochains give the monomial (outer arrow)(inner arrow).
     """
-    if outer.degree != 1 or inner.degree != 1:
-        raise ShapeMismatch("cup products take two 1-cochains")
     if outer.j != inner.i:
         raise ShapeMismatch("types (%d,%d) and (%d,%d) do not compose"
                             % (outer.i, outer.j, inner.i, inner.j))
     bundle = outer.bundle
-    mats = [inner.mats[m + 1].mul(outer.mats[m]) for m in range(bundle.mmax - 1)]
-    return Cochain(bundle, 2, outer.i, inner.j, mats)
+    p = outer.degree
+    n = p + inner.degree
+    mats = [inner.mats[m + p].mul(outer.mats[m]) for m in range(bundle.mmax - n + 1)]
+    return Cochain(bundle, n, outer.i, inner.j, mats)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +433,7 @@ class ExtComputer:
         have no outside column; since each outside pivot occurs in its own
         row only, they span (image intersect window), and they are its
         reduced echelon for the priority (row, word).  The outside-pivot rows
-        are dropped, so ``rank`` is the boundary dimension in the window.
+        are dropped, so ``len(rows)`` is the boundary dimension in the window.
         """
         degree = self.bundle.pres.word_degree
         words = {w for v in potentials for _, w in v}

@@ -1,13 +1,15 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-import ncdef.algebra as algebra_module
 from ncdef.algebra import (AlgebraPresentation, QuotientModule, format_element,
                            format_scalar, multiply, normal_form, parse_element,
                            preset_presentation)
 from ncdef.errors import StepBudgetExceeded, UnsupportedIdeal, ValidationError
+from ncdef.linalg import Echelon
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +92,16 @@ def test_associativity_on_random_triples(weyl2):
 
 
 def test_degree_subadditivity(weyl2):
+    def degree(f):
+        return max(weyl2.word_degree(w) for w in f.terms)
+
     rng = random.Random(5)
     for _ in range(50):
         a = _random_element(weyl2, rng)
         b = _random_element(weyl2, rng)
         ab = multiply(a, b)
         if not (a.is_zero() or b.is_zero() or ab.is_zero()):
-            assert ab.degree() <= a.degree() + b.degree()
+            assert degree(ab) <= degree(a) + degree(b)
 
 
 def test_confluence_overlaps(weyl2):
@@ -231,14 +236,18 @@ def test_normal_form_matches_leftmost_first_rescanning(make):
     check()
 
 
+def _presentation(name, request):
+    return {"weyl2": lambda: preset_presentation("weyl2"),
+            "poly3": lambda: request.getfixturevalue("poly3").bundle.pres,
+            "count-changing": lambda: request.getfixturevalue("count_changing"),
+            "non-confluent": _non_confluent}[name]()
+
+
 @pytest.mark.parametrize("name", ["weyl2", "poly3", "count-changing", "non-confluent"])
 def test_every_term_has_the_class_of_its_word(name, request):
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    pres = {"weyl2": lambda: preset_presentation("weyl2"),
-            "poly3": lambda: request.getfixturevalue("poly3").bundle.pres,
-            "count-changing": lambda: request.getfixturevalue("count_changing"),
-            "non-confluent": _non_confluent}[name]()
+    pres = _presentation(name, request)
     words = st.lists(st.sampled_from(pres.generators), max_size=7).map(tuple)
 
     def added(c1, c2):
@@ -256,17 +265,34 @@ def test_every_term_has_the_class_of_its_word(name, request):
     check()
 
 
-def test_word_class_grading_is_lazy_and_its_cache_capped(count_changing, monkeypatch):
+def test_word_class_grading_is_lazy(count_changing):
     pres = AlgebraPresentation(count_changing.generators, list(count_changing.rules.items()))
-    assert pres._grading is None
-    monkeypatch.setattr(algebra_module, "CACHE_CAP", 3)
+    assert pres._letter_classes is None
     words = pres.normal_words(3)
     classes = [pres.word_class(w) for w in words]
-    assert len(pres._class_cache) == 3
     # y*x -> x*y + x drops a y, so only the counts of x and z survive
     assert [pres.word_class(w) for w in words] == classes
     assert {c[1] for c in classes} == {0}
     assert pres.word_class(("x", "z", "z")) != pres.word_class(("x", "x", "z"))
+
+
+@pytest.mark.parametrize("name", ["weyl2", "poly3", "count-changing", "non-confluent"])
+def test_word_class_is_the_reduced_count_of_the_whole_word(name, request):
+    # the class as the grading echelon reduces the generator counts of the
+    # whole word, not as the sum of its letters' classes
+    pres = _presentation(name, request)
+    grading = Echelon()
+    for lhs, rhs in pres.rules.items():
+        for u, _ in rhs:
+            change = Counter(lhs)
+            change.subtract(u)
+            grading.add({g: c for g, c in change.items() if c})
+    for n in range(5):
+        for word in itertools.product(pres.generators, repeat=n):
+            counts = grading.reduce(Counter(word))
+            want = tuple(counts.get(g, 0) for g in pres.generators)
+            got = pres.word_class(word)
+            assert got == want and hash(got) == hash(want)
 
 
 def _modules(weyl, poly3):

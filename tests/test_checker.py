@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import ncdef.checker as checker_module
 from ncdef.algebra import AlgebraPresentation
 from ncdef.checker import (LiftedComplex, curvature, equivalence_check,
                            test_algebra_deformation, verify_lifted_complex)
@@ -87,8 +88,8 @@ def test_equivalence_reflexive(weyl):
     assert equivalence_check(lifted, lifted)
 
 
-def test_coboundary_deformation_is_trivial(weyl):
-    bundle = weyl.bundle
+def _coboundary_pair(bundle):
+    """Test-algebra deformations by a coboundary d(tau0) and by zero."""
     pres = bundle.pres
     rng = random.Random(17)
     words = pres.normal_words(1)
@@ -102,8 +103,12 @@ def test_coboundary_deformation_is_trivial(weyl):
         mats.append(Mat(nrows, ncols, entries))
     tau = yoneda_differential(Cochain(bundle, 0, 1, 2, mats))
     assert not tau.is_zero()
-    deformed = test_algebra_deformation(tau, bundle)
-    trivial = test_algebra_deformation(bundle.zero_cochain(1, 1, 2), bundle)
+    return (test_algebra_deformation(tau, bundle),
+            test_algebra_deformation(bundle.zero_cochain(1, 1, 2), bundle))
+
+
+def test_coboundary_deformation_is_trivial(weyl):
+    deformed, trivial = _coboundary_pair(weyl.bundle)
     assert equivalence_check(deformed, trivial)
     assert equivalence_check(trivial, deformed)  # symmetry on this pair
 
@@ -132,3 +137,23 @@ def test_curvature_matches_defining_system_invariant(weyl):
     state = advance_order(state)
     curv = curvature(state.algebra, state.system, weyl.bundle)
     assert curv == {}
+
+
+def test_intertwiner_check_rejects_zero_and_accepts_the_solved_q(weyl, monkeypatch):
+    deformed, trivial = _coboundary_pair(weyl.bundle)
+    # q = 0 off the idempotents leaves alpha1 - alpha2 = d(tau0) != 0
+    assert not checker_module._intertwines(deformed, trivial, {})
+    checks = []
+
+    def recording(c1, c2, q_entries):
+        ok = intertwines(c1, c2, q_entries)
+        checks.append((q_entries, ok))
+        return ok
+
+    intertwines = checker_module._intertwines
+    monkeypatch.setattr(checker_module, "_intertwines", recording)
+    assert equivalence_check(deformed, trivial)
+    q_entries, ok = checks[-1]
+    assert ok and any(q_entries.values())
+    assert intertwines(deformed, trivial, q_entries)
+    assert not intertwines(trivial, deformed, q_entries)

@@ -232,7 +232,7 @@ def test_boundary_echelon_is_the_window_part_of_the_boundaries(problem, request)
                         whole.add(v)
                         outside.add({c: x for c, x in v.items() if degree(c[1]) > bound})
                     ech = computer._boundary_echelon(bound, potentials)
-                    assert ech.rank == whole.rank - outside.rank
+                    assert len(ech.rows) == len(whole.rows) - len(outside.rows)
                     assert all(degree(c[1]) <= bound
                                for row in ech.rows.values() for c in row)
 
@@ -556,8 +556,8 @@ def test_hom_images_once_match_per_bound_images(problem, bound, request):
             for n, dim, boundaries, images in computer._hom_groups(i, j):
                 kz, want_ech = _reference_hom_dims(computer, i, j, n, bound)
                 kz2, ech2 = _reference_hom_dims(computer, i, j, n, bound + 1)
-                want_dim = kz - want_ech.rank
-                assert want_dim == kz2 - ech2.rank
+                want_dim = kz - len(want_ech.rows)
+                assert want_dim == kz2 - len(ech2.rows)
                 assert dim == want_dim == computer.ext_dimension(i, j, n)
                 if not dim:
                     # no rows are kept for a group without classes; built
@@ -620,7 +620,7 @@ def _reference_dimension(computer, i, j, n):
     dims = []
     for bound in (computer.degree_bound, computer.degree_bound + 1):
         kernel_dim, boundaries = _reference_hom_dims(computer, i, j, n, bound)
-        dims.append(kernel_dim - boundaries.rank)
+        dims.append(kernel_dim - len(boundaries.rows))
     if dims[0] != dims[1]:
         raise NotStabilized("unstable")
     return dims[0]
