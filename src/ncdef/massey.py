@@ -15,13 +15,17 @@ degree's basis never changes once the hull passes it, so the state keeps
 only the current H.
 
 Stabilization is certified separately: the zero extension of the defining
-system over the relation quotient, truncated a couple of degrees above the
-last relation, must already be flat.
+system over the relation quotient, truncated two degrees above the last
+relation and at least at twice the system's top degree, must already be
+flat.  The run stops early only on such a complete certificate.
+
+The state (``HullState``) and an immediate Massey value (``MasseyValue``)
+are namedtuples; a new order is a new state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .checker import LiftedComplex, curvature, product_sum, verify_lifted_complex
 from .errors import (FlatnessViolated, NcdefError, NotACoboundary, NotACocycle,
@@ -32,22 +36,16 @@ from .matrix_ring import (MatricPoly, Monomial, RelTag, build_quotient,
 from .yoneda import is_cocycle, project_ext2, solve_coboundary
 
 
-@dataclass
-class HullState:
-    """Snapshot of the hull computation at one order; immutable by use."""
+class HullState(namedtuple("HullState", [
+        "bundle", "table", "ext", "options", "order",
+        "algebra",            # H_order, monomial basis
+        "system",             # Monomial -> Cochain (sparse, zeros omitted)
+        "series",             # RelTag -> MatricPoly
+        "products_log", "corrections_log", "stabilized", "certificate"],
+        defaults=[False, None])):
+    """Snapshot of the hull computation at one order."""
 
-    bundle: object
-    table: object
-    ext: object
-    options: object
-    order: int
-    algebra: object                      # H_order, monomial basis
-    system: dict                         # Monomial -> Cochain (sparse, zeros omitted)
-    series: dict                         # RelTag -> MatricPoly
-    products_log: dict = field(default_factory=dict)
-    corrections_log: dict = field(default_factory=dict)
-    stabilized: bool = False
-    certificate: dict | None = None
+    __slots__ = ()
 
     def relations(self):
         """Nonzero relation series, keyed by tag, in canonical order."""
@@ -75,7 +73,8 @@ def init_order2(ext, options):
         system[Monomial.from_arrows([arrow])] = ext.ext1_rep(i, j, l)
     series = {tag: MatricPoly((tag.i, tag.j)) for tag in table.rel_tags()}
     return HullState(bundle=bundle, table=table, ext=ext, options=options,
-                     order=2, algebra=algebra, system=system, series=series)
+                     order=2, algebra=algebra, system=system, series=series,
+                     products_log={}, corrections_log={})
 
 
 def order_obstructions(state):
@@ -221,17 +220,19 @@ def advance_order(state):
 def check_stabilized(state):
     """Certify that the relation series is already complete.
 
-    Builds the quotient by the current relations, truncated a couple of
-    degrees above the last relation, extends the defining system by zero on
-    every new basis monomial, and verifies flatness from raw structure
-    constants.  Returns (flag, certificate).
+    Builds the quotient by the current relations, truncated two degrees
+    above the last relation (or at ``verify_cutoff``) and never below 2q,
+    where q is the top degree of the defining system; extends the system by
+    zero on every new basis monomial, and verifies flatness from raw
+    structure constants.  The curvature of that extension lives in degrees
+    <= 2q, so a flat check covers the whole relation quotient and the
+    certificate is always complete.  Returns (flag, certificate).
     """
     relations = list(state.relations().values())
     maxrel = state.max_relation_degree() or 2
     q = max((lab.degree for lab, phi in state.system.items()
              if not phi.is_zero()), default=1)
-    vc = state.options.verify_cutoff or (maxrel + 2)
-    vc = max(vc, maxrel + 2)
+    vc = max(state.options.verify_cutoff or 0, maxrel + 2, 2 * q)
     T = build_quotient(state.table, relations, vc + 1)
     for label, phi in state.system.items():
         if not phi.is_zero() and label not in T.index:
@@ -243,7 +244,7 @@ def check_stabilized(state):
     raw = _raw_products(state)
     certificate = {
         "verified_cutoff": vc,
-        "complete": bool(2 * q <= vc),
+        "complete": 2 * q <= vc,
         "relation_degrees": sorted({f.max_degree() for f in relations}) or [],
         "raw_square_terms": raw,
         "reduces_to_zero": bool(ok),
@@ -280,7 +281,8 @@ def compute_hull(ext, options):
     the state, the stabilization certificate on state.certificate.
     """
     state = init_order2(ext, options)
-    while state.order <= options.max_order:
+    stabilized, certificate = False, None
+    while state.order <= options.max_order and not stabilized:
         try:
             state = advance_order(state)
         except NcdefError as exc:
@@ -288,26 +290,16 @@ def compute_hull(ext, options):
             raise
         # only a certificate that can stop the loop is worth one per order
         if options.stop_on_stabilized:
-            state.stabilized, state.certificate = check_stabilized(state)
-            if state.stabilized:
-                break
-    if state.certificate is None:
-        state.stabilized, state.certificate = check_stabilized(state)
-    return state
+            stabilized, certificate = check_stabilized(state)
+    if certificate is None:
+        stabilized, certificate = check_stabilized(state)
+    return state._replace(stabilized=stabilized, certificate=certificate)
 
 
-@dataclass
-class MasseyValue:
-    """Outcome of an immediately defined matric Massey product."""
-
-    defined: bool
-    coefficients: dict | None = None     # RelTag -> int or Fraction
-    failed_at: object = None             # divisor where no system extends
-
-    def __repr__(self):
-        if not self.defined:
-            return "MasseyValue(undefined at %r)" % (self.failed_at,)
-        return "MasseyValue(%r)" % (self.coefficients,)
+# outcome of an immediately defined matric Massey product: coefficients maps
+# RelTag -> int or Fraction; failed_at is the divisor where no system extends
+MasseyValue = namedtuple("MasseyValue", ["defined", "coefficients", "failed_at"],
+                         defaults=[None, None])
 
 
 def immediate_massey(x, cochains, ext, options):

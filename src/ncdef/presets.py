@@ -3,11 +3,13 @@
 Two presets ship: ``weyl2-simple4`` (four simple holonomic modules over the
 second Weyl algebra, with hand-picked cocycle representatives) and
 ``poly1-point`` (the point module over k[x], the unobstructed smoke test).
+``RunOptions`` is a namedtuple; a spec's options are checked against its
+declared fields, each of the kind of its default.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .algebra import AlgebraPresentation, preset_presentation
 from .errors import ShapeMismatch, ValidationError
@@ -17,39 +19,32 @@ from .yoneda import (DEFAULT_BOUND, MAX_BOUND, RETRY_STEP, Cochain, ExtBasis,
 SCHEMA_PROBLEM = "ncdef-problem/1"
 
 
-@dataclass
-class RunOptions:
-    degree_bound: int = DEFAULT_BOUND
-    retry_step: int = RETRY_STEP
-    max_bound: int = MAX_BOUND
-    max_order: int = 5
-    verify_cutoff: int | None = None
-    stop_on_stabilized: bool = True
-    use_computed_basis: bool = False
+class RunOptions(namedtuple("RunOptions", [
+        "degree_bound", "retry_step", "max_bound", "max_order",
+        "verify_cutoff", "stop_on_stabilized", "use_computed_basis"],
+        defaults=[DEFAULT_BOUND, RETRY_STEP, MAX_BOUND, 5, None, True, False])):
+    """Run options; each option's kind is that of its default: a positive
+    integer, an optional positive integer (default None) or a bool."""
 
-    def to_json(self):
-        return asdict(self)
+    __slots__ = ()
 
     @staticmethod
     def from_json(data):
         if not isinstance(data, dict):
             raise ValidationError("options must be a JSON object")
-        opts = RunOptions()
-        for key, value in data.items():
-            if not hasattr(opts, key):
+        for key in data:
+            if key not in RunOptions._fields:
                 raise ValidationError("unknown option %r" % key)
-            setattr(opts, key, value)
-        counts = ["degree_bound", "retry_step", "max_bound", "max_order"]
-        if opts.verify_cutoff is not None:
-            counts.append("verify_cutoff")
-        for key in counts:
+        opts = RunOptions(**data)
+        for key, default in RunOptions._field_defaults.items():
             value = getattr(opts, key)
-            if type(value) is not int or value <= 0:
+            if isinstance(default, bool):
+                if type(value) is not bool:
+                    raise ValidationError("option %s must be true or false" % key)
+            elif not (type(value) is int and value > 0
+                      or value is None and default is None):
                 raise ValidationError("option %s must be a positive integer, "
                                       "got %r" % (key, value))
-        for key in ("stop_on_stabilized", "use_computed_basis"):
-            if type(getattr(opts, key)) is not bool:
-                raise ValidationError("option %s must be true or false" % key)
         return opts
 
 
@@ -73,7 +68,7 @@ class Problem:
         if self._spec_json is not None:
             return self._spec_json
         return {"schema": SCHEMA_PROBLEM, "preset": self.name,
-                "options": self.options.to_json()}
+                "options": self.options._asdict()}
 
 
 def _cochain_from_mats(bundle, degree, i, j, mats_rows):

@@ -15,10 +15,11 @@ from ncdef.massey import (advance_order, compute_hull, immediate_massey,
 from ncdef.matrix_ring import (MatricPoly, RelTag, format_monomial, format_poly,
                                format_tag, parse_monomial)
 from ncdef.presets import RunOptions
-from ncdef.report import match_up_to_rescaling
 from ncdef.algebra import normal_form
 from ncdef.yoneda import (Cochain, ExtBasis, ExtComputer, Mat, is_cocycle,
                           project_ext2, yoneda_differential)
+
+from rescaling import match_up_to_rescaling
 
 EXT1_PAIRS = {(1, 2), (1, 3), (2, 1), (2, 4), (3, 1), (3, 4), (4, 2), (4, 3)}
 EXT2_PAIRS = {(1, 4), (2, 3), (3, 2), (4, 1)}

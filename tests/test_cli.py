@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ncdef.cli import main
+from ncdef.errors import ValidationError
+from ncdef.presets import RunOptions
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_run_weyl_preset(tmp_path, capsys):
@@ -270,6 +277,27 @@ def test_bad_spec_options_fail_validation(options, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["to_json", "__class__", "_fields"])
+def test_options_named_after_attributes_are_unknown(name, tmp_path, capsys):
+    with pytest.raises(ValidationError, match="unknown option"):
+        RunOptions.from_json({name: 1})
+    assert main(["ext", "--spec", _preset_spec(tmp_path, {name: 1})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: unknown option %r" % name)
+    assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_dataclasses():
+    # the records are namedtuples; dataclasses would load inspect (and with
+    # it ast, dis and tokenize) into every invocation
+    code = ("import sys, ncdef.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env=dict(os.environ, PYTHONPATH=str(SRC)),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_spec_options_apply_and_flags_override_them(tmp_path, capsys):

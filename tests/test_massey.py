@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -104,7 +103,7 @@ def test_stabilization_detects_corrupted_relation(weyl_state):
     flipped = {m: -c if format_monomial(m) == "x13*x34" else c
                for m, c in bad[tag].terms.items()}
     bad[tag] = MatricPoly((1, 4), flipped)
-    corrupted = dataclasses.replace(weyl_state, series=bad)
+    corrupted = weyl_state._replace(series=bad)
     ok, cert = check_stabilized(corrupted)
     assert not ok and not cert["reduces_to_zero"]
 
