@@ -8,9 +8,12 @@ rewrites a length-2 word into a linear combination of words of no larger
 degree, so exhaustive rewriting terminates for the shipped presets (a step
 budget guards user presentations).
 
-The built-in preset ``weyl2`` is the second Weyl algebra k[x,y]<Dx,Dy> with
-[Dx,x] = [Dy,y] = 1, generators ordered x < y < Dx < Dy so that normal words
-are the nondecreasing (PBW) ones.
+The built-in algebras are presentation documents, read by
+``AlgebraPresentation.from_json`` like a spec's ``algebra``
+(``preset_presentation``): ``weyl2`` is the second Weyl algebra
+k[x,y]<Dx,Dy> with [Dx,x] = [Dy,y] = 1, generators ordered x < y < Dx < Dy
+so that normal words are the nondecreasing (PBW) ones; ``weyl1`` is the
+first Weyl algebra and ``poly1`` is k[x].
 
 No rewriting is done twice: ``AlgebraPresentation._nf_cache`` maps a word to
 its normal form's terms and ``QuotientModule._action_cache`` maps (word u,
@@ -21,7 +24,9 @@ by ``word_class``; ``_degree_cache`` maps a word to its degree, capped at
 ``CACHE_CAP``; ``_letter_classes`` maps each generator to its class, built
 on the first ``word_class`` call.  A module acts through a table
 of generator actions on basis words, as one computes in solvable (PBW)
-algebras (Kandri-Rody and Weispfenning, J. Symb. Comp. 9 (1990)).
+algebras (Kandri-Rody and Weispfenning, J. Symb. Comp. 9 (1990)); the class
+of a word u is its action u*1 on the empty word, so ``QuotientModule.reduce``
+only fills the table entries that no rule gives.
 """
 
 from __future__ import annotations
@@ -548,32 +553,20 @@ def format_element(a):
 # ---------------------------------------------------------------------------
 # presets
 
-def _commutation_rules(order, brackets):
-    """Rules sorting generators into `order`, with [a,b] = c constants."""
-    rules = []
-    idx = {g: k for k, g in enumerate(order)}
-    for a in order:
-        for b in order:
-            if idx[a] > idx[b]:
-                # a*b -> b*a + [a,b]
-                rhs = [((b, a), 1)]
-                c = brackets.get((a, b), 0)
-                if c:
-                    rhs.append(((), exact(c)))
-                rules.append(((a, b), rhs))
-    return rules
+# Presentation documents of the built-in algebras: a Weyl algebra's rules sort
+# its generators into the listed order, with D*v -> v*D + 1 for each
+# derivation D and its variable v.
+_ALGEBRAS = {
+    "weyl2": {"generators": ["x", "y", "Dx", "Dy"],
+              "rules": [["y*x", "x*y"], ["Dx*x", "x*Dx + 1"], ["Dx*y", "y*Dx"],
+                        ["Dy*x", "x*Dy"], ["Dy*y", "y*Dy + 1"],
+                        ["Dy*Dx", "Dx*Dy"]]},
+    "weyl1": {"generators": ["x", "Dx"], "rules": [["Dx*x", "x*Dx + 1"]]},
+    "poly1": {"generators": ["x"], "rules": []},
+}
 
 
 def preset_presentation(name):
-    if name == "weyl2":
-        gens = ["x", "y", "Dx", "Dy"]
-        return AlgebraPresentation(
-            gens,
-            _commutation_rules(gens, {("Dx", "x"): 1, ("Dy", "y"): 1}))
-    if name == "weyl1":
-        gens = ["x", "Dx"]
-        return AlgebraPresentation(
-            gens, _commutation_rules(gens, {("Dx", "x"): 1}))
-    if name == "poly1":
-        return AlgebraPresentation(["x"], [])
-    raise ValidationError("unknown algebra preset %r" % name)
+    if name not in _ALGEBRAS:
+        raise ValidationError("unknown algebra preset %r" % name)
+    return AlgebraPresentation.from_json(_ALGEBRAS[name])

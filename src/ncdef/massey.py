@@ -33,6 +33,7 @@ from .errors import (FlatnessViolated, NcdefError, NotACoboundary, NotACocycle,
 from .matrix_ring import (MatricPoly, Monomial, RelTag, build_quotient,
                           build_tagged_truncation, concat, divisor_truncation,
                           format_monomial, format_tag, quotient_by_vectors)
+from .presets import cochain_to_json
 from .yoneda import is_cocycle, project_ext2, solve_coboundary
 
 
@@ -258,7 +259,6 @@ def check_stabilized(state):
 
 def _raw_products(state):
     """Free-ring components of d*d before reduction, for the certificate."""
-    from .algebra import format_element
     items = {label: phi for label, phi in sorted(state.system.items(),
                                                  key=lambda kv: kv[0].key())
              if not phi.is_zero()}
@@ -268,10 +268,8 @@ def _raw_products(state):
         return {m: 1} if m is not None and m.degree > 0 else {}
 
     raw = product_sum(items, items, free_product)
-    return {format_monomial(m): [
-        [[format_element(mat.get(r, c)) if mat.get(r, c) else "0"
-          for c in range(mat.ncols)] for r in range(mat.nrows)]
-        for mat in raw[m].mats] for m in sorted(raw, key=Monomial.key)}
+    return {format_monomial(m): cochain_to_json(raw[m])["mats"]
+            for m in sorted(raw, key=Monomial.key)}
 
 
 def compute_hull(ext, options):

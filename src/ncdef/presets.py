@@ -1,10 +1,13 @@
 """Problem specifications: algebra, module family, resolutions, options.
 
-Two presets ship: ``weyl2-simple4`` (four simple holonomic modules over the
-second Weyl algebra, with hand-picked cocycle representatives) and
-``poly1-point`` (the point module over k[x], the unobstructed smoke test).
-``RunOptions`` is a namedtuple; a spec's options are checked against its
-declared fields, each of the kind of its default.
+``_build_problem`` makes every ``Problem`` from a spec document (see
+README): its ``algebra``, ``modules`` and optional ``ext_basis``.  The
+shipped presets are such documents: ``weyl2-simple4`` (four simple holonomic
+modules over the second Weyl algebra, with hand-picked cocycle
+representatives) and ``poly1-point`` (the point module over k[x], the
+unobstructed smoke test).  ``RunOptions`` and ``Problem`` are namedtuples; a
+spec's options are checked against ``RunOptions``' declared fields, each of
+the kind of its default.
 """
 
 from __future__ import annotations
@@ -48,25 +51,20 @@ class RunOptions(namedtuple("RunOptions", [
         return opts
 
 
-class Problem:
-    """A module family with fixed resolutions and optional shipped basis."""
+class Problem(namedtuple("Problem", [
+        "name", "pres", "bundle", "preset_basis", "options", "spec"])):
+    """A module family with fixed resolutions and optional shipped basis;
+    ``spec`` is the spec document it was read from, None for a preset."""
 
-    def __init__(self, name, pres, bundle, preset_basis=None, options=None,
-                 spec_json=None):
-        self.name = name
-        self.pres = pres
-        self.bundle = bundle
-        self.preset_basis = preset_basis
-        self.options = options or RunOptions()
-        self._spec_json = spec_json
+    __slots__ = ()
 
     @property
     def p(self):
         return self.bundle.p
 
     def to_json(self):
-        if self._spec_json is not None:
-            return self._spec_json
+        if self.spec is not None:
+            return self.spec
         return {"schema": SCHEMA_PROBLEM, "preset": self.name,
                 "options": self.options._asdict()}
 
@@ -88,50 +86,38 @@ def _cochain_from_mats(bundle, degree, i, j, mats_rows):
     return Cochain(bundle, degree, i, j, mats)
 
 
-def _weyl2_simple4():
-    pres = preset_presentation("weyl2")
-    data = [
-        (["Dx", "Dy"], [[["Dx"], ["Dy"]], [["Dy", "-Dx"]]]),
-        (["Dx", "y"], [[["Dx"], ["y"]], [["y", "-Dx"]]]),
-        (["x", "Dy"], [[["x"], ["Dy"]], [["Dy", "-x"]]]),
-        (["x", "y"], [[["x"], ["y"]], [["y", "-x"]]]),
-    ]
-    resolutions = [FreeResolution(pres, ideal, [1, 2, 1], diffs)
-                   for ideal, diffs in data]
-    bundle = ResolutionBundle(pres, resolutions)
-    second_slot = [[["0"], ["1"]], [["1", "0"]]]
-    first_slot = [[["1"], ["0"]], [["0", "-1"]]]
-    ext1 = {}
-    for i in range(1, 5):
-        for j in range(1, 5):
-            ext1[(i, j)] = []
-    for (i, j) in [(1, 2), (2, 1), (3, 4), (4, 3)]:
-        ext1[(i, j)] = [_cochain_from_mats(bundle, 1, i, j, second_slot)]
-    for (i, j) in [(1, 3), (3, 1), (2, 4), (4, 2)]:
-        ext1[(i, j)] = [_cochain_from_mats(bundle, 1, i, j, first_slot)]
-    ext2 = {}
-    for i in range(1, 5):
-        for j in range(1, 5):
-            ext2[(i, j)] = []
-    for (i, j) in [(1, 4), (2, 3), (3, 2), (4, 1)]:
-        ext2[(i, j)] = [_cochain_from_mats(bundle, 2, i, j, [[["1"]]])]
-    basis = ExtBasis(bundle, ext1, ext2, source="preset")
-    return Problem("weyl2-simple4", pres, bundle, preset_basis=basis)
-
-
-def _poly1_point():
-    pres = preset_presentation("poly1")
-    res = FreeResolution(pres, ["x"], [1, 1], [[["x"]]])
-    bundle = ResolutionBundle(pres, [res])
-    ext1 = {(1, 1): [_cochain_from_mats(bundle, 1, 1, 1, [[["1"]]])]}
-    ext2 = {(1, 1): []}
-    basis = ExtBasis(bundle, ext1, ext2, source="preset")
-    return Problem("poly1-point", pres, bundle, preset_basis=basis)
-
+# Ext^1 representatives of weyl2-simple4: 1 on the first or on the second
+# generator of L_1 = A^2, with the component above it that makes a cocycle.
+_FIRST_SLOT = [[["1"], ["0"]], [["0", "-1"]]]
+_SECOND_SLOT = [[["0"], ["1"]], [["1", "0"]]]
 
 _PRESETS = {
-    "weyl2-simple4": _weyl2_simple4,
-    "poly1-point": _poly1_point,
+    "weyl2-simple4": {
+        "algebra": "weyl2",
+        "modules": [
+            {"ideal": ["Dx", "Dy"], "ranks": [1, 2, 1],
+             "diffs": [[["Dx"], ["Dy"]], [["Dy", "-Dx"]]]},
+            {"ideal": ["Dx", "y"], "ranks": [1, 2, 1],
+             "diffs": [[["Dx"], ["y"]], [["y", "-Dx"]]]},
+            {"ideal": ["x", "Dy"], "ranks": [1, 2, 1],
+             "diffs": [[["x"], ["Dy"]], [["Dy", "-x"]]]},
+            {"ideal": ["x", "y"], "ranks": [1, 2, 1],
+             "diffs": [[["x"], ["y"]], [["y", "-x"]]]},
+        ],
+        "ext_basis": {
+            "ext1": {"1,2": [{"mats": _SECOND_SLOT}], "2,1": [{"mats": _SECOND_SLOT}],
+                     "3,4": [{"mats": _SECOND_SLOT}], "4,3": [{"mats": _SECOND_SLOT}],
+                     "1,3": [{"mats": _FIRST_SLOT}], "3,1": [{"mats": _FIRST_SLOT}],
+                     "2,4": [{"mats": _FIRST_SLOT}], "4,2": [{"mats": _FIRST_SLOT}]},
+            "ext2": {"1,4": [{"mats": [[["1"]]]}], "2,3": [{"mats": [[["1"]]]}],
+                     "3,2": [{"mats": [[["1"]]]}], "4,1": [{"mats": [[["1"]]]}]},
+        },
+    },
+    "poly1-point": {
+        "algebra": "poly1",
+        "modules": [{"ideal": ["x"], "ranks": [1, 1], "diffs": [[["x"]]]}],
+        "ext_basis": {"ext1": {"1,1": [{"mats": [[["1"]]]}]}},
+    },
 }
 
 
@@ -143,10 +129,7 @@ def load_preset(name, options=None):
     if name not in _PRESETS:
         raise ValidationError("unknown preset %r (have: %s)"
                               % (name, ", ".join(preset_names())))
-    problem = _PRESETS[name]()
-    if options is not None:
-        problem.options = options
-    return problem
+    return _build_problem(name, _PRESETS[name], options or RunOptions())
 
 
 def problem_from_json(data, options=None):
@@ -158,14 +141,19 @@ def problem_from_json(data, options=None):
     opts = options or RunOptions.from_json(data.get("options") or {})
     if "preset" in data:
         return load_preset(data["preset"], opts)
-    algebra = data.get("algebra")
+    return _build_problem(data.get("name", "custom"), data, opts, spec=data)
+
+
+def _build_problem(name, doc, options, spec=None):
+    """The problem of a document's algebra, modules and optional ext_basis."""
+    algebra = doc.get("algebra")
     if isinstance(algebra, str):
         pres = preset_presentation(algebra)
     elif isinstance(algebra, dict):
         pres = AlgebraPresentation.from_json(algebra)
     else:
         raise ValidationError("problem spec needs an 'algebra' entry")
-    modules = data.get("modules")
+    modules = doc.get("modules")
     if not modules:
         raise ValidationError("problem spec needs a nonempty 'modules' list")
     resolutions = []
@@ -185,10 +173,9 @@ def problem_from_json(data, options=None):
         resolutions.append(FreeResolution(pres, mod["ideal"], ranks, diffs))
     bundle = ResolutionBundle(pres, resolutions)
     preset_basis = None
-    if "ext_basis" in data:
-        preset_basis = ext_basis_from_json(bundle, data["ext_basis"])
-    return Problem(data.get("name", "custom"), pres, bundle,
-                   preset_basis=preset_basis, options=opts, spec_json=data)
+    if "ext_basis" in doc:
+        preset_basis = ext_basis_from_json(bundle, doc["ext_basis"])
+    return Problem(name, pres, bundle, preset_basis, options, spec)
 
 
 def ext_basis_from_json(bundle, data):

@@ -238,14 +238,27 @@ def test_run_computed_basis(tmp_path):
     assert report["relations"] == []
 
 
-def test_preset_spec_round_trip():
-    from ncdef.presets import load_preset, problem_from_json
+def test_preset_spec_round_trip(tmp_path, capsys):
+    from ncdef.presets import _PRESETS, load_preset, problem_from_json
     for name in ("weyl2-simple4", "poly1-point"):
         problem = load_preset(name)
         again = problem_from_json(problem.to_json())
         assert again.name == problem.name
         assert again.to_json() == problem.to_json()
         assert again.bundle.p == problem.bundle.p
+        # the preset's document, given as a spec file, runs the same problem
+        spec = tmp_path / (name + ".json")
+        spec.write_text(json.dumps({"schema": "ncdef-problem/1", "name": name,
+                                    **_PRESETS[name]}))
+        runs = []
+        for source in (["--preset", name], ["--spec", str(spec)]):
+            out = tmp_path / name / source[0][2:]
+            assert main(["run", *source, "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            report.pop("problem")
+            runs.append(((out / "presentation.txt").read_text(), report))
+        assert runs[0] == runs[1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [

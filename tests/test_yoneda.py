@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,14 @@ def test_resolutions_compose_to_zero(weyl, poly1):
         for res in bundle.resolutions.values():
             for m in range(len(res.diffs) - 1):
                 assert res.diffs[m + 1].mul(res.diffs[m]).is_zero()
+
+
+def test_d0_must_map_into_the_ideal():
+    # over weyl1, Dx*x = x*Dx + 1 has class 1 in A/A*Dx, and x*Dx class 0
+    pres = preset_presentation("weyl1")
+    with pytest.raises(ValidationError, match="d_0 does not map into the ideal"):
+        FreeResolution(pres, ["Dx"], [1, 1], [[["Dx*x"]]])
+    assert FreeResolution(pres, ["Dx"], [1, 1], [[["x*Dx"]]]).mmax == 1
 
 
 def test_differential_of_zero(weyl):
@@ -662,20 +671,40 @@ def test_rank_profile_dims_match_the_window_echelons(problem, request):
                         "line": {0, NotStabilized}}[problem]
 
 
-def test_ext_of_weyl2_at_degree_bound_12_stays_small(monkeypatch, capsys):
-    # the module actions come from the action table, not from reducing each
-    # product (2,196 reduce calls before it), and only the 12 nonzero Ext
-    # groups build a window echelon (64 before)
-    from ncdef.cli import main
-    reduced, windows = [], []
+def _count_reduce(monkeypatch):
+    reduced = []
     reduce = QuotientModule.reduce
     monkeypatch.setattr(QuotientModule, "reduce",
                         lambda self, a: reduced.append(a) or reduce(self, a))
+    return reduced
+
+
+def test_ext_of_weyl2_at_degree_bound_12_stays_small(monkeypatch, capsys):
+    # the module actions and classes come from the action table, not from
+    # reducing each product (2,196 reduce calls before it), and only the 12
+    # nonzero Ext groups build a window echelon (64 before)
+    from ncdef.cli import main
+    reduced, windows = _count_reduce(monkeypatch), []
     window = ExtComputer._boundary_echelon
     monkeypatch.setattr(ExtComputer, "_boundary_echelon",
                         lambda self, *args: windows.append(args) or window(self, *args))
     assert main(["ext", "--preset", "weyl2-simple4", "--computed-basis",
                  "--degree-bound", "12", "--json"]) == 0
     capsys.readouterr()
-    assert len(reduced) <= 100
+    assert len(reduced) == 0
     assert len(windows) == 12
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--preset", "weyl2-simple4", "--no-early-stop", "--max-order", "7"],
+    ["run", "--spec", str(Path(__file__).resolve().parent.parent / "perfbench"
+                          / "poly3.json"), "--degree-bound", "12"],
+])
+def test_benchmark_runs_never_reduce_a_module_element(argv, monkeypatch, capsys):
+    # the d_0 checks and the Hom-complex images of the representatives read
+    # each word's class off the action table; reduce is only its fallback
+    from ncdef.cli import main
+    reduced = _count_reduce(monkeypatch)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(reduced) == 0
