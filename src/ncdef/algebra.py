@@ -178,6 +178,8 @@ class AlgebraPresentation:
 
     @staticmethod
     def from_json(data):
+        if not isinstance(data.get("generators"), list):
+            raise ValidationError("algebra presentation needs a list of 'generators'")
         rules = []
         probe = AlgebraPresentation(data["generators"], [], data.get("weights"))
         for lhs_text, rhs_text in data.get("rules", []):

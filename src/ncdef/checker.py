@@ -20,8 +20,7 @@ from .errors import NotACocycle, ShapeMismatch, ValidationError
 from .linalg import solve_sparse
 from .matrix_ring import (GeneratorTable, Monomial, build_quotient, label_sort_key,
                           label_type)
-from .yoneda import (DEFAULT_BOUND, MAX_BOUND, RETRY_STEP, Cochain, Mat,
-                     SparseSystem, bound_ladder, compose_cochains, decode_entries,
+from .yoneda import (Cochain, Mat, SparseSystem, compose_cochains, decode_entries,
                      is_cocycle, multiply)
 
 
@@ -54,7 +53,7 @@ def product_sum(left, right, product):
             if any(not mat.is_zero() for mat in mats)}
 
 
-def curvature(algebra, system, bundle):
+def curvature(algebra, system):
     """Per-basis-label components of d*d for the lifted differential.
 
     ``system`` maps basis labels to degree-1 cochains (missing labels count
@@ -72,6 +71,17 @@ def curvature(algebra, system, bundle):
             items[algebra.index[label]] = phi
     curv = product_sum(items, items, algebra.product)
     return {algebra.basis[z]: phi for z, phi in curv.items()}
+
+
+def certificate_cutoff(requested, relations, system):
+    """The degree to which a stabilization certificate checks flatness: at
+    least ``requested`` (or None), two above the last of the ``relations``
+    (2 without one), and 2q for q the top degree of ``system``, since the
+    curvature of its zero extension lives in degrees <= 2q."""
+    maxrel = max((f.max_degree() for f in relations if not f.is_zero()), default=0)
+    q = max((label.degree for label, phi in system.items() if not phi.is_zero()),
+            default=1)
+    return max(requested or 0, (maxrel or 2) + 2, 2 * q)
 
 
 class LiftedComplex:
@@ -106,7 +116,7 @@ class LiftedComplex:
 
 def verify_lifted_complex(complex_):
     """Check the flatness condition; returns (ok, first_failure_or_None)."""
-    curv = curvature(complex_.algebra, complex_.system(), complex_.bundle)
+    curv = curvature(complex_.algebra, complex_.system())
     if not curv:
         return True, None
     failures = sorted(curv, key=label_sort_key)
@@ -137,15 +147,14 @@ def test_algebra_deformation(cocycle, bundle):
 test_algebra_deformation.__test__ = False
 
 
-def equivalence_check(c1, c2, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
-                      max_bound=MAX_BOUND):
+def equivalence_check(c1, c2, ladder):
     """Search for an M-free isomorphism over R intertwining two complexes.
 
     The unknown is a family of degree-0 cochains q(X) over the radical
     basis, extended by the identity on idempotents; the chain-map condition
-    is a linear system solved with bounded-degree entries.  A True answer is
-    exact; False certifies no intertwiner with entries up to the last bound
-    of the ladder.
+    is a linear system solved with entries of degree up to each bound of
+    ``ladder`` in turn.  A True answer is exact; False certifies no
+    intertwiner with entries up to the last bound.
     """
     if c1.algebra is not c2.algebra and c1.algebra.basis != c2.algebra.basis:
         raise ValidationError("complexes live over different algebras")
@@ -154,7 +163,7 @@ def equivalence_check(c1, c2, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
     pres = bundle.pres
     sys1 = c1.system()
     sys2 = c2.system()
-    for bound in bound_ladder(degree_bound, retry_step, max_bound):
+    for bound in ladder:
         words = pres.normal_words(bound)
         # equation (Z, m, r, c, w): word w of entry (r, c) of component m of
         # the Z-part of alpha1 * q - q * alpha2; q of an idempotent is 1

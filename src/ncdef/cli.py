@@ -64,8 +64,7 @@ def _load_problem(args):
 def _ext_setup(problem):
     """Certified basis and dimension tables for a problem."""
     opts = problem.options
-    computer = ExtComputer(problem.bundle, degree_bound=opts.degree_bound,
-                           retry_step=opts.retry_step, max_bound=opts.max_bound)
+    computer = ExtComputer(problem.bundle, opts.ladder)
     if problem.preset_basis is not None and not opts.use_computed_basis:
         basis = problem.preset_basis
         basis.certify(computer)

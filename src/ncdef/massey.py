@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .checker import LiftedComplex, curvature, product_sum, verify_lifted_complex
+from .checker import (LiftedComplex, certificate_cutoff, curvature, product_sum,
+                      verify_lifted_complex)
 from .errors import (FlatnessViolated, NcdefError, NotACoboundary, NotACocycle,
                      ProjectionFailed, ValidationError)
 from .matrix_ring import (MatricPoly, Monomial, RelTag, build_quotient,
@@ -42,7 +43,7 @@ class HullState(namedtuple("HullState", [
         "algebra",            # H_order, monomial basis
         "system",             # Monomial -> Cochain (sparse, zeros omitted)
         "series",             # RelTag -> MatricPoly
-        "products_log", "corrections_log", "stabilized", "certificate"],
+        "products_log", "stabilized", "certificate"],
         defaults=[False, None])):
     """Snapshot of the hull computation at one order."""
 
@@ -75,7 +76,7 @@ def init_order2(ext, options):
     series = {tag: MatricPoly((tag.i, tag.j)) for tag in table.rel_tags()}
     return HullState(bundle=bundle, table=table, ext=ext, options=options,
                      order=2, algebra=algebra, system=system, series=series,
-                     products_log={}, corrections_log={})
+                     products_log={})
 
 
 def order_obstructions(state):
@@ -93,7 +94,7 @@ def order_obstructions(state):
         if mono not in R.index:
             raise FlatnessViolated("basis monomial %r lost in the bookkeeping ring"
                                    % (mono,))
-    curv = curvature(R, state.system, state.bundle)
+    curv = curvature(R, state.system)
     ys = {}
     ws = {}
     for label, comp in curv.items():
@@ -136,13 +137,11 @@ def _project(state, cochains):
 
     The nonzero cocycles of one type are projected in one call.
     """
-    opts = state.options
+    ladder = state.options.ladder
     ext2 = state.ext.ext2
     nonzero = {key: y for key, y in cochains.items() if not y.is_zero()}
     projected = _by_type(nonzero, lambda typ, ys: [
-        coeffs for coeffs, _ in project_ext2(
-            ys, ext2.get(typ, []), degree_bound=opts.degree_bound,
-            retry_step=opts.retry_step, max_bound=opts.max_bound)])
+        coeffs for coeffs, _ in project_ext2(ys, ext2.get(typ, []), ladder)])
     return {key: projected[key] if key in projected
             else [0] * len(ext2.get(y.type, []))
             for key, y in cochains.items()}
@@ -189,20 +188,16 @@ def advance_order(state):
 
     # H's structure constants are R's pushed through the collapse, so by
     # linearity its curvature is R's curvature pushed
-    residual = curvature(H, state.system, state.bundle)
+    residual = curvature(H, state.system)
     for label in residual:
         if label.degree < n:
             raise FlatnessViolated("order collapse disturbed degree %d"
                                    % label.degree)
 
     targets = {x: residual[x] for x in H.basis_of_degree(n) if x in residual}
-    alphas = _by_type(targets, lambda typ, ys: solve_coboundary(
-        ys, degree_bound=opts.degree_bound, retry_step=opts.retry_step,
-        max_bound=opts.max_bound))
+    alphas = _by_type(targets, lambda typ, ys: solve_coboundary(ys, opts.ladder))
     system = dict(state.system)
     system.update(alphas)
-    corrections = {x: {"alpha": alphas[x], "target": target}
-                   for x, target in targets.items()}
 
     lifted = LiftedComplex(H, state.bundle, system)
     ok, failure = verify_lifted_complex(lifted)
@@ -211,29 +206,25 @@ def advance_order(state):
 
     plog = dict(state.products_log)
     plog[n] = products
-    clog = dict(state.corrections_log)
-    clog[n] = corrections
     return HullState(bundle=state.bundle, table=state.table, ext=state.ext,
                      options=opts, order=n + 1, algebra=H, system=system,
-                     series=new_series, products_log=plog, corrections_log=clog)
+                     series=new_series, products_log=plog)
 
 
 def check_stabilized(state):
     """Certify that the relation series is already complete.
 
-    Builds the quotient by the current relations, truncated two degrees
-    above the last relation (or at ``verify_cutoff``) and never below 2q,
-    where q is the top degree of the defining system; extends the system by
-    zero on every new basis monomial, and verifies flatness from raw
-    structure constants.  The curvature of that extension lives in degrees
-    <= 2q, so a flat check covers the whole relation quotient and the
-    certificate is always complete.  Returns (flag, certificate).
+    Builds the quotient by the current relations, truncated at
+    ``certificate_cutoff`` (two degrees above the last relation, or at
+    ``verify_cutoff``, and never below 2q, where q is the top degree of the
+    defining system); extends the system by zero on every new basis
+    monomial, and verifies flatness from raw structure constants.  The
+    curvature of that extension lives in degrees <= 2q, so a flat check
+    covers the whole relation quotient and the certificate is always
+    complete.  Returns (flag, certificate).
     """
     relations = list(state.relations().values())
-    maxrel = state.max_relation_degree() or 2
-    q = max((lab.degree for lab, phi in state.system.items()
-             if not phi.is_zero()), default=1)
-    vc = max(state.options.verify_cutoff or 0, maxrel + 2, 2 * q)
+    vc = certificate_cutoff(state.options.verify_cutoff, relations, state.system)
     T = build_quotient(state.table, relations, vc + 1)
     for label, phi in state.system.items():
         if not phi.is_zero() and label not in T.index:
@@ -245,7 +236,7 @@ def check_stabilized(state):
     raw = _raw_products(state)
     certificate = {
         "verified_cutoff": vc,
-        "complete": 2 * q <= vc,
+        "complete": True,
         "relation_degrees": sorted({f.max_degree() for f in relations}) or [],
         "raw_square_terms": raw,
         "reduces_to_zero": bool(ok),
@@ -275,8 +266,8 @@ def _raw_products(state):
 def compute_hull(ext, options):
     """Iterate the order step until stabilization or the order cap.
 
-    Returns the final state; per-order product and correction logs live on
-    the state, the stabilization certificate on state.certificate.
+    Returns the final state; the per-order product log lives on the state,
+    the stabilization certificate on state.certificate.
     """
     state = init_order2(ext, options)
     stabilized, certificate = False, None
@@ -332,19 +323,16 @@ def immediate_massey(x, cochains, ext, options):
 
     algebra = divisor_truncation(x, bundle.p)
     for degree in range(2, x.degree):
-        curv = curvature(algebra, system, bundle)
+        curv = curvature(algebra, system)
         for z in algebra.basis_of_degree(degree):
             if z not in curv:
                 continue
             try:
-                (system[z],) = solve_coboundary([curv[z]],
-                                                degree_bound=options.degree_bound,
-                                                retry_step=options.retry_step,
-                                                max_bound=options.max_bound)
+                (system[z],) = solve_coboundary([curv[z]], options.ladder)
             except NotACoboundary:
                 return MasseyValue(defined=False, failed_at=z)
 
-    curv = curvature(algebra, system, bundle)
+    curv = curvature(algebra, system)
     value = curv.pop(x, bundle.zero_cochain(2, x.i, x.j))
     if curv:
         failure = min(curv)
@@ -355,10 +343,7 @@ def immediate_massey(x, cochains, ext, options):
         coeffs = [0] * len(basis)
     else:
         try:
-            ((coeffs, _),) = project_ext2([value], basis,
-                                          degree_bound=options.degree_bound,
-                                          retry_step=options.retry_step,
-                                          max_bound=options.max_bound)
+            ((coeffs, _),) = project_ext2([value], basis, options.ladder)
         except ProjectionFailed:
             return MasseyValue(defined=False, failed_at=x)
     out = {RelTag(x.i, x.j, l + 1): c for l, c in enumerate(coeffs) if c}

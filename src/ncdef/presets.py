@@ -16,8 +16,7 @@ from collections import namedtuple
 
 from .algebra import AlgebraPresentation, preset_presentation
 from .errors import ShapeMismatch, ValidationError
-from .yoneda import (DEFAULT_BOUND, MAX_BOUND, RETRY_STEP, Cochain, ExtBasis,
-                     FreeResolution, Mat, ResolutionBundle)
+from .yoneda import Cochain, ExtBasis, FreeResolution, Mat, ResolutionBundle
 
 SCHEMA_PROBLEM = "ncdef-problem/1"
 
@@ -25,11 +24,21 @@ SCHEMA_PROBLEM = "ncdef-problem/1"
 class RunOptions(namedtuple("RunOptions", [
         "degree_bound", "retry_step", "max_bound", "max_order",
         "verify_cutoff", "stop_on_stabilized", "use_computed_basis"],
-        defaults=[DEFAULT_BOUND, RETRY_STEP, MAX_BOUND, 5, None, True, False])):
+        defaults=[4, 2, 12, 5, None, True, False])):
     """Run options; each option's kind is that of its default: a positive
     integer, an optional positive integer (default None) or a bool."""
 
     __slots__ = ()
+
+    @property
+    def ladder(self):
+        """The degree bounds of every bounded solve, each tried once: degree_bound,
+        degree_bound + retry_step, ..., capped at max(degree_bound, max_bound)."""
+        if self.retry_step < 1:
+            raise ValidationError("retry_step must be at least 1, got %r"
+                                  % (self.retry_step,))
+        cap = max(self.degree_bound, self.max_bound)
+        return tuple(range(self.degree_bound, cap, self.retry_step)) + (cap,)
 
     @staticmethod
     def from_json(data):
@@ -203,7 +212,7 @@ def ext_basis_from_json(bundle, data):
             try:
                 store[(i, j)] = [_cochain_from_mats(bundle, degree, i, j, rep["mats"])
                                  for rep in reps]
-            except ShapeMismatch as exc:
+            except (ShapeMismatch, ValidationError) as exc:
                 raise ValidationError("malformed spec ext_basis %s entry %r: %s"
                                       % (name, key, exc))
     return ExtBasis(bundle, ext1, ext2, source="preset")

@@ -204,21 +204,23 @@ def _read_versal_cochain(name, data, bundle):
             "versal cochain %s" % name)
     try:
         return mono, cochain_from_json(bundle, data)
-    except ShapeMismatch as exc:
+    except (ShapeMismatch, ValidationError) as exc:
         raise ValidationError("malformed report versal cochain %s: %s" % (name, exc))
 
 
 def verify_report(report):
-    """Re-check a saved report: relations, versal family, certificate.
+    """Re-check a saved report: Ext tables, relations, versal family, certificate.
 
-    Rebuilds the truncated hull from the stored relations, reads the stored
-    versal family back into cochains, and re-runs the flatness check from
-    scratch.  Returns (ok, list of messages).  A report whose contents do
-    not have the shapes written by ``build_report`` raises ValidationError.
+    Recomputes the Ext tables, rebuilds the truncated hull from the stored
+    relations at no less than a run's ``certificate_cutoff``, reads the
+    stored versal family back into cochains, and re-runs the flatness check
+    from scratch.  Returns (ok, list of messages).  A report whose contents
+    do not have the shapes written by ``build_report`` raises ValidationError.
     """
-    from .checker import LiftedComplex, verify_lifted_complex
+    from .checker import LiftedComplex, certificate_cutoff, verify_lifted_complex
     from .presets import problem_from_json
     from .matrix_ring import GeneratorTable
+    from .yoneda import ExtComputer
 
     if report.get("schema") != SCHEMA_REPORT:
         raise SchemaMismatch("not a %s document" % SCHEMA_REPORT)
@@ -234,19 +236,27 @@ def verify_report(report):
     counts = [ext.get(key) if isinstance(ext, dict) else None
               for key in ("ext1", "ext2")]
     _expect(all(_is_count_table(rows, p) for rows in counts), "ext_table")
+    computer = ExtComputer(bundle, problem.options.ladder)
+    if counts != list(ext_tables(computer, p).values()):
+        messages.append("ext_table differs from the Ext dimensions recomputed "
+                        "at degree bound %d" % computer.degree_bound)
+        return False, messages
     table = GeneratorTable(p, *({(i + 1, j + 1): rows[i][j] for i in range(p)
                                  for j in range(p)} for rows in counts))
     _expect(isinstance(report["relations"], list), "relations")
     relations = [_read_relation(rel, table) for rel in report["relations"]]
     cert = report.get("certificate") or {}
     _expect(isinstance(cert, dict), "certificate")
-    cutoff = cert.get("verified_cutoff")
-    if cutoff is None:
-        cutoff = max((f.max_degree() for f in relations), default=2) + 2
-    _expect(type(cutoff) is int and cutoff > 0, "verified_cutoff %r" % (cutoff,))
     _expect(isinstance(report["versal_family"], dict), "versal_family")
     cochains = dict(_read_versal_cochain(name, data, bundle)
                     for name, data in report["versal_family"].items())
+    derived = certificate_cutoff(problem.options.verify_cutoff, relations, cochains)
+    cutoff = cert.get("verified_cutoff", derived)
+    _expect(type(cutoff) is int and cutoff > 0, "verified_cutoff %r" % (cutoff,))
+    if cutoff < derived:
+        messages.append("certificate cutoff %d is below the derived cutoff %d"
+                        % (cutoff, derived))
+        return False, messages
     algebra = build_quotient(table, relations, cutoff + 1)
     missing = [format_monomial(m) for m in cochains if m not in algebra.index]
     if missing:

@@ -27,8 +27,8 @@ bounded-degree solves.
 
 Every bounded-degree solve -- the lifts here, coboundary primitives and
 Ext^2 projections below, and the equivalence intertwiners of the checker --
-follows one path: for each rung of ``bound_ladder`` it builds a
-``SparseSystem``, solves it with ``solve_sparse``, turns the solution into
+takes the run's degree bounds, ``RunOptions.ladder``, and follows one path:
+for each rung it builds a ``SparseSystem``, solves it with ``solve_sparse``, turns the solution into
 matrix entries with ``decode_entries`` and verifies the result exactly.
 The lifts and the cochain equations take every right-hand side that
 shares their operator (all lifts through one differential of one source
@@ -52,9 +52,6 @@ from .errors import (NotACoboundary, NotStabilized, ProjectionFailed, ShapeMisma
                      SolverBoundError, ValidationError)
 from .linalg import Echelon, _add_multiple, kernel_basis, solve_sparse, vec_scale
 
-DEFAULT_BOUND = 4
-RETRY_STEP = 2
-MAX_BOUND = 12
 BOUNDARY_SLACK = 2
 
 
@@ -80,7 +77,7 @@ class Mat:
         entries = {}
         for r, row in enumerate(rows):
             if len(row) != ncols:
-                raise ShapeMismatch("ragged matrix rows")
+                raise ValidationError("ragged matrix rows")
             for c, v in enumerate(row):
                 if isinstance(v, str):
                     v = pres.parse(v)
@@ -173,9 +170,9 @@ class FreeResolution:
             if not isinstance(d, Mat):
                 d = Mat.from_rows(d, pres)
             if (d.nrows, d.ncols) != (self.ranks[m + 1], self.ranks[m]):
-                raise ShapeMismatch("differential %d has shape %dx%d, expected %dx%d"
-                                    % (m, d.nrows, d.ncols,
-                                       self.ranks[m + 1], self.ranks[m]))
+                raise ValidationError("differential %d has shape %dx%d, expected %dx%d"
+                                      % (m, d.nrows, d.ncols,
+                                         self.ranks[m + 1], self.ranks[m]))
             self.diffs.append(d)
         for m in range(len(self.diffs) - 1):
             if not self.diffs[m + 1].mul(self.diffs[m]).is_zero():
@@ -311,14 +308,13 @@ def compose_cochains(outer, inner):
 # Ext via the truncated Hom complex
 
 class ExtComputer:
-    """Dimensions and Yoneda representatives of Ext^1 and Ext^2."""
+    """Dimensions and Yoneda representatives of Ext^1 and Ext^2; the lifts
+    try each bound of ``ladder``, and the first bounds the Hom complex."""
 
-    def __init__(self, bundle, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
-                 max_bound=MAX_BOUND):
+    def __init__(self, bundle, ladder):
         self.bundle = bundle
-        self.degree_bound = degree_bound
-        self.retry_step = retry_step
-        self.max_bound = max_bound
+        self.ladder = ladder
+        self.degree_bound = ladder[0]
         self._dim_cache = {}
 
     # -- Hom complex plumbing -------------------------------------------
@@ -540,9 +536,8 @@ class ExtComputer:
             out = Mat(nrows, ncols, decode_entries(sol, "u", pres).get((), {}))
             return out if out.mul(known) == rhss[k] else None
 
-        out = _solve_on_ladder(
-            bound_ladder(self.degree_bound, self.retry_step, self.max_bound),
-            [list(rhs.entries.items()) for rhs in rhss], operator, accept)
+        out = _solve_on_ladder(self.ladder, [list(rhs.entries.items()) for rhs in rhss],
+                               operator, accept)
         if None in out:
             raise SolverBoundError("no bounded-degree solution for the lift")
         return out
@@ -586,24 +581,6 @@ class ExtComputer:
 # word).  solve_sparse pivots on the least variable, so the key order
 # decides which particular solution is returned (and so the report bytes);
 # the order of the equations and the unreached components do not.
-
-def bound_ladder(degree_bound, retry_step, max_bound):
-    """The degree bounds of one bounded solve, each tried once.
-
-    degree_bound, degree_bound + retry_step, ..., capped at
-    max(degree_bound, max_bound): a degree_bound above max_bound is tried
-    alone.  A retry_step below 1 never reaches the cap and is rejected when
-    the first rung is drawn.
-    """
-    if retry_step < 1:
-        raise ValidationError("retry_step must be at least 1, got %r" % (retry_step,))
-    cap = max(degree_bound, max_bound)
-    bound = degree_bound
-    while bound < cap:
-        yield bound
-        bound += retry_step
-    yield cap
-
 
 def _solve_on_ladder(ladder, rhss, operator, accept):
     """Solve several right-hand sides of one operator, rung by rung.
@@ -727,14 +704,14 @@ def decode_entries(sol, kind, pres):
     return out
 
 
-def _solve_cochain_equation(targets, basis, degree_bound, retry_step, max_bound):
+def _solve_cochain_equation(targets, basis, ladder):
     """Solve  sum_l c_l basis_l + d(alpha) = target  exactly, for each target.
 
     ``targets`` are degree-2 cochains of one type and ``basis`` a list of
     degree-2 cochains; equation (m, r, c, w) is the coefficient of word w in
     entry (r, c) of component m.  The coefficient part depends only on the
     type and the rung, so all targets share it.  Returns one (coeffs, alpha)
-    per target, or None for a target infeasible at every allowed bound.
+    per target, or None for a target infeasible at every bound of ``ladder``.
     """
     if not targets:
         return []
@@ -768,8 +745,7 @@ def _solve_cochain_equation(targets, basis, degree_bound, retry_step, max_bound)
             combo = combo.add(b.scale(coeffs[l]))
         return (coeffs, alpha) if combo == targets[k] else None
 
-    return _solve_on_ladder(bound_ladder(degree_bound, retry_step, max_bound),
-                            [_terms(y) for y in targets], operator, accept)
+    return _solve_on_ladder(ladder, [_terms(y) for y in targets], operator, accept)
 
 
 def _terms(phi):
@@ -778,34 +754,30 @@ def _terms(phi):
             for (r, c), v in mat.entries.items()]
 
 
-def solve_coboundary(ys, degree_bound=DEFAULT_BOUND, retry_step=RETRY_STEP,
-                     max_bound=MAX_BOUND):
+def solve_coboundary(ys, ladder):
     """One 1-cochain alpha with d(alpha) = -y per 2-cochain y, verified exactly.
 
     The ``ys`` share one type and are solved together.
     """
-    results = _solve_cochain_equation([y.scale(-1) for y in ys], [], degree_bound,
-                                      retry_step, max_bound)
+    results = _solve_cochain_equation([y.scale(-1) for y in ys], [], ladder)
     if None in results:
         raise NotACoboundary("no bounded-degree primitive up to bound %d"
-                             % max(degree_bound, max_bound))
+                             % ladder[-1])
     return [alpha for _, alpha in results]
 
 
-def project_ext2(ys, basis_cochains, degree_bound=DEFAULT_BOUND,
-                 retry_step=RETRY_STEP, max_bound=MAX_BOUND):
+def project_ext2(ys, basis_cochains, ladder):
     """Expand 2-cocycles over basis cocycles: y = sum c_l b_l + d(alpha).
 
     The ``ys`` share one type and are solved together.  Returns one
     (coefficient list, witness alpha) per cocycle, both verified
     symbolically.
     """
-    results = _solve_cochain_equation(list(ys), list(basis_cochains), degree_bound,
-                                      retry_step, max_bound)
+    results = _solve_cochain_equation(list(ys), list(basis_cochains), ladder)
     if None in results:
         raise ProjectionFailed(
             "2-cocycle of type (%d,%d) not in span + coboundaries up to bound %d"
-            % (ys[0].i, ys[0].j, max(degree_bound, max_bound)))
+            % (ys[0].i, ys[0].j, ladder[-1]))
     return results
 
 

@@ -16,7 +16,7 @@ def weyl():
 
 @pytest.fixture(scope="session")
 def weyl_computer(weyl):
-    return ExtComputer(weyl.bundle, degree_bound=4)
+    return ExtComputer(weyl.bundle, RunOptions().ladder)
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +50,7 @@ def poly3():
 
 @pytest.fixture(scope="session")
 def poly3_computed_basis(poly3):
-    computer = ExtComputer(poly3.bundle, degree_bound=4)
+    computer = ExtComputer(poly3.bundle, RunOptions().ladder)
     basis = ExtBasis.computed(computer)
     basis.certify(computer)
     return basis

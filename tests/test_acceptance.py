@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncdef.checker import LiftedComplex, verify_lifted_complex
+from ncdef.checker import LiftedComplex, curvature, verify_lifted_complex
 from ncdef.massey import (advance_order, compute_hull, immediate_massey,
                           init_order2, order_obstructions)
 from ncdef.matrix_ring import (MatricPoly, RelTag, format_monomial, format_poly,
@@ -49,7 +49,7 @@ def _verdict(n, detail):
 
 def test_criterion_1_ext_tables(weyl):
     started = time.monotonic()
-    computer = ExtComputer(weyl.bundle, degree_bound=6)
+    computer = ExtComputer(weyl.bundle, RunOptions(degree_bound=6).ladder)
     for i in range(1, 5):
         for j in range(1, 5):
             want1 = 1 if (i, j) in EXT1_PAIRS else 0
@@ -68,7 +68,8 @@ def test_criterion_2_order2_products(weyl, weyl_computer, weyl_computed_basis):
     assert len(ys) == 16
     for x, y in ys.items():
         name = format_monomial(x)
-        ((coeffs, _),) = project_ext2([y], weyl.preset_basis.ext2[x.type]) \
+        ((coeffs, _),) = project_ext2([y], weyl.preset_basis.ext2[x.type],
+                                      RunOptions().ladder) \
             if weyl.preset_basis.ext2[x.type] else [([], None)]
         if name in KNOWN_PRODUCTS:
             assert coeffs == [KNOWN_PRODUCTS[name][1]]
@@ -116,7 +117,7 @@ def test_criterion_3_hull(weyl):
 
 def test_criterion_4_unobstructed(poly1):
     started = time.monotonic()
-    computer = ExtComputer(poly1.bundle, degree_bound=4)
+    computer = ExtComputer(poly1.bundle, RunOptions().ladder)
     assert computer.ext_dimension(1, 1, 1) == 1
     assert computer.ext_dimension(1, 1, 2) == 0
     state = compute_hull(poly1.preset_basis,
@@ -177,10 +178,14 @@ def test_criterion_5_property_suites(weyl, weyl_state, poly1_state,
     ext1 = dict(weyl.preset_basis.ext1)
     ext1[(1, 2)] = [weyl.preset_basis.ext1_rep(1, 2, 1).add(shift)]
     perturbed = ExtBasis(bundle, ext1, dict(weyl.preset_basis.ext2), "test")
-    pstate = advance_order(init_order2(perturbed, RunOptions()))
-    assert pstate.corrections_log[2]
-    for entry in pstate.corrections_log[2].values():
-        assert yoneda_differential(entry["alpha"]).add(entry["target"]).is_zero()
+    pstart = init_order2(perturbed, RunOptions())
+    pstate = advance_order(pstart)
+    # the corrections are the new system entries; each kills the residual of
+    # the old system over the new hull
+    residual = curvature(pstate.algebra, pstart.system)
+    assert residual and set(pstate.system) - set(pstart.system) == set(residual)
+    for x, target in residual.items():
+        assert yoneda_differential(pstate.system[x]).add(target).is_zero()
 
     # (d) flatness of every defining system at every order of every run
     for st in (weyl_state, poly1_state, pstate):
@@ -197,7 +202,7 @@ def test_criterion_5_property_suites(weyl, weyl_state, poly1_state,
     from ncdef.report import build_report, canonical_json, ext_tables
     blobs = []
     for _ in range(2):
-        computer = ExtComputer(bundle, degree_bound=4)
+        computer = ExtComputer(bundle, RunOptions().ladder)
         st = compute_hull(weyl.preset_basis, RunOptions())
         report = build_report(weyl, st, ext_tables(computer, 4),
                               {"verified": True, "orders_verified": [2],
@@ -224,7 +229,7 @@ def test_criterion_5_property_suites(weyl, weyl_state, poly1_state,
     for bset in (weyl.preset_basis, weyl_computed_basis):
         for (i, j), reps in sorted(bset.ext2.items()):
             for l, rep in enumerate(reps):
-                ((coeffs, _),) = project_ext2([rep], reps)
+                ((coeffs, _),) = project_ext2([rep], reps, RunOptions().ladder)
                 assert coeffs == [Fraction(1) if k == l else Fraction(0)
                                   for k in range(len(reps))]
 

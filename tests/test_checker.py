@@ -85,7 +85,7 @@ def test_zero_cocycle_gives_trivial_lifting(weyl):
 def test_equivalence_reflexive(weyl):
     lifted = test_algebra_deformation(weyl.preset_basis.ext1_rep(1, 2, 1),
                                       weyl.bundle)
-    assert equivalence_check(lifted, lifted)
+    assert equivalence_check(lifted, lifted, RunOptions().ladder)
 
 
 def _coboundary_pair(bundle):
@@ -109,15 +109,16 @@ def _coboundary_pair(bundle):
 
 def test_coboundary_deformation_is_trivial(weyl):
     deformed, trivial = _coboundary_pair(weyl.bundle)
-    assert equivalence_check(deformed, trivial)
-    assert equivalence_check(trivial, deformed)  # symmetry on this pair
+    assert equivalence_check(deformed, trivial, RunOptions().ladder)
+    # symmetry on this pair
+    assert equivalence_check(trivial, deformed, RunOptions().ladder)
 
 
 def _free2_basis():
     pres = AlgebraPresentation(["u", "v"], [])
     res = FreeResolution(pres, ["u", "v"], [1, 2], [[["u"], ["v"]]])
     bundle = ResolutionBundle(pres, [res])
-    computer = ExtComputer(bundle, degree_bound=4)
+    computer = ExtComputer(bundle, RunOptions().ladder)
     basis = ExtBasis.computed(computer)
     return bundle, basis
 
@@ -127,15 +128,15 @@ def test_independent_extensions_are_inequivalent():
     rep_u, rep_v = basis.ext1[(1, 1)]
     d_u = test_algebra_deformation(rep_u, bundle)
     d_v = test_algebra_deformation(rep_v, bundle)
-    assert not equivalence_check(d_u, d_v, max_bound=6)
-    assert equivalence_check(d_u, d_u)
+    assert not equivalence_check(d_u, d_v, RunOptions(max_bound=6).ladder)
+    assert equivalence_check(d_u, d_u, RunOptions().ladder)
 
 
 def test_curvature_matches_defining_system_invariant(weyl):
     # the engine state reinterpreted as a lifted complex has zero curvature
     state = init_order2(weyl.preset_basis, RunOptions())
     state = advance_order(state)
-    curv = curvature(state.algebra, state.system, weyl.bundle)
+    curv = curvature(state.algebra, state.system)
     assert curv == {}
 
 
@@ -152,7 +153,7 @@ def test_intertwiner_check_rejects_zero_and_accepts_the_solved_q(weyl, monkeypat
 
     intertwines = checker_module._intertwines
     monkeypatch.setattr(checker_module, "_intertwines", recording)
-    assert equivalence_check(deformed, trivial)
+    assert equivalence_check(deformed, trivial, RunOptions().ladder)
     q_entries, ok = checks[-1]
     assert ok and any(q_entries.values())
     assert intertwines(deformed, trivial, q_entries)

@@ -195,6 +195,34 @@ def test_verify_rejects_corrupted_family(tmp_path, capsys):
     assert main(["verify", str(bad)]) == 4
 
 
+FLAGSHIP_REPORT = Path(__file__).parent / "golden" / "weyl2-simple4" / "report.json"
+
+
+def test_verify_derives_the_certificate_cutoff(tmp_path, capsys):
+    # a cutoff below the last relation degree + 2 no longer verifies
+    report = json.loads(FLAGSHIP_REPORT.read_text())
+    report["certificate"]["verified_cutoff"] = 1
+    report["stabilized_at"] = 7
+    report["orders"] = {}
+    assert main(["verify", _write(tmp_path, "low.json", report)]) == 4
+    assert "below the derived cutoff 4" in capsys.readouterr().out
+    # without a claimed cutoff, verify checks at the derived one
+    report = json.loads(FLAGSHIP_REPORT.read_text())
+    del report["certificate"]["verified_cutoff"]
+    assert main(["verify", _write(tmp_path, "none.json", report)]) == 0
+    assert "(cutoff 4)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", [3, 10 ** 6])
+def test_verify_recomputes_the_ext_tables(value, tmp_path, capsys):
+    # a wrong dimension fails before the generator table is built, so an
+    # absurd one costs nothing
+    report = json.loads(FLAGSHIP_REPORT.read_text())
+    report["ext_table"]["ext1"][0][0] = value
+    assert main(["verify", _write(tmp_path, "r.json", report)]) == 4
+    assert "ext_table differs" in capsys.readouterr().out
+
+
 def test_verify_rejects_wrong_schema(tmp_path, capsys):
     path = tmp_path / "x.json"
     path.write_text(json.dumps({"schema": "something-else"}))
@@ -400,6 +428,9 @@ def _poly3_spec():
     {"ranks": 5},
     {"diffs": 5},
     {"ranks": [1, 1], "diffs": [[5]]},
+    # a ragged d_0, and a d_0 of the wrong shape: bad input, not a broken invariant
+    {"ranks": [1, 3], "diffs": [[["x"], ["y", "y"], ["z"]]]},
+    {"ranks": [1, 1], "diffs": [[["x", "y"]]]},
 ])
 def test_malformed_spec_resolution_fails_validation(module, tmp_path, capsys):
     spec = _poly3_spec()
@@ -407,6 +438,16 @@ def test_malformed_spec_resolution_fails_validation(module, tmp_path, capsys):
     assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("algebra", [{}, {"generators": "xyz"}])
+def test_malformed_spec_algebra_fails_validation(algebra, tmp_path, capsys):
+    spec = _poly3_spec()
+    spec["algebra"] = algebra
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "generators" in err
     assert "Traceback" not in err
 
 
@@ -423,6 +464,7 @@ def test_fractional_exponent_fails_validation(tmp_path, capsys):
 @pytest.mark.parametrize("ext_basis", [
     {"ext1": {"1,1": [{"mats": 5}]}},
     {"ext1": {"1-1": [{"mats": [[["1", "0", "0"]]]}]}},
+    {"ext1": {"1,1": [{"mats": [[["1"], ["0", "0"], ["0"]]]}]}},
 ])
 def test_malformed_spec_ext_basis_fails_validation(ext_basis, tmp_path, capsys):
     spec = _poly3_spec()

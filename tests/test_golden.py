@@ -101,6 +101,12 @@ def test_run_matches_golden(name, tmp_path, capsys, coefficient_types):
     assert not coefficient_types[:5]
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report_verifies(name, capsys):
+    assert main(["verify", str(GOLDEN / name / "report.json")]) == 0
+    assert "report verifies" in capsys.readouterr().out
+
+
 # The benchmark's degree-bound-12 workloads, pinned by the digests it checks.
 BOUND12 = {
     "weyl2-ext12": ["ext", "--preset", "weyl2-simple4", "--computed-basis",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncdef.algebra import AlgebraPresentation
+from ncdef.checker import curvature
 from ncdef.massey import (advance_order, check_stabilized, compute_hull,
                           immediate_massey, init_order2, order_obstructions)
 from ncdef.matrix_ring import (MatricPoly, Monomial, RelTag, format_monomial,
@@ -75,8 +76,8 @@ def test_advance_basis_and_corrections(weyl_state):
     names = {format_monomial(m) for m in weyl_state.algebra.basis_of_degree(2)}
     assert len(names) == 12
     assert names.isdisjoint({"x13*x34", "x24*x43", "x31*x12", "x42*x21"})
-    # the zero correction choice works at order 2
-    assert weyl_state.corrections_log[2] == {}
+    # the zero correction choice works at order 2: the step adds no entry
+    assert not any(x.degree == 2 for x in weyl_state.system)
 
 
 def test_order3_products_all_zero(weyl_state):
@@ -138,7 +139,7 @@ def _free2_setup():
     pres = AlgebraPresentation(["u", "v"], [])
     res = FreeResolution(pres, ["u", "v"], [1, 2], [[["u"], ["v"]]])
     bundle = ResolutionBundle(pres, [res])
-    computer = ExtComputer(bundle, degree_bound=4)
+    computer = ExtComputer(bundle, RunOptions().ladder)
     basis = ExtBasis.computed(computer)
     basis.certify(computer)
     return bundle, computer, basis
@@ -163,7 +164,7 @@ def test_point_module_over_commutative_plane():
     res = FreeResolution(pres, ["x", "y"], [1, 2, 1],
                          [[["x"], ["y"]], [["y", "-x"]]])
     bundle = ResolutionBundle(pres, [res])
-    computer = ExtComputer(bundle, degree_bound=4)
+    computer = ExtComputer(bundle, RunOptions().ladder)
     assert computer.ext_dimension(1, 1, 1) == 2
     assert computer.ext_dimension(1, 1, 2) == 1
     basis = ExtBasis.computed(computer)
@@ -194,7 +195,7 @@ def test_infinite_extensions_raise_not_stabilized():
     pres = AlgebraPresentation(["x", "y"], [(("y", "x"), [(("x", "y"), 1)])])
     res = FreeResolution(pres, ["x"], [1, 1], [[["x"]]])
     bundle = ResolutionBundle(pres, [res])
-    computer = ExtComputer(bundle, degree_bound=4)
+    computer = ExtComputer(bundle, RunOptions().ladder)
     with pytest.raises(NotStabilized):
         computer.ext_dimension(1, 1, 1)
 
@@ -206,7 +207,7 @@ def test_rigid_family():
     res = FreeResolution(pres, ["Dx", "Dy"], [1, 2, 1],
                          [[["Dx"], ["Dy"]], [["Dy", "-Dx"]]])
     bundle = ResolutionBundle(pres, [res])
-    computer = ExtComputer(bundle, degree_bound=4)
+    computer = ExtComputer(bundle, RunOptions().ladder)
     basis = ExtBasis.computed(computer)
     assert computer.ext_dimension(1, 1, 1) == 0
     state = compute_hull(basis, RunOptions(max_order=4))
@@ -234,13 +235,16 @@ def test_coboundary_perturbed_basis_needs_corrections(weyl):
     ext1 = dict(weyl.preset_basis.ext1)
     ext1[(1, 2)] = [weyl.preset_basis.ext1_rep(1, 2, 1).add(shift)]
     perturbed = ExtBasis(bundle, ext1, dict(weyl.preset_basis.ext2), "test")
-    state = init_order2(perturbed, RunOptions(max_order=3))
-    state = advance_order(state)
+    start = init_order2(perturbed, RunOptions(max_order=3))
+    state = advance_order(start)
     rels = {format_tag(t): format_poly(f) for t, f in state.relations().items()}
     assert rels == KNOWN_RELATIONS
-    assert state.corrections_log[2], "perturbed system should need corrections"
-    for x, entry in state.corrections_log[2].items():
-        alpha, target = entry["alpha"], entry["target"]
+    # the corrections are the new system entries, one per residual component
+    residual = curvature(state.algebra, start.system)
+    assert residual, "perturbed system should need corrections"
+    assert set(state.system) - set(start.system) == set(residual)
+    for x, target in residual.items():
+        alpha = state.system[x]
         assert not alpha.is_zero()
         # the defining equation re-verifies exactly
         assert yoneda_differential(alpha).add(target).is_zero()
@@ -336,7 +340,7 @@ def test_determinism_two_runs(weyl):
     opts = RunOptions()
     runs = []
     for _ in range(2):
-        computer = ExtComputer(weyl.bundle, degree_bound=4)
+        computer = ExtComputer(weyl.bundle, RunOptions().ladder)
         state = compute_hull(weyl.preset_basis, opts)
         tables = ext_tables(computer, 4)
         report = build_report(weyl, state, tables,

@@ -20,6 +20,7 @@ from ncdef.linalg import Echelon
 from ncdef.matrix_ring import (FiniteDimPointedAlgebra, Monomial, RelTag, label_type,
                                monomials_of_degree)
 from ncdef.presets import RunOptions
+from ncdef.yoneda import yoneda_differential
 
 
 def _mult_coords(algebra, u, v):
@@ -176,16 +177,18 @@ def test_collapse_and_residual_match_the_general_quotient(problem, max_order, be
         want = {label: comp for label, comp in
                 _reference_residual(ys, ws, H, eliminated, n).items()
                 if not comp.is_zero()}
-        assert curvature(H, state.system, state.bundle) == want
+        assert curvature(H, state.system) == want
         assert all(label.degree == n for label in want)
-        assert {x: c["target"] for x, c in nxt.corrections_log[n].items()} == want
+        # the corrections are the new system entries: d(alpha) = -residual
+        assert set(nxt.system) - set(state.system) == set(want)
+        assert all(yoneda_differential(nxt.system[x]).scale(-1) == want[x] for x in want)
         # the shipped steps leave no residual, so also push the curvature of
         # a system that is not flat: each tangent direction rescaled apart
         bent = dict(state.system)
         for k, x in enumerate(sorted(x for x in bent if x.degree == 1)):
             bent[x] = bent[x].scale(k + 2)
-        pushed = _pushed(curvature(R, bent, state.bundle), H, eliminated)
+        pushed = _pushed(curvature(R, bent), H, eliminated)
         assert bool(pushed) == bends
-        assert curvature(H, bent, state.bundle) == pushed
+        assert curvature(H, bent) == pushed
         state = nxt
     assert state.order == max_order + 1

@@ -144,7 +144,7 @@ def _recorded_lifts(computer, monkeypatch, run):
 
 @pytest.mark.parametrize("problem", ["weyl", "poly3"])
 def test_restricted_lifts_solve_as_the_full_systems(problem, request, monkeypatch):
-    computer = ExtComputer(request.getfixturevalue(problem).bundle, degree_bound=4)
+    computer = ExtComputer(request.getfixturevalue(problem).bundle, RunOptions().ladder)
     records, fulls = _recorded_lifts(computer, monkeypatch, lambda: [
         computer.ext_basis(i) for i in range(1, computer.bundle.p + 1)])
     kept, total = _check_against_full(records, fulls)
@@ -169,10 +169,11 @@ def test_restricted_cochain_equations_solve_as_the_full_systems(problem, basis, 
     for (i, j), targets in groups.items():
         reps = ext.ext2[(i, j)]
         honest = [_coboundary(bundle, i, j, rng) for _ in range(2)]
-        project_ext2(targets + reps[:1] + honest[:1], reps)
-        solve_coboundary(honest)
+        project_ext2(targets + reps[:1] + honest[:1], reps, RunOptions().ladder)
+        solve_coboundary(honest, RunOptions().ladder)
         # the obstructions are nonzero classes: no primitive, so None verdicts
-        assert None in _solve_cochain_equation(targets + honest, [], 4, 2, 6)
+        assert None in _solve_cochain_equation(targets + honest, [],
+                                               RunOptions(max_bound=6).ladder)
         for basis_l in (reps, [], []):
             fulls.append(lambda bound, i=i, j=j, basis_l=basis_l:
                          _full_cochain(bundle, i, j, basis_l, bound))
@@ -187,7 +188,7 @@ def test_restricted_systems_on_a_count_changing_presentation(count_changing, mon
         FreeResolution(pres, ["y", "z"], [1, 2, 1], [[["y"], ["z"]], [["z", "-y"]]])])
     rng = random.Random(17)
     words = pres.normal_words(2)
-    computer = ExtComputer(bundle, degree_bound=4)
+    computer = ExtComputer(bundle, RunOptions().ladder)
 
     def lifts():
         for i in (1, 2):
@@ -212,7 +213,8 @@ def test_restricted_systems_on_a_count_changing_presentation(count_changing, mon
             targets = [_coboundary(bundle, i, j, rng, 2),
                        _random_cochain(bundle, 2, i, j, rng, 2)]
             basis_l = [_random_cochain(bundle, 2, i, j, rng, 1)]
-            verdicts += _solve_cochain_equation(targets, basis_l, 4, 2, 6)
+            verdicts += _solve_cochain_equation(targets, basis_l,
+                                                RunOptions(max_bound=6).ladder)
             fulls.append(lambda bound, i=i, j=j, basis_l=basis_l:
                          _full_cochain(bundle, i, j, basis_l, bound))
     assert None in verdicts and any(v is not None for v in verdicts)

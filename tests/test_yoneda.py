@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -12,7 +11,7 @@ from ncdef.linalg import Echelon, kernel_basis
 from ncdef.massey import init_order2, order_obstructions
 from ncdef.presets import RunOptions
 from ncdef.yoneda import (BOUNDARY_SLACK, Cochain, ExtComputer, FreeResolution, Mat,
-                          ResolutionBundle, SparseSystem, bound_ladder,
+                          ResolutionBundle, SparseSystem,
                           compose_cochains, is_cocycle, project_ext2,
                           solve_coboundary, yoneda_differential)
 
@@ -184,7 +183,7 @@ def _oracle_weyl1_ext1_dim(bound, slack=2):
 
 def test_ext_dimension_weyl1_against_oracle():
     bundle = _weyl1_problem()
-    computer = ExtComputer(bundle, degree_bound=4)
+    computer = ExtComputer(bundle, RunOptions().ladder)
     got = computer.ext_dimension(2, 1, 1)
     for bound in (3, 4, 5, 6):
         assert _oracle_weyl1_ext1_dim(bound) == 1
@@ -203,7 +202,8 @@ def test_ext_basis_weyl(weyl_computer, weyl_computed_basis, weyl):
     # the hand-picked degree-2 class projects onto the computed basis
     preset_y14 = weyl.preset_basis.ext2[(1, 4)][0]
     ((coeffs, witness),) = project_ext2([preset_y14],
-                                        weyl_computed_basis.ext2[(1, 4)])
+                                        weyl_computed_basis.ext2[(1, 4)],
+                                        RunOptions().ladder)
     assert len(coeffs) == 1 and coeffs[0] != 0
 
 
@@ -213,14 +213,14 @@ def test_ext_basis_weyl(weyl_computer, weyl_computed_basis, weyl):
     ((13, 2, 12), [13]),
 ])
 def test_bound_ladder_rungs(args, rungs):
-    assert list(bound_ladder(*args)) == rungs
+    assert RunOptions(*args).ladder == tuple(rungs)
 
 
 @pytest.mark.parametrize("retry_step", [0, -2])
 def test_bound_ladder_rejects_a_step_below_one(retry_step):
     # such a ladder would repeat its first rung or walk down forever
     with pytest.raises(ValidationError):
-        list(islice(bound_ladder(4, retry_step, 12), 5))
+        RunOptions(4, retry_step, 12).ladder
 
 
 @pytest.mark.parametrize("problem", ["weyl", "poly3"])
@@ -228,7 +228,7 @@ def test_boundary_echelon_is_the_window_part_of_the_boundaries(problem, request)
     # rank of (boundaries intersect window) = rank of all boundary generators
     # minus rank of their projections onto the columns outside the window
     bundle = request.getfixturevalue(problem).bundle
-    computer = ExtComputer(bundle)
+    computer = ExtComputer(bundle, RunOptions().ladder)
     degree = bundle.pres.word_degree
     for i in range(1, bundle.p + 1):
         for j in range(1, bundle.p + 1):
@@ -247,7 +247,7 @@ def test_boundary_echelon_is_the_window_part_of_the_boundaries(problem, request)
 
 
 def test_lift_tries_a_degree_bound_above_max_bound(weyl):
-    computer = ExtComputer(weyl.bundle, degree_bound=6, retry_step=2, max_bound=4)
+    computer = ExtComputer(weyl.bundle, RunOptions(degree_bound=6, max_bound=4).ladder)
     (rep,) = computer.ext_basis(1)[(1, 2)]
     assert is_cocycle(rep)
 
@@ -275,7 +275,7 @@ def test_bundle_leaves_resolutions_unchanged():
 
 def test_solve_coboundary_zero(weyl):
     z = weyl.bundle.zero_cochain(2, 1, 4)
-    (alpha,) = solve_coboundary([z])
+    (alpha,) = solve_coboundary([z], RunOptions().ladder)
     assert yoneda_differential(alpha).is_zero()
 
 
@@ -298,7 +298,7 @@ def test_solve_coboundary_from_preimage(weyl):
             mats.append(Mat(nrows, ncols, entries))
         alpha0 = Cochain(bundle, 1, i, j, mats)
         y = yoneda_differential(alpha0)
-        (alpha,) = solve_coboundary([y])
+        (alpha,) = solve_coboundary([y], RunOptions().ladder)
         assert yoneda_differential(alpha).add(y).is_zero()
 
 
@@ -307,7 +307,7 @@ def test_solve_coboundary_rejects_obstruction(weyl):
     basis = weyl.preset_basis
     y = compose_cochains(basis.ext1_rep(1, 2, 1), basis.ext1_rep(2, 4, 1))
     with pytest.raises(NotACoboundary):
-        solve_coboundary([y], degree_bound=4, max_bound=6)
+        solve_coboundary([y], RunOptions(max_bound=6).ladder)
 
 
 def test_project_ext2_known_values(weyl):
@@ -324,7 +324,7 @@ def test_project_ext2_known_values(weyl):
     }
     for (left, right), (target, value) in pairs.items():
         y = compose_cochains(basis.ext1_rep(*left, 1), basis.ext1_rep(*right, 1))
-        ((coeffs, witness),) = project_ext2([y], basis.ext2[target])
+        ((coeffs, witness),) = project_ext2([y], basis.ext2[target], RunOptions().ladder)
         assert coeffs == [value]
 
 
@@ -332,7 +332,7 @@ def test_project_ext2_unit_vectors(weyl, weyl_computed_basis):
     for basis in (weyl.preset_basis, weyl_computed_basis):
         for (i, j), reps in sorted(basis.ext2.items()):
             for l, rep in enumerate(reps):
-                ((coeffs, _),) = project_ext2([rep], reps)
+                ((coeffs, _),) = project_ext2([rep], reps, RunOptions().ladder)
                 want = [Fraction(1) if k == l else Fraction(0)
                         for k in range(len(reps))]
                 assert coeffs == want
@@ -342,7 +342,8 @@ def test_project_ext2_additive(weyl):
     basis = weyl.preset_basis
     y1 = compose_cochains(basis.ext1_rep(1, 2, 1), basis.ext1_rep(2, 4, 1))
     y2 = compose_cochains(basis.ext1_rep(1, 3, 1), basis.ext1_rep(3, 4, 1))
-    (c1, _), (c2, _), (c12, _) = project_ext2([y1, y2, y1.add(y2)], basis.ext2[(1, 4)])
+    (c1, _), (c2, _), (c12, _) = project_ext2([y1, y2, y1.add(y2)], basis.ext2[(1, 4)],
+                                              RunOptions().ladder)
     assert [a + b for a, b in zip(c1, c2)] == c12
 
 
@@ -360,7 +361,8 @@ def test_project_ext2_coboundary_is_zero(weyl):
             for r in range(nrows) for c in range(ncols)}
         mats.append(Mat(nrows, ncols, entries))
     y = yoneda_differential(Cochain(bundle, 1, 1, 4, mats))
-    ((coeffs, _),) = project_ext2([y], weyl.preset_basis.ext2[(1, 4)])
+    ((coeffs, _),) = project_ext2([y], weyl.preset_basis.ext2[(1, 4)],
+                                  RunOptions().ladder)
     assert coeffs == [Fraction(0)]
 
 
@@ -406,10 +408,10 @@ def test_batched_coboundaries_finish_on_their_own_rungs(weyl, monkeypatch):
     for y, rung in zip(ys, (4, 6, 8)):
         if rung > 4:
             with pytest.raises(NotACoboundary):
-                solve_coboundary([y], degree_bound=4, max_bound=rung - 2)
-    separate = [solve_coboundary([y], degree_bound=4, max_bound=8)[0] for y in ys]
+                solve_coboundary([y], RunOptions(max_bound=rung - 2).ladder)
+    separate = [solve_coboundary([y], RunOptions(max_bound=8).ladder)[0] for y in ys]
     bounds = _rungs_used(bundle.pres, monkeypatch)
-    batch = solve_coboundary(ys, degree_bound=4, max_bound=8)
+    batch = solve_coboundary(ys, RunOptions(max_bound=8).ladder)
     assert bounds == [4, 6, 8]
     assert batch == separate
     for y, alpha in zip(ys, batch):
@@ -422,13 +424,14 @@ def test_batch_with_an_unsolvable_target_still_raises(weyl):
     cup = compose_cochains(basis.ext1_rep(1, 2, 1), basis.ext1_rep(2, 4, 1))
     honest = _coboundary_of_degree(bundle, 1, 4, random.Random(7), 2)
     with pytest.raises(NotACoboundary):
-        solve_coboundary([honest, cup], degree_bound=4, max_bound=6)
+        solve_coboundary([honest, cup], RunOptions(max_bound=6).ladder)
     # a nonzero class has no expansion over an empty basis
     with pytest.raises(ProjectionFailed):
-        project_ext2([honest, cup], [], degree_bound=4, max_bound=6)
+        project_ext2([honest, cup], [], RunOptions(max_bound=6).ladder)
     # the same batch over the class's basis solves, with the honest
     # coboundary at zero
-    (c0, _), (c1, _) = project_ext2([honest, cup], basis.ext2[(1, 4)])
+    (c0, _), (c1, _) = project_ext2([honest, cup], basis.ext2[(1, 4)],
+                                    RunOptions().ladder)
     assert c0 == [Fraction(0)] and c1 == [Fraction(-1)]
 
 
@@ -454,8 +457,8 @@ def test_batched_projections_equal_separate_calls(problem, basis, request):
         reps = ext.ext2[(i, j)]
         # with a basis cocycle and an honest coboundary in the same batch
         batch_in = ys + reps[:1] + [_coboundary_of_degree(bundle, i, j, rng, 2)]
-        batch = project_ext2(batch_in, reps)
-        separate = [project_ext2([y], reps)[0] for y in batch_in]
+        batch = project_ext2(batch_in, reps, RunOptions().ladder)
+        separate = [project_ext2([y], reps, RunOptions().ladder)[0] for y in batch_in]
         assert batch == separate
         assert batch[-1][0] == [Fraction(0)] * len(reps)
 
@@ -467,7 +470,7 @@ def test_batched_ext_lifts_equal_separate_lifts(problem, request, monkeypatch):
     # a 1 x 3 one, then step 1 of Ext^1 has a 1 x 3 one against D_1; on
     # weyl2-simple4 only Ext^1 takes a step
     solves = {"weyl": 1, "poly3": 3}[problem]
-    computer = ExtComputer(request.getfixturevalue(problem).bundle, degree_bound=4)
+    computer = ExtComputer(request.getfixturevalue(problem).bundle, RunOptions().ladder)
     p = computer.bundle.p
     calls = []
     solve = computer._solve_unknown_times_known
@@ -557,7 +560,8 @@ def _rows(ech):
 def test_hom_images_once_match_per_bound_images(problem, bound, request):
     # dims, boundary rows and chosen vectors, dict order included, as when
     # each bound computed its own images
-    computer = ExtComputer(request.getfixturevalue(problem).bundle, degree_bound=bound)
+    computer = ExtComputer(request.getfixturevalue(problem).bundle,
+                           RunOptions(degree_bound=bound).ladder)
     p = computer.bundle.p
     chosen = 0
     for i in range(1, p + 1):
@@ -597,7 +601,7 @@ def test_ext_basis_computes_each_hom_image_once(problem, request):
     # potentials, the Ext^2 boundaries up to B + 1 + BOUNDARY_SLACK; taken
     # from one rank profile, they give what each degree gets alone
     bundle = request.getfixturevalue(problem).bundle
-    computer = ExtComputer(bundle, degree_bound=4)
+    computer = ExtComputer(bundle, RunOptions().ladder)
     images = computer._images
     calls = {}
 
@@ -652,7 +656,7 @@ def test_rank_profile_dims_match_the_window_echelons(problem, request):
         bundle = request.getfixturevalue(problem).bundle
     outcomes = set()
     for bound in range(1, 9):
-        computer = ExtComputer(bundle, degree_bound=bound)
+        computer = ExtComputer(bundle, RunOptions(degree_bound=bound).ladder)
         for i in range(1, bundle.p + 1):
             for j in range(1, bundle.p + 1):
                 for n in (1, 2):
