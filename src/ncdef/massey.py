@@ -215,8 +215,7 @@ def check_stabilized(state):
     """Certify that the relation series is already complete.
 
     Builds the quotient by the current relations, truncated at
-    ``certificate_cutoff`` (two degrees above the last relation, or at
-    ``verify_cutoff``, and never below 2q, where q is the top degree of the
+    ``certificate_cutoff`` (never below 2q, where q is the top degree of the
     defining system); extends the system by zero on every new basis
     monomial, and verifies flatness from raw structure constants.  The
     curvature of that extension lives in degrees <= 2q, so a flat check

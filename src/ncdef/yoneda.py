@@ -27,9 +27,10 @@ bounded-degree solves.
 
 Every bounded-degree solve -- the lifts here, coboundary primitives and
 Ext^2 projections below, and the equivalence intertwiners of the checker --
-takes the run's degree bounds, ``RunOptions.ladder``, and follows one path:
-for each rung it builds a ``SparseSystem``, solves it with ``solve_sparse``, turns the solution into
-matrix entries with ``decode_entries`` and verifies the result exactly.
+takes the rungs of ``RunOptions.ladder`` as its one bound argument and
+follows one path: for each rung it builds a ``SparseSystem``, solves it
+with ``solve_sparse``, turns the solution into matrix entries with
+``decode_entries`` and verifies the result exactly.
 The lifts and the cochain equations take every right-hand side that
 shares their operator (all lifts through one differential of one source
 module, the obstructions of one type): each rung builds and eliminates the
