@@ -166,27 +166,25 @@ class AlgebraPresentation:
     def parse(self, text):
         return parse_element(self, text)
 
-    def to_json(self):
-        return {
-            "generators": list(self.generators),
-            "rules": sorted(
-                ["*".join(lhs), format_terms(self, dict(rhs))]
-                for lhs, rhs in self.rules.items()
-            ),
-            "weights": dict(self.weights),
-        }
-
     @staticmethod
     def from_json(data):
-        if not isinstance(data.get("generators"), list):
-            raise ValidationError("algebra presentation needs a list of 'generators'")
-        rules = []
-        probe = AlgebraPresentation(data["generators"], [], data.get("weights"))
-        for lhs_text, rhs_text in data.get("rules", []):
-            lhs = tuple(lhs_text.split("*"))
-            rhs_elem = parse_element(probe, rhs_text, allow_reducible=True)
-            rules.append((lhs, list(rhs_elem.terms.items())))
-        return AlgebraPresentation(data["generators"], rules, data.get("weights"))
+        check_keys(data, ("generators", "rules", "weights"), "algebra")
+        gens, rules = data.get("generators"), data.get("rules", [])
+        weights = data.get("weights")
+        if not (isinstance(gens, list)
+                and all(isinstance(g, str) and _NAME.fullmatch(g) for g in gens)):
+            raise ValidationError("algebra presentation needs a list of 'generators' names")
+        if not (isinstance(rules, list) and all(
+                isinstance(rule, list) and len(rule) == 2 and isinstance(rule[0], str)
+                for rule in rules)):
+            raise ValidationError("algebra 'rules' must be [lhs, rhs] string pairs")
+        if weights is not None and not isinstance(weights, dict):
+            raise ValidationError("algebra 'weights' must be a JSON object")
+        # the probe has no rules, so parsing keeps each right-hand word as written
+        probe = AlgebraPresentation(gens, [], weights)
+        parsed = [(tuple(lhs.split("*")), list(probe.parse(rhs).terms.items()))
+                  for lhs, rhs in rules]
+        return AlgebraPresentation(gens, parsed, weights)
 
 
 class AlgebraElement:
@@ -433,7 +431,15 @@ class QuotientModule:
 # ---------------------------------------------------------------------------
 # parsing / formatting
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-))")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(%s)|(\^)|(\*)|(\+)|(-))" % _NAME.pattern)
+
+
+def check_keys(data, allowed, what):
+    """Reject the keys of a document object that are not in ``allowed``."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValidationError("unknown %s key %s" % (what, ", ".join(map(repr, unknown))))
 
 
 def _parse_scalar(num, text):
@@ -443,8 +449,10 @@ def _parse_scalar(num, text):
         raise ValidationError("zero denominator in %r" % text)
 
 
-def parse_element(pres, text, allow_reducible=False):
+def parse_element(pres, text):
     """Parse '2/3*x^2*Dy - x + 1' style expressions into an element."""
+    if not isinstance(text, str):
+        raise ValidationError("element %r is not a string" % (text,))
     pos = 0
     tokens = []
     while pos < len(text):
@@ -466,10 +474,7 @@ def parse_element(pres, text, allow_reducible=False):
         if not have_term:
             raise ValidationError("empty term in %r" % text)
         c = sign * (coeff if coeff is not None else 1)
-        if allow_reducible:
-            result = result + pres.element({tuple(word): 1}).scale(c)
-        else:
-            result = result + normal_form(word, pres).scale(c)
+        result = result + normal_form(word, pres).scale(c)
         sign, coeff, word, have_term = 1, None, [], False
 
     i = 0

@@ -31,8 +31,8 @@ the order of the relations.
 Each (survivor, arrow) word is reduced once; the product s * t of two
 survivors folds t's arrows into s through that table, one arrow at a time.
 The class of any monomial below the cutoff, the beta table, is the same
-fold of its arrows' classes through the products, made on demand, so no
-table of monomials is stored.
+fold of its arrows through the products, made on demand, so no table of
+monomials is stored.
 
 The bookkeeping ring of the order step carries tags: each nonzero truncated
 series f enters the ideal as f - tag.  A tag times any arrow is zero, so
@@ -45,7 +45,7 @@ each collapse vector is a tag plus monomials of its type of the top degree
 cutoff - 1.  No products of tags are recorded and a top-degree monomial
 times the radical passes the cutoff, so these vectors already span a
 two-sided ideal, and the quotient is one echelon of them pushed into the
-products and the arrows' classes.
+products.
 """
 
 from __future__ import annotations
@@ -136,29 +136,6 @@ def concat(m1, m2):
     return Monomial(m1.i, m2.j, m1.arrows + m2.arrows)
 
 
-def factorizations(x):
-    """All splits (x1, x2) with x1 * x2 == x, including idempotent ends."""
-    out = []
-    arrows = x.arrows
-    for k in range(len(arrows) + 1):
-        left = arrows[:k]
-        right = arrows[k:]
-        mid = left[-1][1] if left else x.i
-        out.append((Monomial(x.i, mid, left), Monomial(mid, x.j, right)))
-    return out
-
-
-def divisor_monomials(x):
-    """Distinct positive-degree proper divisors of x, in key order."""
-    seen = set()
-    for size in range(1, len(x.arrows) + 1):
-        for k in range(len(x.arrows) - size + 1):
-            m = Monomial.from_arrows(x.arrows[k:k + size])
-            if m != x:
-                seen.add(m)
-    return sorted(seen, key=Monomial.key)
-
-
 class GeneratorTable:
     """Arrow counts d_ij (degree-1 generators) and r_ij (relation labels)."""
 
@@ -200,15 +177,6 @@ class GeneratorTable:
                 for l in range(1, self.r.get((i, j), 0) + 1):
                     out.append(RelTag(i, j, l))
         return out
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "ext1": [[self.d.get((i, j), 0) for j in range(1, self.p + 1)]
-                     for i in range(1, self.p + 1)],
-            "ext2": [[self.r.get((i, j), 0) for j in range(1, self.p + 1)]
-                     for i in range(1, self.p + 1)],
-        }
 
 
 def monomials_of_degree(table, n):
@@ -358,24 +326,20 @@ class FiniteDimPointedAlgebra:
 
     basis: labels (Monomials, possibly RelTags for residual relation classes)
     products: dict[(a_index, b_index)] -> sparse coords over basis indices
-    arrow_classes: arrow -> index coords of its class; by default each arrow
-        in the basis is its own class
 
-    No table of monomials is stored: the class of a monomial below the
-    cutoff (the beta table) is its arrows' classes multiplied through the
+    Relations start in degree 2 and the order step's collapse removes only
+    tags and monomials of the top degree cutoff - 1 >= 2, so every arrow
+    below the cutoff is its own basis element.  No table of monomials is stored: the class of a monomial below
+    the cutoff (the beta table) is its arrows multiplied through the
     products, on demand.
     """
 
-    def __init__(self, p, basis, products, cutoff, arrow_classes=None):
+    def __init__(self, p, basis, products, cutoff):
         self.p = p
         self.basis = list(basis)
         self.index = {b: k for k, b in enumerate(self.basis)}
         self.products = products
         self.cutoff = cutoff
-        if arrow_classes is None:
-            arrow_classes = {b.arrows[0]: {k: 1} for k, b in enumerate(self.basis)
-                             if isinstance(b, Monomial) and b.degree == 1}
-        self.arrow_classes = arrow_classes
         for i in range(1, p + 1):
             if Monomial.idempotent(i) not in self.index:
                 raise InconsistentRelations("idempotent e%d was eliminated" % i)
@@ -397,21 +361,15 @@ class FiniteDimPointedAlgebra:
         """Index coordinates of a monomial class over the basis (beta table)."""
         if mono.degree >= self.cutoff:
             return {}
-        if not mono.arrows:
-            return {self.index[mono]: 1}
-        coords = None
+        coords = {self.index[Monomial.idempotent(mono.i)]: 1}
         for arrow in mono.arrows:
-            right = self.arrow_classes.get(arrow)
+            right = self.index.get(Monomial.from_arrows([arrow]))
             if right is None:
-                raise ValidationError("no class stored for the arrow %s of %r"
+                raise ValidationError("the arrow %s of %r is not a basis element"
                                       % (arrow, mono))
-            if coords is None:
-                coords = dict(right)
-                continue
             out = {}
             for a, ca in coords.items():
-                for b, cb in right.items():
-                    _add_multiple(out, self.products.get((a, b), {}), ca * cb)
+                _add_multiple(out, self.products.get((a, right), {}), ca)
             coords = out
         return coords
 
@@ -695,21 +653,30 @@ def quotient_by_vectors(algebra, vectors):
         pushed = push(dict(coords))
         if pushed:
             products[(reindex[a], reindex[b])] = pushed
-    classes = {arrow: push(coords) for arrow, coords in algebra.arrow_classes.items()}
     return FiniteDimPointedAlgebra(algebra.p, [algebra.basis[k] for k in keep],
-                                   products, algebra.cutoff, classes)
+                                   products, algebra.cutoff)
 
 
 def divisor_truncation(x, p):
-    """Pointed algebra with basis the idempotents, the divisors of x and x.
+    """The divisor algebra of x, whose monomials include x and its divisors.
 
-    Products follow concatenation: z = left * right for each factorization
-    of a basis monomial z, and products that do not divide x vanish.
+    The quotient of the free ring on x's arrows (for each pair, indices 1 up
+    to the largest one x uses) by all words past x's degree and the one-arrow
+    extensions of divisors that are not divisors.  A word that is no divisor
+    holds a shortest such word, an extension of a divisor, so a product of
+    divisors is their concatenation when that divides x and 0 otherwise.  The
+    only other survivors are words in the arrows x skips, which no defining
+    system carries.
     """
-    basis = [Monomial.idempotent(i) for i in range(1, p + 1)]
-    basis += divisor_monomials(x) + [x]
-    basis.sort(key=label_sort_key)
-    index = {b: k for k, b in enumerate(basis)}
-    products = {(index[left], index[right]): {index[z]: 1}
-                for z in basis for left, right in factorizations(z)}
-    return FiniteDimPointedAlgebra(p, basis, products, cutoff=x.degree + 1)
+    arrows = x.arrows
+    divisors = {Monomial.from_arrows(arrows[k:m])
+                for k in range(len(arrows)) for m in range(k + 1, len(arrows) + 1)}
+    counts = {}
+    for i, j, l in arrows:
+        counts[(i, j)] = max(counts.get((i, j), 0), l)
+    table = GeneratorTable(p, counts)
+    letters = [Monomial.from_arrows([a]) for a in table.all_arrows()]
+    relations = [MatricPoly(w.type, {w: 1}) for d in divisors for a in letters
+                 for w in (concat(d, a), concat(a, d))
+                 if w is not None and w not in divisors]
+    return build_quotient(table, relations, x.degree + 1)

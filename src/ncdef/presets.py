@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import AlgebraPresentation, preset_presentation
+from .algebra import AlgebraPresentation, check_keys, preset_presentation
 from .errors import ShapeMismatch, ValidationError
 from .yoneda import Cochain, ExtBasis, FreeResolution, Mat, ResolutionBundle
 
@@ -135,7 +135,7 @@ def preset_names():
 
 
 def load_preset(name, options=None):
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:
         raise ValidationError("unknown preset %r (have: %s)"
                               % (name, ", ".join(preset_names())))
     return _build_problem(name, _PRESETS[name], options or RunOptions())
@@ -147,6 +147,8 @@ def problem_from_json(data, options=None):
         raise ValidationError("problem spec must be a JSON object")
     if data.get("schema") != SCHEMA_PROBLEM:
         raise ValidationError("expected schema %r" % SCHEMA_PROBLEM)
+    body = ["preset"] if "preset" in data else ["algebra", "modules", "ext_basis"]
+    check_keys(data, ["schema", "name", "options"] + body, "problem")
     opts = options or RunOptions.from_json(data.get("options") or {})
     if "preset" in data:
         return load_preset(data["preset"], opts)
@@ -163,13 +165,17 @@ def _build_problem(name, doc, options, spec=None):
     else:
         raise ValidationError("problem spec needs an 'algebra' entry")
     modules = doc.get("modules")
-    if not modules:
+    if not (modules and isinstance(modules, list)):
         raise ValidationError("problem spec needs a nonempty 'modules' list")
     resolutions = []
     for k, mod in enumerate(modules, start=1):
         if not isinstance(mod, dict) or not {"ideal", "ranks", "diffs"} <= set(mod):
             raise ValidationError("module %d needs 'ideal', 'ranks' and 'diffs'" % k)
-        ranks, diffs = mod["ranks"], mod["diffs"]
+        check_keys(mod, ("name", "ideal", "ranks", "diffs"), "module %d" % k)
+        ideal, ranks, diffs = mod["ideal"], mod["ranks"], mod["diffs"]
+        if not (isinstance(ideal, list) and all(isinstance(g, str) for g in ideal)):
+            raise ValidationError("module %d 'ideal' must be a list of generator "
+                                  "names" % k)
         if not (isinstance(ranks, list)
                 and all(type(r) is int and r >= 0 for r in ranks)):
             raise ValidationError("module %d 'ranks' must be a list of "
@@ -179,7 +185,7 @@ def _build_problem(name, doc, options, spec=None):
                 for d in diffs)):
             raise ValidationError("module %d 'diffs' must be a list of matrices, "
                                   "each a list of rows" % k)
-        resolutions.append(FreeResolution(pres, mod["ideal"], ranks, diffs))
+        resolutions.append(FreeResolution(pres, ideal, ranks, diffs))
     bundle = ResolutionBundle(pres, resolutions)
     preset_basis = None
     if "ext_basis" in doc:

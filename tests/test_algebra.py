@@ -138,13 +138,6 @@ def test_parse_format_round_trip(weyl2):
         assert again == elem
 
 
-def test_presentation_json_round_trip(weyl2):
-    clone = AlgebraPresentation.from_json(weyl2.to_json())
-    assert clone.generators == weyl2.generators
-    assert clone.rules == weyl2.rules
-    assert multiply(clone.parse("Dx"), clone.parse("x")) == clone.parse("x*Dx + 1")
-
-
 def test_rule_validation():
     with pytest.raises(ValidationError):
         AlgebraPresentation(["a"], [(("a",), [((), 1)])])

@@ -411,6 +411,7 @@ def _poly1_report(**fields):
     _poly1_report(relations=[{"type": [1], "terms": []}]),
     _poly1_report(versal_family={"x11": {"degree": 1, "type": [1, 1],
                                          "mats": [[["1/0"]], []]}}),
+    _poly1_report(problem={"schema": "ncdef-problem/1", "preset": ["poly1-point"]}),
 ])
 def test_verify_report_with_malformed_contents_fails_validation(report, tmp_path,
                                                                 capsys):
@@ -431,6 +432,8 @@ def _poly3_spec():
     # a ragged d_0, and a d_0 of the wrong shape: bad input, not a broken invariant
     {"ranks": [1, 3], "diffs": [[["x"], ["y", "y"], ["z"]]]},
     {"ranks": [1, 1], "diffs": [[["x", "y"]]]},
+    {"ideal": [["x"], "y", "z"]},
+    {"nmae": "k"},
 ])
 def test_malformed_spec_resolution_fails_validation(module, tmp_path, capsys):
     spec = _poly3_spec()
@@ -441,13 +444,55 @@ def test_malformed_spec_resolution_fails_validation(module, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("algebra", [{}, {"generators": "xyz"}])
-def test_malformed_spec_algebra_fails_validation(algebra, tmp_path, capsys):
+def _poly3_algebra(**edits):
+    return {**_poly3_spec()["algebra"], **edits}
+
+
+@pytest.mark.parametrize("algebra, message", [
+    pytest.param({}, "generators", id="algebra0"),
+    pytest.param({"generators": "xyz"}, "generators", id="algebra1"),
+    pytest.param(_poly3_algebra(generators=[["x"], "y", "z"]), "generators",
+                 id="unhashable-generator"),
+    pytest.param(_poly3_algebra(generators=["x", "y", "z", ""]), "generators",
+                 id="empty-generator-name"),
+    pytest.param(_poly3_algebra(rules=[["y*x", "x*y", "z"]]), "rules",
+                 id="rule-of-three-words"),
+    pytest.param(_poly3_algebra(rules=[["y*x", 0]]), "not a string",
+                 id="rule-to-a-number"),
+    pytest.param(_poly3_algebra(rules=[["y*x", "x*w"]]), "unknown generator",
+                 id="rule-to-an-unknown-generator"),
+    pytest.param(_poly3_algebra(weights=[1, 1, 1]), "weights", id="weights-list"),
+    pytest.param(_poly3_algebra(wieghts={}), "unknown algebra key 'wieghts'",
+                 id="unknown-key"),
+])
+def test_malformed_spec_algebra_fails_validation(algebra, message, tmp_path, capsys):
     spec = _poly3_spec()
     spec["algebra"] = algebra
     assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("validation error:") and "generators" in err
+    assert err.startswith("validation error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"modules": 1.5}, "modules"),
+    # a preset with a document of its own would run the preset
+    ({"preset": "poly1-point"}, "unknown problem key 'algebra', 'modules'"),
+    ({"ext_bassis": {}}, "unknown problem key 'ext_bassis'"),
+], ids=["modules-not-a-list", "preset-and-document", "misspelled-key"])
+def test_malformed_problem_keys_fail_validation(edit, message, tmp_path, capsys):
+    spec = {**_poly3_spec(), **edit}
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_preset_name_that_is_not_a_string_fails_validation(tmp_path, capsys):
+    spec = {"schema": "ncdef-problem/1", "preset": ["poly1-point"]}
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "unknown preset" in err
     assert "Traceback" not in err
 
 

@@ -7,7 +7,7 @@ import pytest
 from ncdef.errors import InternalInvariantError, ValidationError
 from ncdef.matrix_ring import (GeneratorTable, MatricPoly, Monomial, RelTag,
                                build_quotient, build_tagged_truncation, concat,
-                               divisor_monomials, factorizations, format_monomial,
+                               divisor_truncation, format_monomial,
                                monomials_of_degree, parse_monomial,
                                quotient_by_vectors)
 
@@ -54,24 +54,11 @@ def test_concat():
     assert concat(x12, parse_monomial("x13", 4)) is None
 
 
-def test_factorizations():
-    x = parse_monomial("x12*x24", 4)
-    splits = factorizations(x)
-    assert len(splits) == 3
-    assert splits[0][0] == Monomial.idempotent(1)
-    assert splits[-1][1] == Monomial.idempotent(4)
-    for left, right in splits:
-        assert concat(left, right) == x
-    deg3 = parse_monomial("x12*x24*x43", 4)
-    assert len(factorizations(deg3)) == 4
-    assert factorizations(Monomial.idempotent(3)) == \
-        [(Monomial.idempotent(3), Monomial.idempotent(3))]
-
-
 def test_divisors():
     x = parse_monomial("x12*x24*x43", 4)
-    names = [format_monomial(m) for m in divisor_monomials(x)]
-    assert names == ["x12", "x24", "x43", "x12*x24", "x24*x43"]
+    names = [format_monomial(m) for m in divisor_truncation(x, 4).monomial_basis()
+             if m.degree]
+    assert names == ["x12", "x24", "x43", "x12*x24", "x24*x43", "x12*x24*x43"]
 
 
 def test_build_quotient_flagship_basis(weyl_table):
@@ -225,7 +212,10 @@ def test_truncation_bases_closed_under_divisors(weyl_table):
     for ring in rings:
         basis = set(ring.monomial_basis())
         for m in basis:
-            assert set(divisor_monomials(m)) <= basis, m
+            n = m.degree
+            subwords = {Monomial.from_arrows(m.arrows[k:k + size])
+                        for size in range(1, n + 1) for k in range(n - size + 1)}
+            assert subwords <= basis, m
 
 
 def test_quotient_by_vectors_kills_ideal():
