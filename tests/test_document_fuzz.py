@@ -20,8 +20,12 @@ JUNK = [None, True, 0, -1, 1.5, "", "x", "y*x", [], {}, [["x"]], {"x": 1}, ["x",
 
 def _paths(doc, path=()):
     yield path
-    children = doc.items() if isinstance(doc, dict) else (
-        enumerate(doc) if isinstance(doc, list) else ())
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
     for key, value in children:
         yield from _paths(value, path + (key,))
 
