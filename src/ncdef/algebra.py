@@ -353,10 +353,11 @@ class QuotientModule:
             c = terms.pop(w)
             g = next(gg for gg in reversed(w) if gg in self._gen_set)
             k = len(w) - 1 - w[::-1].index(g)
-            v = w[:k] + w[k + 1:]
-            # w == nf(v*g) - corrections, so w ~ -corrections mod A*g
-            correction = normal_form(v + (g,), pres) - pres.element({w: 1})
-            _add_multiple(terms, correction.terms, -c)
+            rest = dict(normal_form(w[:k] + w[k + 1:] + (g,), pres).terms)
+            a = rest.pop(w, 0)  # w less g, times g: a*w + rest in A*g, w ~ -rest/a
+            if not a:
+                raise UnsupportedIdeal("the ideal cannot reduce %s" % _format_word(w))
+            _add_multiple(terms, rest, exact(Fraction(-c) / a))
         raise StepBudgetExceeded("module reduction exceeded %d steps" % pres.step_budget)
 
     def basis_words(self, max_degree):
@@ -379,7 +380,7 @@ class QuotientModule:
         and g*() is 0 for an ideal generator g, the word g otherwise.  A
         class has one expansion over the basis words, so only the order of
         its terms can differ from ``reduce``'s, and nothing reads it:
-        echelons pivot by label and ``format_terms`` sorts.
+        echelons pivot by label and ``format_element`` sorts.
         """
         return self._act(tuple(u), word, 0)
 
@@ -532,29 +533,21 @@ def _format_word(word):
     return "*".join(parts)
 
 
-def format_terms(pres, terms):
-    if not terms:
-        return "0"
-    items = sorted(terms.items(), key=lambda wc: pres.word_key(wc[0]), reverse=True)
+def format_sum(pieces):
+    """The signed sum of (body, coefficient) pairs in their order, "0" if there
+    are none; a body "1" prints its coefficient alone."""
     out = []
-    for w, c in items:
+    for body, c in pieces:
         mag = format_scalar(abs(c))
-        body = _format_word(w)
-        if body == "1":
-            piece = mag
-        elif mag == "1":
-            piece = body
-        else:
-            piece = "%s*%s" % (mag, body)
-        if not out:
-            out.append(piece if c > 0 else "-" + piece)
-        else:
-            out.append(("+ " if c > 0 else "- ") + piece)
-    return " ".join(out)
+        piece = mag if body == "1" else body if mag == "1" else "%s*%s" % (mag, body)
+        sign = ("" if c > 0 else "-") if not out else ("+ " if c > 0 else "- ")
+        out.append(sign + piece)
+    return " ".join(out) or "0"
 
 
 def format_element(a):
-    return format_terms(a.pres, a.terms)
+    items = sorted(a.terms.items(), key=lambda wc: a.pres.word_key(wc[0]), reverse=True)
+    return format_sum((_format_word(w), c) for w, c in items)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def cmd_run(args):
         "basis_source": basis.source,
     }
     report = build_report(problem, state, tables, checker_block)
-    text = text_presentation(problem, state, tables)
+    text = text_presentation(report)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -212,32 +212,35 @@ def advance_order(state):
 
 
 def check_stabilized(state):
-    """Certify that the relation series is already complete.
-
-    Builds the quotient by the current relations, truncated at
-    ``certificate_cutoff`` (never below 2q, where q is the top degree of the
-    defining system); extends the system by zero on every new basis
-    monomial, and verifies flatness from raw structure constants.  The
-    curvature of that extension lives in degrees <= 2q, so a flat check
-    covers the whole relation quotient and the certificate is always
-    complete.  Returns (flag, certificate).
+    """Certify that the relation series is already complete: (flag, certificate)
+    of the system over the relation quotient truncated at ``certificate_cutoff``.
     """
     relations = list(state.relations().values())
     vc = certificate_cutoff(state.options.verify_cutoff, relations, state.system)
     T = build_quotient(state.table, relations, vc + 1)
-    for label, phi in state.system.items():
-        if not phi.is_zero() and label not in T.index:
+    return stabilization_certificate(T, state.bundle, relations, state.system)
+
+
+def stabilization_certificate(quotient, bundle, relations, system):
+    """(flag, certificate) of ``system`` over ``quotient``, the quotient by
+    ``relations`` below its cutoff, for a run and for ``verify`` alike.
+
+    The system extends by zero to the new basis monomials; its curvature lies
+    in degrees <= 2q, q its top degree, so a flat check from raw structure
+    constants at a cutoff >= 2q is complete.  A carried monomial that is not
+    a basis monomial fails at once.
+    """
+    for label, phi in system.items():
+        if not phi.is_zero() and label not in quotient.index:
             return False, {"reason": "a carried monomial is not a basis "
                                       "monomial of the relation quotient",
                            "monomial": format_monomial(label)}
-    lifted = LiftedComplex(T, state.bundle, state.system)
-    ok, failure = verify_lifted_complex(lifted)
-    raw = _raw_products(state)
+    ok, failure = verify_lifted_complex(LiftedComplex(quotient, bundle, system))
     certificate = {
-        "verified_cutoff": vc,
+        "verified_cutoff": quotient.cutoff - 1,
         "complete": True,
-        "relation_degrees": sorted({f.max_degree() for f in relations}) or [],
-        "raw_square_terms": raw,
+        "relation_degrees": sorted({f.max_degree() for f in relations}),
+        "raw_square_terms": _raw_products(system),
         "reduces_to_zero": bool(ok),
     }
     if not ok:
@@ -247,9 +250,9 @@ def check_stabilized(state):
     return ok, certificate
 
 
-def _raw_products(state):
+def _raw_products(system):
     """Free-ring components of d*d before reduction, for the certificate."""
-    items = {label: phi for label, phi in sorted(state.system.items(),
+    items = {label: phi for label, phi in sorted(system.items(),
                                                  key=lambda kv: kv[0].key())
              if not phi.is_zero()}
 

@@ -54,6 +54,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 
+from .algebra import format_sum
 from .errors import InconsistentRelations, InternalInvariantError, ValidationError
 from .linalg import Echelon, _add_multiple, exact
 
@@ -264,19 +265,8 @@ def format_tag(tag, table=None):
 
 
 def format_poly(poly, table=None):
-    if not poly.terms:
-        return "0"
     items = sorted(poly.terms.items(), key=lambda mc: mc[0].key(), reverse=True)
-    out = []
-    for m, c in items:
-        mag = abs(c)
-        body = format_monomial(m, table)
-        piece = body if mag == 1 else "%s*%s" % (mag, body)
-        if not out:
-            out.append(piece if c > 0 else "-" + piece)
-        else:
-            out.append(("+ " if c > 0 else "- ") + piece)
-    return " ".join(out)
+    return format_sum((format_monomial(m, table), c) for m, c in items)
 
 
 _ARROW_RE = re.compile(r"^x(?:(\d)(\d)|(\d+)_(\d+))(?:_(\d+))?$")

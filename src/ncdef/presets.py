@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .algebra import AlgebraPresentation, check_keys, preset_presentation
+from .algebra import AlgebraPresentation, check_keys, format_element, preset_presentation
 from .errors import ShapeMismatch, ValidationError
 from .yoneda import Cochain, ExtBasis, FreeResolution, Mat, ResolutionBundle
 
@@ -80,19 +80,31 @@ class Problem(namedtuple("Problem", [
 
 def _cochain_from_mats(bundle, degree, i, j, mats_rows):
     mats = []
-    for m, rows in enumerate(mats_rows):
-        nrows = bundle.res(j).rank(m + degree)
-        ncols = bundle.res(i).rank(m)
-        if rows is None or nrows == 0 or ncols == 0:
-            # zero-rank components serialize as empty lists and lose their
-            # shape; rebuild them from the resolution ranks
-            mats.append(Mat(nrows, ncols))
-        else:
-            mats.append(Mat.from_rows(rows, bundle.pres))
-    while len(mats) < bundle.mmax - degree + 1:
-        m = len(mats)
-        mats.append(Mat(bundle.res(j).rank(m + degree), bundle.res(i).rank(m)))
+    for m in range(max(len(mats_rows), bundle.mmax - degree + 1)):
+        rows = mats_rows[m] if m < len(mats_rows) else None
+        nrows, ncols = bundle.res(j).rank(m + degree), bundle.res(i).rank(m)
+        # zero-rank components serialize as empty lists and lose their shape;
+        # rebuild them, and missing ones, from the resolution ranks
+        mats.append(Mat(nrows, ncols) if rows is None or not nrows or not ncols
+                    else Mat.from_rows(rows, bundle.pres))
     return Cochain(bundle, degree, i, j, mats)
+
+
+def read_cochain(bundle, degree, i, j, mats, what):
+    """The cochain of type (i, j) written as JSON matrices ``mats``: one entry
+    per component, each null or a list of rows of element strings.  A
+    malformed or misshapen entry raises ValidationError naming ``what``."""
+    if not (isinstance(mats, list) and all(
+            rows is None or isinstance(rows, list)
+            and all(isinstance(row, list) and all(isinstance(v, str) for v in row)
+                    for row in rows)
+            for rows in mats)):
+        raise ValidationError("malformed %s: matrices must be lists of rows of "
+                              "element strings" % what)
+    try:
+        return _cochain_from_mats(bundle, degree, i, j, mats)
+    except (ShapeMismatch, ValidationError) as exc:
+        raise ValidationError("malformed %s: %s" % (what, exc))
 
 
 # Ext^1 representatives of weyl2-simple4: 1 on the first or on the second
@@ -152,7 +164,11 @@ def problem_from_json(data, options=None):
     opts = options or RunOptions.from_json(data.get("options") or {})
     if "preset" in data:
         return load_preset(data["preset"], opts)
-    return _build_problem(data.get("name", "custom"), data, opts, spec=data)
+    return _build_problem(problem_name(data), data, opts, spec=data)
+
+
+def problem_name(data):
+    return data["preset"] if "preset" in data else data.get("name", "custom")
 
 
 def _build_problem(name, doc, options, spec=None):
@@ -210,32 +226,16 @@ def ext_basis_from_json(bundle, data):
                 i, j = (int(t) for t in key.split(","))
             except ValueError:
                 i = j = 0
+            what = "spec ext_basis %s entry %r" % (name, key)
             if not (1 <= i <= p and 1 <= j <= p and isinstance(reps, list)
-                    and all(isinstance(rep, dict) and is_mats_json(rep.get("mats"))
-                            for rep in reps)):
-                raise ValidationError("malformed spec ext_basis %s entry %r: %r"
-                                      % (name, key, reps))
-            try:
-                store[(i, j)] = [_cochain_from_mats(bundle, degree, i, j, rep["mats"])
-                                 for rep in reps]
-            except (ShapeMismatch, ValidationError) as exc:
-                raise ValidationError("malformed spec ext_basis %s entry %r: %s"
-                                      % (name, key, exc))
+                    and all(isinstance(rep, dict) for rep in reps)):
+                raise ValidationError("malformed %s: %r" % (what, reps))
+            store[(i, j)] = [read_cochain(bundle, degree, i, j, rep.get("mats"), what)
+                             for rep in reps]
     return ExtBasis(bundle, ext1, ext2, source="preset")
 
 
-def is_mats_json(mats):
-    """True for cochain matrices as written to JSON: a list with one entry
-    per component, each null or a list of rows of element strings."""
-    return isinstance(mats, list) and all(
-        rows is None or isinstance(rows, list)
-        and all(isinstance(row, list) and all(isinstance(v, str) for v in row)
-                for row in rows)
-        for rows in mats)
-
-
 def cochain_to_json(phi):
-    from .algebra import format_element
     return {
         "degree": phi.degree,
         "type": [phi.i, phi.j],
@@ -243,8 +243,3 @@ def cochain_to_json(phi):
                    for c in range(mat.ncols)] for r in range(mat.nrows)]
                  for mat in phi.mats],
     }
-
-
-def cochain_from_json(bundle, data):
-    i, j = data["type"]
-    return _cochain_from_mats(bundle, data["degree"], i, j, data["mats"])

@@ -11,11 +11,14 @@ import json
 from fractions import Fraction
 
 from .algebra import format_scalar
-from .errors import SchemaMismatch, ShapeMismatch, ValidationError
-from .matrix_ring import (MatricPoly, Monomial, build_quotient,
-                          format_monomial, format_poly, format_tag,
+from .checker import certificate_cutoff
+from .errors import SchemaMismatch, ValidationError
+from .massey import stabilization_certificate
+from .matrix_ring import (GeneratorTable, MatricPoly, Monomial, build_quotient,
+                          format_arrow, format_monomial, format_poly, format_tag,
                           monomials_of_degree, parse_monomial)
-from .presets import cochain_from_json, cochain_to_json, is_mats_json
+from .presets import cochain_to_json, problem_from_json, problem_name, read_cochain
+from .yoneda import ExtComputer
 
 SCHEMA_REPORT = "ncdef-report/1"
 
@@ -62,6 +65,12 @@ def relations_json(state):
     return out
 
 
+def _basis_json(algebra, table, order):
+    """The basis monomials of each degree below ``order``, by degree."""
+    return {str(d): [format_monomial(m, table) for m in algebra.basis_of_degree(d)]
+            for d in range(1, order)}
+
+
 def build_report(problem, state, tables, checker_block):
     table = state.table
     versal = {}
@@ -70,8 +79,6 @@ def build_report(problem, state, tables, checker_block):
         if phi is None or phi.is_zero():
             continue
         versal[format_monomial(label, table)] = cochain_to_json(phi)
-    generators = [format_monomial(Monomial.from_arrows([a]), table)
-                  for a in table.all_arrows()]
     orders = {str(n): _products_json(state, n, prods)
               for n, prods in sorted(state.products_log.items())}
     stabilized_at = state.max_relation_degree() or 2
@@ -79,12 +86,10 @@ def build_report(problem, state, tables, checker_block):
         "schema": SCHEMA_REPORT,
         "problem": problem.to_json(),
         "ext_table": tables,
-        "generators": generators,
+        "generators": [format_arrow(a, table) for a in table.all_arrows()],
         "orders": orders,
         "relations": relations_json(state),
-        "basis": {str(d): [format_monomial(m, table)
-                           for m in state.algebra.basis_of_degree(d)]
-                  for d in range(1, state.order)},
+        "basis": _basis_json(state.algebra, table, state.order),
         "versal_family": versal,
         "stabilized": state.stabilized,
         "stabilized_at": stabilized_at if state.stabilized else None,
@@ -107,38 +112,33 @@ def ext_table_lines(tables):
     return lines
 
 
-def text_presentation(problem, state, tables):
-    table = state.table
-    lines = ["hull computation: %s" % problem.name, ""] + ext_table_lines(tables) + [""]
-    gens = [format_monomial(Monomial.from_arrows([a]), table)
-            for a in table.all_arrows()]
-    lines.append("generators: %s" % (", ".join(gens) if gens else "(none)"))
-    rels = state.relations()
-    if rels:
+def text_presentation(report):
+    """The text of ``presentation.txt``, rendered from a report alone."""
+    lines = (["hull computation: %s" % problem_name(report["problem"]), ""]
+             + ext_table_lines(report["ext_table"]) + [""])
+    lines.append("generators: %s" % (", ".join(report["generators"]) or "(none)"))
+    if report["relations"]:
         lines.append("relations:")
-        for tag, f in rels.items():
-            lines.append("  %s: %s" % (format_tag(tag, table),
-                                       format_poly(f, table)))
+        lines.extend("  %(name)s: %(text)s" % rel for rel in report["relations"])
     else:
         lines.append("relations: (none; the hull is the free formal matrix ring)")
     lines.append("")
-    if state.stabilized:
-        cert = state.certificate or {}
-        lines.append("stabilized at order %d (d.d verified zero up to degree %s)"
-                     % (state.max_relation_degree() or 2,
-                        cert.get("verified_cutoff")))
+    if report["stabilized"]:
+        lines.append("stabilized at order %d (d.d verified zero up to degree %d)"
+                     % (report["stabilized_at"], report["certificate"]["verified_cutoff"]))
     else:
         lines.append("NOT stabilized within the order cap (order reached: %d)"
-                     % state.order)
-    orders = sorted(state.products_log)
-    for n in orders:
-        nonzero = {x: v for x, v in state.products_log[n].items() if v}
-        lines.append("order %d massey products: %d monomials, %d nonzero"
-                     % (n, len(state.products_log[n]), len(nonzero)))
-        for x, v in sorted(nonzero.items(), key=lambda kv: kv[0].key()):
-            parts = " + ".join("%s*%s" % (format_scalar(c), format_tag(t, table))
-                               for t, c in sorted(v.items()))
-            lines.append("  <%s> = %s" % (format_monomial(x, table), parts))
+                     % report["final_order"])
+    for n in sorted(report["orders"], key=int):
+        entries = report["orders"][n]
+        nonzero = [entry for entry in entries if entry["value"]]
+        lines.append("order %s massey products: %d monomials, %d nonzero"
+                     % (n, len(entries), len(nonzero)))
+        for entry in nonzero:
+            # one monomial's tags differ in their index alone: shorter is lower
+            tags = sorted(entry["value"], key=lambda t: (len(t), t))
+            lines.append("  <%s> = %s" % (entry["monomial"], " + ".join(
+                "%s*%s" % (entry["value"][t], t) for t in tags)))
     return "\n".join(lines) + "\n"
 
 
@@ -198,30 +198,24 @@ def _read_relation(rel, table):
 def _read_versal_cochain(name, data, bundle):
     """(monomial, degree-1 cochain) of one versal family entry."""
     mono = parse_monomial(name, bundle.p)
-    mats = data.get("mats") if isinstance(data, dict) else None
-    _expect(is_mats_json(mats) and data.get("degree") == 1
-            and data.get("type") == list(mono.type),
-            "versal cochain %s" % name)
-    try:
-        return mono, cochain_from_json(bundle, data)
-    except (ShapeMismatch, ValidationError) as exc:
-        raise ValidationError("malformed report versal cochain %s: %s" % (name, exc))
+    _expect(isinstance(data, dict) and data.get("degree") == 1
+            and data.get("type") == list(mono.type), "versal cochain %s" % name)
+    return mono, read_cochain(bundle, 1, mono.i, mono.j, data.get("mats"),
+                              "report versal cochain %s" % name)
 
 
 def verify_report(report):
-    """Re-check a saved report: Ext tables, relations, versal family, certificate.
+    """Re-check a saved report against what its problem and family derive.
 
-    Recomputes the Ext tables, rebuilds the truncated hull from the stored
-    relations at no less than a run's ``certificate_cutoff``, reads the
-    stored versal family back into cochains, and re-runs the flatness check
-    from scratch.  Returns (ok, list of messages).  A report whose contents
-    do not have the shapes written by ``build_report`` raises ValidationError.
+    Recomputes the Ext tables and the generators, rebuilds the relation
+    quotient at no less than a run's ``certificate_cutoff``, reads the
+    stored versal family back into cochains and certifies them with
+    ``stabilization_certificate``, as a run does.  Every certificate field
+    the report states, the stabilized flag and order, each relation's text
+    and the hull basis at ``final_order`` must equal the derived ones.
+    Returns (ok, list of messages).  A report whose contents do not have the
+    shapes written by ``build_report`` raises ValidationError.
     """
-    from .checker import LiftedComplex, certificate_cutoff, verify_lifted_complex
-    from .presets import problem_from_json
-    from .matrix_ring import GeneratorTable
-    from .yoneda import ExtComputer
-
     if report.get("schema") != SCHEMA_REPORT:
         raise SchemaMismatch("not a %s document" % SCHEMA_REPORT)
     missing = [key for key in ("problem", "ext_table", "relations", "versal_family")
@@ -257,21 +251,31 @@ def verify_report(report):
         messages.append("certificate cutoff %d is below the derived cutoff %d"
                         % (cutoff, derived))
         return False, messages
-    algebra = build_quotient(table, relations, cutoff + 1)
-    missing = [format_monomial(m) for m in cochains if m not in algebra.index]
-    if missing:
-        messages.append("versal monomials not in the rebuilt basis: %s"
-                        % ", ".join(missing))
-        return False, messages
-    lifted = LiftedComplex(algebra, bundle, cochains)
-    ok, failure = verify_lifted_complex(lifted)
-    if not ok:
-        messages.append("flatness fails at %r" % (failure,))
+    flag, recomputed = stabilization_certificate(
+        build_quotient(table, relations, cutoff + 1), bundle, relations, cochains)
+    if not flag:
+        messages.append("versal family fails over the rebuilt quotient at %s"
+                        % (recomputed.get("first_failure") or recomputed["monomial"],))
         return False, messages
     messages.append("versal family verifies over the rebuilt quotient "
                     "(cutoff %d)" % cutoff)
-    if report.get("stabilized") and not cert.get("reduces_to_zero", True):
-        messages.append("certificate contradicts the stabilized flag")
+    wrong = ["certificate " + key for key in sorted(cert)
+             if cert[key] != recomputed.get(key)]
+    final_order, basis = report.get("final_order"), report.get("basis")
+    # a basis with one key per degree first, so an absurd order costs nothing
+    if not (type(final_order) is int and isinstance(basis, dict)
+            and len(basis) == final_order - 1 and basis == _basis_json(
+                build_quotient(table, relations, final_order), table, final_order)):
+        wrong.append("basis or final_order")
+    claims = {"generators": [format_arrow(a, table) for a in table.all_arrows()],
+              "stabilized": True,
+              "stabilized_at": max((f.max_degree() for f in relations), default=0) or 2}
+    wrong += [key for key, value in claims.items() if report.get(key) != value]
+    wrong += ["relation %s text" % rel.get("name") for rel, f
+              in zip(report["relations"], relations)
+              if rel.get("text") != format_poly(f, table)]
+    if wrong:
+        messages.append("the report's %s differ from the derived ones"
+                        % ", ".join(wrong))
         return False, messages
     return True, messages
-

@@ -363,9 +363,20 @@ def test_action_table_of_a_non_terminating_presentation_stops_on_the_budget():
 
 
 def test_module_reduction_stops_on_the_budget():
-    # y*x -> x*x with the ideal (x): the trade of x*y for the corrections
-    # of y*x brings x*y back, so the reduction never ends
+    # y*x -> x*x with the ideal (x): nf(y*x) = x*x has no x*y term, so the
+    # ideal cannot remove x*y and the reduction stops at once
     pres = AlgebraPresentation(["x", "y"], [(("y", "x"), [(("x", "x"), 1)])],
+                               step_budget=500)
+    with pytest.raises(UnsupportedIdeal):
+        QuotientModule(pres, ["x"]).reduce(pres.parse("x*y"))
+
+
+def test_module_reduction_cycle_stops_on_the_budget():
+    # y*x -> x*y + x*z and z*x -> x*z + x*y with the ideal (x): each trade
+    # removes x*y or x*z and brings back the other, so only the budget stops it
+    pres = AlgebraPresentation(["x", "y", "z"],
+                               [(("y", "x"), [(("x", "y"), 1), (("x", "z"), 1)]),
+                                (("z", "x"), [(("x", "z"), 1), (("x", "y"), 1)])],
                                step_budget=500)
     with pytest.raises(StepBudgetExceeded):
         QuotientModule(pres, ["x"]).reduce(pres.parse("x*y"))

@@ -196,6 +196,7 @@ def test_verify_rejects_corrupted_family(tmp_path, capsys):
 
 
 FLAGSHIP_REPORT = Path(__file__).parent / "golden" / "weyl2-simple4" / "report.json"
+POLY3_SPEC = Path(__file__).parent / "specs" / "poly3.json"
 
 
 def test_verify_derives_the_certificate_cutoff(tmp_path, capsys):
@@ -211,6 +212,58 @@ def test_verify_derives_the_certificate_cutoff(tmp_path, capsys):
     del report["certificate"]["verified_cutoff"]
     assert main(["verify", _write(tmp_path, "none.json", report)]) == 0
     assert "(cutoff 4)" in capsys.readouterr().out
+
+
+def _bumped(value):
+    """A different value of the same kind."""
+    if isinstance(value, bool):
+        return not value
+    return value + 1 if isinstance(value, int) else value + "1"
+
+
+# one same-kind edit of each field kind verify re-derives: a path into the
+# report (None is the first key of an object) and the change made there
+TAMPERED = {
+    "certificate-verified_cutoff": (("certificate", "verified_cutoff"),
+                                    lambda n: n - 1),
+    "certificate-complete": (("certificate", "complete"), _bumped),
+    "certificate-relation_degrees": (("certificate", "relation_degrees", 0), _bumped),
+    "certificate-raw_square_terms": (("certificate", "raw_square_terms", None,
+                                      0, 0, 0), _bumped),
+    "certificate-reduces_to_zero": (("certificate", "reduces_to_zero"), _bumped),
+    "generators": (("generators", -1), _bumped),
+    "basis": (("basis", "1", -1), _bumped),
+    "final_order": (("final_order",), _bumped),
+    "stabilized": (("stabilized",), _bumped),
+    "stabilized_at": (("stabilized_at",), _bumped),
+    "relation-text": (("relations", 0, "text"), _bumped),
+}
+
+
+@pytest.mark.parametrize("golden", ["weyl2-simple4", "poly3"])
+@pytest.mark.parametrize("field", sorted(TAMPERED))
+def test_verify_rejects_each_edited_claim(golden, field, tmp_path, capsys):
+    report = json.loads((FLAGSHIP_REPORT.parent.parent / golden
+                         / "report.json").read_text())
+    path, change = TAMPERED[field]
+    node = report
+    for key in path[:-1]:
+        node = node[next(iter(node)) if key is None else key]
+    node[path[-1]] = change(node[path[-1]])
+    assert main(["verify", _write(tmp_path, "r.json", report)]) == 4
+    assert "report verifies" not in capsys.readouterr().out
+
+
+def test_spec_report_with_a_raised_cutoff_verifies(tmp_path, capsys):
+    # the report repeats the spec without the flag, so verify derives a
+    # smaller cutoff and checks the claimed one
+    out = tmp_path / "r"
+    assert main(["run", "--spec", str(POLY3_SPEC), "--verify-cutoff", "8",
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["certificate"]["verified_cutoff"] == 8
+    assert main(["verify", str(out / "report.json")]) == 0
+    assert "(cutoff 8)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", [3, 10 ** 6])
@@ -422,7 +475,7 @@ def test_verify_report_with_malformed_contents_fails_validation(report, tmp_path
 
 
 def _poly3_spec():
-    return json.loads((Path(__file__).parent / "specs" / "poly3.json").read_text())
+    return json.loads(POLY3_SPEC.read_text())
 
 
 @pytest.mark.parametrize("module", [
@@ -545,4 +598,17 @@ def test_spec_ext_basis_above_the_degree_bound_fails_validation(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("validation error:")
     assert "Ext^1(M2, M1)" in err and "bound 4" in err
+    assert "Traceback" not in err
+
+
+def test_module_word_the_ideal_cannot_reduce_fails_validation(tmp_path, capsys):
+    # w commutes with nothing, so nf(w*x) = w*x has no x*w term and the
+    # ideal (x, y, z) cannot remove the module word x*w
+    spec = _poly3_spec()
+    spec["algebra"]["generators"].append("w")
+    spec["algebra"]["weights"]["w"] = 1
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec),
+                 "--degree-bound", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and "cannot reduce x*w" in err
     assert "Traceback" not in err

@@ -13,6 +13,7 @@ import pytest
 
 from ncdef import algebra, cli, linalg, matrix_ring
 from ncdef.cli import main
+from ncdef.report import text_presentation
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -105,6 +106,12 @@ def test_run_matches_golden(name, tmp_path, capsys, coefficient_types):
 def test_golden_report_verifies(name, capsys):
     assert main(["verify", str(GOLDEN / name / "report.json")]) == 0
     assert "report verifies" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_presentation_is_rendered_from_the_report_alone(name):
+    report = json.loads((GOLDEN / name / "report.json").read_text())
+    assert text_presentation(report) == (GOLDEN / name / "presentation.txt").read_text()
 
 
 # The benchmark's degree-bound-12 workloads, pinned by the digests it checks.

@@ -185,7 +185,7 @@ def test_curvature_and_raw_square_match_the_reference_loops(weyl, weyl_states):
             assert [_ordered(phi) for phi in got.values()] == [
                 _ordered(phi) for phi in want.values()]
             obstructed += len(got)
-        raw = _raw_products(state)
+        raw = _raw_products(state.system)
         assert raw and json.dumps(raw) == json.dumps(_reference_raw_products(state))
     assert obstructed
 
