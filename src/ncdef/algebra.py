@@ -215,27 +215,11 @@ class AlgebraElement:
                 out.pop(w, None)
         return AlgebraElement(self.pres, out)
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement(self.pres, {w: -c for w, c in self.terms.items()})
-
     def scale(self, c):
         c = exact(c)
         if not c:
             return self.pres.zero()
         return AlgebraElement(self.pres, {w: c * v for w, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
 
     def __repr__(self):
         return "<%s>" % format_element(self)

@@ -234,10 +234,6 @@ class MatricPoly:
             terms.pop(m, None)
         return MatricPoly(self.type, terms)
 
-    def __eq__(self, other):
-        return (isinstance(other, MatricPoly) and self.type == other.type
-                and self.terms == other.terms)
-
     def __repr__(self):
         return "<%s>" % format_poly(self)
 

@@ -11,9 +11,9 @@ import json
 from fractions import Fraction
 
 from .algebra import format_scalar
-from .checker import certificate_cutoff
+from .checker import LiftedComplex, certificate_cutoff, verify_lifted_complex
 from .errors import SchemaMismatch, ValidationError
-from .massey import stabilization_certificate
+from .massey import HullState, stabilization_certificate
 from .matrix_ring import (GeneratorTable, MatricPoly, Monomial, build_quotient,
                           format_arrow, format_monomial, format_poly, format_tag,
                           monomials_of_degree, parse_monomial)
@@ -65,12 +65,6 @@ def relations_json(state):
     return out
 
 
-def _basis_json(algebra, table, order):
-    """The basis monomials of each degree below ``order``, by degree."""
-    return {str(d): [format_monomial(m, table) for m in algebra.basis_of_degree(d)]
-            for d in range(1, order)}
-
-
 def build_report(problem, state, tables, checker_block):
     table = state.table
     versal = {}
@@ -89,7 +83,9 @@ def build_report(problem, state, tables, checker_block):
         "generators": [format_arrow(a, table) for a in table.all_arrows()],
         "orders": orders,
         "relations": relations_json(state),
-        "basis": _basis_json(state.algebra, table, state.order),
+        "basis": {str(d): [format_monomial(m, table)
+                           for m in state.algebra.basis_of_degree(d)]
+                  for d in range(1, state.order)},
         "versal_family": versal,
         "stabilized": state.stabilized,
         "stabilized_at": stabilized_at if state.stabilized else None,
@@ -180,8 +176,9 @@ def _read_relation(rel, table):
     """A report relation as a MatricPoly in the arrows of ``table``."""
     types = [[i, j] for i in range(1, table.p + 1) for j in range(1, table.p + 1)]
     arrows = [list(a) for a in table.all_arrows()]
-    _expect(isinstance(rel, dict) and rel.get("type") in types
-            and isinstance(rel.get("terms"), list), "relation %r" % (rel,))
+    _expect(isinstance(rel, dict) and isinstance(rel.get("name"), str)
+            and rel.get("type") in types and isinstance(rel.get("terms"), list),
+            "relation %r" % (rel,))
     terms = {}
     for term in rel["terms"]:
         word = term.get("monomial") if isinstance(term, dict) else None
@@ -204,15 +201,28 @@ def _read_versal_cochain(name, data, bundle):
                               "report versal cochain %s" % name)
 
 
-def verify_report(report):
-    """Re-check a saved report against what its problem and family derive.
+def _products_log(table, series, final_order):
+    """Order n's products, n < ``final_order``: the series' coefficients at the
+    degree-n basis monomials of the quotient by the series below degree n."""
+    log = {}
+    for n in range(2, final_order):
+        below = [MatricPoly(f.type, {m: c for m, c in f.terms.items() if m.degree < n})
+                 for f in series.values()]
+        log[n] = {x: {tag: f.terms[x] for tag, f in series.items() if x in f.terms}
+                  for x in build_quotient(table, below, n + 1).basis_of_degree(n)}
+    return log
 
-    Recomputes the Ext tables and the generators, rebuilds the relation
-    quotient at no less than a run's ``certificate_cutoff``, reads the
-    stored versal family back into cochains and certifies them with
-    ``stabilization_certificate``, as a run does.  Every certificate field
-    the report states, the stabilized flag and order, each relation's text
-    and the hull basis at ``final_order`` must equal the derived ones.
+
+def verify_report(report):
+    """Re-derive a saved report from its relations and versal family.
+
+    Recomputes the Ext tables, reads the relations (each placed by the tag
+    its name formats to) and the versal family back, checks that the family
+    is flat over the hull they rebuild at ``final_order`` and certifies it
+    with ``stabilization_certificate`` at the claimed cutoff, no less than a
+    run's ``certificate_cutoff``.  From that state, with the product log the
+    relations imply, ``build_report`` must rebuild the report: every field
+    but ``problem``, ``checker`` and certificate keys the report leaves out.
     Returns (ok, list of messages).  A report whose contents do not have the
     shapes written by ``build_report`` raises ValidationError.
     """
@@ -222,7 +232,6 @@ def verify_report(report):
                if key not in report]
     if missing:
         raise ValidationError("report lacks %s" % ", ".join(missing))
-    messages = []
     problem = problem_from_json(report["problem"])
     bundle = problem.bundle
     p = bundle.p
@@ -231,51 +240,55 @@ def verify_report(report):
               for key in ("ext1", "ext2")]
     _expect(all(_is_count_table(rows, p) for rows in counts), "ext_table")
     computer = ExtComputer(bundle, problem.options.ladder)
-    if counts != list(ext_tables(computer, p).values()):
-        messages.append("ext_table differs from the Ext dimensions recomputed "
-                        "at degree bound %d" % computer.degree_bound)
-        return False, messages
+    tables = ext_tables(computer, p)
+    if counts != list(tables.values()):
+        return False, ["ext_table differs from the Ext dimensions recomputed at "
+                       "degree bound %d" % computer.degree_bound]
     table = GeneratorTable(p, *({(i + 1, j + 1): rows[i][j] for i in range(p)
                                  for j in range(p)} for rows in counts))
     _expect(isinstance(report["relations"], list), "relations")
-    relations = [_read_relation(rel, table) for rel in report["relations"]]
+    tags = {format_tag(tag, table): tag for tag in table.rel_tags()}
+    series = {tag: MatricPoly((tag.i, tag.j)) for tag in tags.values()}
+    for rel in report["relations"]:
+        f = _read_relation(rel, table)
+        if rel["name"] in tags:
+            series[tags[rel["name"]]] = f
+    relations = [f for f in series.values() if not f.is_zero()]
     cert = report.get("certificate") or {}
     _expect(isinstance(cert, dict), "certificate")
     _expect(isinstance(report["versal_family"], dict), "versal_family")
     cochains = dict(_read_versal_cochain(name, data, bundle)
                     for name, data in report["versal_family"].items())
+    final_order = report.get("final_order")
+    # one basis key per degree before any quotient: an absurd order costs nothing
+    if not (type(final_order) is int and isinstance(report.get("basis"), dict)
+            and len(report["basis"]) == final_order - 1):
+        return False, ["basis does not list the degrees below final_order"]
     derived = certificate_cutoff(problem.options.verify_cutoff, relations, cochains)
     cutoff = cert.get("verified_cutoff", derived)
     _expect(type(cutoff) is int and cutoff > 0, "verified_cutoff %r" % (cutoff,))
     if cutoff < derived:
-        messages.append("certificate cutoff %d is below the derived cutoff %d"
-                        % (cutoff, derived))
-        return False, messages
+        return False, ["certificate cutoff %d is below the derived cutoff %d"
+                       % (cutoff, derived)]
+    hull = build_quotient(table, relations, final_order)
+    ok, failure = verify_lifted_complex(LiftedComplex(hull, bundle, cochains))
+    if not ok:
+        return False, ["versal family fails over the rebuilt hull at %s"
+                       % format_monomial(failure[0], table)]
     flag, recomputed = stabilization_certificate(
         build_quotient(table, relations, cutoff + 1), bundle, relations, cochains)
-    if not flag:
-        messages.append("versal family fails over the rebuilt quotient at %s"
-                        % (recomputed.get("first_failure") or recomputed["monomial"],))
-        return False, messages
-    messages.append("versal family verifies over the rebuilt quotient "
-                    "(cutoff %d)" % cutoff)
-    wrong = ["certificate " + key for key in sorted(cert)
-             if cert[key] != recomputed.get(key)]
-    final_order, basis = report.get("final_order"), report.get("basis")
-    # a basis with one key per degree first, so an absurd order costs nothing
-    if not (type(final_order) is int and isinstance(basis, dict)
-            and len(basis) == final_order - 1 and basis == _basis_json(
-                build_quotient(table, relations, final_order), table, final_order)):
-        wrong.append("basis or final_order")
-    claims = {"generators": [format_arrow(a, table) for a in table.all_arrows()],
-              "stabilized": True,
-              "stabilized_at": max((f.max_degree() for f in relations), default=0) or 2}
-    wrong += [key for key, value in claims.items() if report.get(key) != value]
-    wrong += ["relation %s text" % rel.get("name") for rel, f
-              in zip(report["relations"], relations)
-              if rel.get("text") != format_poly(f, table)]
+    messages = ["versal family %s over the rebuilt quotient (cutoff %d)"
+                % ("verifies" if flag else "does not stabilize", cutoff)]
+    state = HullState(bundle=bundle, table=table, ext=None, options=problem.options,
+                      order=final_order, algebra=hull, system=cochains, series=series,
+                      products_log=_products_log(table, series, final_order),
+                      stabilized=flag, certificate=recomputed)
+    rebuilt = build_report(problem, state, tables, report.get("checker"))
+    rebuilt["problem"] = report["problem"]
+    rebuilt["certificate"] = {key: recomputed.get(key) for key in cert}
+    wrong = diff_reports(dict(report, certificate=cert), rebuilt)
     if wrong:
-        messages.append("the report's %s differ from the derived ones"
-                        % ", ".join(wrong))
-        return False, messages
-    return True, messages
+        fields = sorted({d["path"].split("/")[1] for d in wrong})
+        messages.append("the report's fields %s differ from the derived ones "
+                        "(first at %s)" % (", ".join(fields), wrong[0]["path"]))
+    return not wrong, messages

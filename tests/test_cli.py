@@ -193,6 +193,11 @@ def test_verify_rejects_corrupted_family(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(report, sort_keys=True, indent=2))
     assert main(["verify", str(bad)]) == 4
+    # a report that claims no stabilization still needs a flat family
+    report.update(stabilized=False, stabilized_at=None)
+    del report["certificate"]
+    assert main(["verify", _write(tmp_path, "lowered.json", report)]) == 4
+    assert "fails over the rebuilt hull" in capsys.readouterr().out
 
 
 FLAGSHIP_REPORT = Path(__file__).parent / "golden" / "weyl2-simple4" / "report.json"
@@ -237,6 +242,8 @@ TAMPERED = {
     "stabilized": (("stabilized",), _bumped),
     "stabilized_at": (("stabilized_at",), _bumped),
     "relation-text": (("relations", 0, "text"), _bumped),
+    "relation-name": (("relations", 0, "name"), _bumped),
+    "orders-value": (("orders", "2", 1, "value", None), _bumped),
 }
 
 
@@ -249,8 +256,23 @@ def test_verify_rejects_each_edited_claim(golden, field, tmp_path, capsys):
     node = report
     for key in path[:-1]:
         node = node[next(iter(node)) if key is None else key]
-    node[path[-1]] = change(node[path[-1]])
+    key = next(iter(node)) if path[-1] is None else path[-1]
+    node[key] = change(node[key])
     assert main(["verify", _write(tmp_path, "r.json", report)]) == 4
+    assert "report verifies" not in capsys.readouterr().out
+
+
+def test_report_of_a_run_that_did_not_stabilize_verifies(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["run", "--preset", "weyl2-simple4", "--max-order", "1",
+                 "--out", str(out)]) == 0
+    assert "NOT stabilized" in capsys.readouterr().out
+    assert main(["verify", str(out / "report.json")]) == 0
+    assert "report verifies" in capsys.readouterr().out
+    report = json.loads((out / "report.json").read_text())
+    assert report["stabilized"] is False
+    report["stabilized"] = True
+    assert main(["verify", _write(tmp_path, "claimed.json", report)]) == 4
     assert "report verifies" not in capsys.readouterr().out
 
 

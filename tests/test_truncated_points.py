@@ -40,7 +40,9 @@ def test_early_stop_finds_the_truncation_relation(n, tmp_path, capsys,
     spec = tmp_path / "trunc.json"
     spec.write_text(json.dumps(_trunc_spec(n)))
     assert main(["run", "--spec", str(spec), "--max-order", "8", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    saved = tmp_path / "report.json"
+    saved.write_text(capsys.readouterr().out)
+    report = json.loads(saved.read_text())
     sign = "-" if n % 2 == 0 else ""
     assert [rel["text"] for rel in report["relations"]] == \
         [sign + "*".join(["x11"] * n)]
@@ -50,3 +52,5 @@ def test_early_stop_finds_the_truncation_relation(n, tmp_path, capsys,
     assert cert["complete"] is True and cert["reduces_to_zero"] is True
     # the system's top degree is n - 1, so the check reaches 2(n - 1)
     assert cert["verified_cutoff"] == max(n + 2, 2 * (n - 1))
+    # verify re-derives the report, its nonzero order-n products included
+    assert main(["verify", str(saved)]) == 0
