@@ -18,12 +18,15 @@ first Weyl algebra and ``poly1`` is k[x].
 No rewriting is done twice: ``AlgebraPresentation._nf_cache`` maps a word to
 its normal form's terms and ``QuotientModule._action_cache`` maps (word u,
 basis word w) to the class of u*w, each capped at ``CACHE_CAP`` entries;
-``AlgebraPresentation._word_cache`` maps (degree bound, generator tuple) to
-the sorted normal words and ``_class_groups`` a bound to those words grouped
-by ``word_class``; ``_degree_cache`` maps a word to its degree, capped at
+``AlgebraPresentation._layers`` maps a generator tuple to its normal words
+of each exact degree, each layer built and sorted once, and ``_word_cache``
+maps (degree bound, generator tuple) to the words of the layers up to the
+bound; ``_class_groups`` maps a bound to the normal words grouped by
+``word_class`` and ``_prefix_classes`` each word grouped so far to its
+class; ``_degree_cache`` maps a word to its degree, capped at
 ``CACHE_CAP``; ``_letter_classes`` maps each generator to its class, built
-on the first ``word_class`` call.  A module acts through a table
-of generator actions on basis words, as one computes in solvable (PBW)
+on the first ``word_class`` or ``class_groups`` call.  A module acts through
+a table of generator actions on basis words, as one computes in solvable (PBW)
 algebras (Kandri-Rody and Weispfenning, J. Symb. Comp. 9 (1990)); the class
 of a word u is its action u*1 on the empty word, so ``QuotientModule.reduce``
 only fills the table entries that no rule gives.
@@ -34,6 +37,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 from .errors import StepBudgetExceeded, UnsupportedIdeal, ValidationError
 from .linalg import Echelon, _add_multiple, exact
@@ -54,6 +58,9 @@ class AlgebraPresentation:
             raise ValidationError("duplicate generator names")
         self.gen_index = {g: k for k, g in enumerate(self.generators)}
         self.weights = dict(weights) if weights else {g: 1 for g in self.generators}
+        unknown = sorted(set(self.weights) - set(self.gen_index))
+        if unknown:
+            raise ValidationError("unknown weight %s" % ", ".join(map(repr, unknown)))
         for g in self.generators:
             w = self.weights.setdefault(g, 1)
             if not isinstance(w, int) or w < 0:
@@ -74,9 +81,11 @@ class AlgebraPresentation:
                     raise ValidationError("rule right side has larger degree than left side")
             self.rules[lhs] = terms
         self._nf_cache = {}
+        self._layers = {}
         self._word_cache = {}
         self._class_groups = {}
         self._letter_classes = None
+        self._prefix_classes = {(): (0,) * len(self.generators)}
 
     def word_degree(self, word):
         deg = self._degree_cache.get(word)
@@ -92,6 +101,12 @@ class AlgebraPresentation:
         class, so each term of a normal form or product has its word's class.
         The class is linear in the counts: the sum of its letters' classes.
         """
+        letters = self._letters()
+        return tuple(map(sum, zip((0,) * len(self.generators),
+                                  *(letters[g] for g in word))))
+
+    def _letters(self):
+        """{generator: its word_class}, built on the first call."""
         letters = self._letter_classes
         if letters is None:
             grading = Echelon()
@@ -104,8 +119,7 @@ class AlgebraPresentation:
             for g in self.generators:
                 counts = grading.reduce({g: 1})
                 letters[g] = tuple(counts.get(h, 0) for h in self.generators)
-        return tuple(map(sum, zip((0,) * len(self.generators),
-                                  *(letters[g] for g in word))))
+        return letters
 
     def word_key(self, word):
         return (self.word_degree(word), tuple(self.gen_index[g] for g in word))
@@ -130,37 +144,47 @@ class AlgebraPresentation:
 
     def class_groups(self, max_degree):
         """{word_class: positions in ``normal_words(max_degree)``}, built once
-        per bound."""
+        per bound.  A normal word's prefix is a normal word of lower degree,
+        so each class is its prefix's plus its last letter's."""
         groups = self._class_groups.get(max_degree)
         if groups is None:
             groups = {}
-            words = self._words(max_degree, tuple(self.generators))
-            for n, w in enumerate(words):
-                groups.setdefault(self.word_class(w), []).append(n)
+            letters, classes = self._letters(), self._prefix_classes
+            for n, w in enumerate(self._words(max_degree, tuple(self.generators))):
+                cls = classes.get(w)
+                if cls is None:
+                    cls = classes[w] = tuple(map(add, classes[w[:-1]], letters[w[-1]]))
+                groups.setdefault(cls, []).append(n)
             self._class_groups[max_degree] = groups
         return groups
 
     def _words(self, max_degree, gens):
-        """Normal words over ``gens`` of degree <= max_degree, by word_key."""
+        """Normal words over ``gens`` of degree <= max_degree, by word_key.
+
+        ``_layers[gens][d]`` holds the (index tuple, word) pairs of the
+        normal words of degree exactly d, sorted once: layer d extends layer
+        d - weight(g) by each letter g that ends no rule's left side there.
+        Each bound's list is the words of a prefix of the layers.
+        """
         key = (max_degree, gens)
-        if key in self._word_cache:
-            return self._word_cache[key]
+        words = self._word_cache.get(key)
+        if words is not None:
+            return words
         # weight-0 generators would make degree layers infinite
         if any(self.weights[g] == 0 for g in self.generators):
             raise ValidationError("normal word enumeration needs positive weights")
-        words = [()]
-        frontier = [((), 0)]
-        while frontier:
-            new = []
-            for w, deg in frontier:
-                for g in gens:
-                    deg2 = deg + self.weights[g]
-                    if deg2 <= max_degree and not (w and (w[-1], g) in self.rules):
-                        new.append((w + (g,), deg2))
-            words.extend(w for w, _ in new)
-            frontier = new
-        words.sort(key=self.word_key)
-        self._word_cache[key] = words
+        layers = self._layers.setdefault(gens, [[((), ())]])
+        letters = [(g, self.weights[g], (self.gen_index[g],)) for g in gens]
+        while len(layers) <= max_degree:
+            degree = len(layers)
+            layer = [(k + index, w + (g,))
+                     for g, weight, index in letters if weight <= degree
+                     for k, w in layers[degree - weight]
+                     if not (w and (w[-1], g) in self.rules)]
+            layer.sort()
+            layers.append(layer)
+        words = self._word_cache[key] = [w for layer in layers[:max_degree + 1]
+                                         for _, w in layer]
         return words
 
     def parse(self, text):

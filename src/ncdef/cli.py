@@ -60,14 +60,22 @@ def _load_problem(args):
                           % ", ".join(preset_names()))
 
 
-def _ext_setup(problem):
-    """Certified basis and dimension tables for a problem."""
+def _ext_computer(problem):
+    """The problem's Ext computer and its given basis, certified; None for
+    the basis when it is to be computed."""
     opts = problem.options
     computer = ExtComputer(problem.bundle, opts.ladder)
+    basis = None
     if problem.preset_basis is not None and not opts.use_computed_basis:
         basis = problem.preset_basis
         basis.certify(computer)
-    else:
+    return computer, basis
+
+
+def _ext_setup(problem):
+    """Certified basis and dimension tables for a problem."""
+    computer, basis = _ext_computer(problem)
+    if basis is None:
         # ext_basis certifies each entry as it computes it
         basis = ExtBasis.computed(computer)
     tables = ext_tables(computer, problem.p)
@@ -99,7 +107,13 @@ def cmd_run(args):
 
 def cmd_ext(args):
     problem = _load_problem(args)
-    basis, tables = _ext_setup(problem)
+    computer, basis = _ext_computer(problem)
+    if basis is None:
+        # the tables need no Yoneda lifts: picking the Hom-complex classes
+        # checks each dimension against the kernel
+        for i in range(1, problem.p + 1):
+            computer.hom_classes(i)
+    tables = ext_tables(computer, problem.p)
     if args.json:
         sys.stdout.write(canonical_json({"schema": "ncdef-ext/1",
                                          "problem": problem.to_json(),

@@ -22,8 +22,10 @@ at B and B + 1.  The images come from the modules' action tables
 from one rank profile per differential and pair (i, j), an echelon that
 takes the coordinates bound by bound; only the groups with classes build
 the window echelon that their representatives are reduced against.
-Classes are then lifted through the projectives to Yoneda cochains by
-bounded-degree solves.
+``hom_classes`` picks the classes of each group; only an Ext basis
+(``ext_basis``) lifts them through the projectives to Yoneda cochains by
+bounded-degree solves, so ``ncdef ext``, which prints dimensions, lifts
+nothing.
 
 Every bounded-degree solve -- the lifts here, coboundary primitives and
 Ext^2 projections below, and the equivalence intertwiners of the checker --
@@ -361,29 +363,42 @@ class ExtComputer:
         count the rank of the images' terms above k.
         """
         degree = self.bundle.pres.word_degree
+        module = self.bundle.res(i).module
+        rank = self.bundle.res(j).rank(m)
         images = self._images(i, j, m, self._coords(i, j, m, bounds[-1]))
+        # a bound's words are a prefix of the last bound's
+        words = module.basis_words(bounds[-1])
         ech = Echelon(priority=lambda c: (degree(c[1]), c[0], c[1]))
-        added, pivots = set(), {}
+        added, pivots = 0, {}
         for bound in bounds:
-            for lab in self._coords(i, j, m, bound):
-                if lab not in added:
-                    added.add(lab)
-                    if images[lab]:
-                        ech.add(images[lab])
+            upto = len(module.basis_words(bound))
+            for r in range(rank):
+                for w in words[added:upto]:
+                    if images[(r, w)]:
+                        ech.add(images[(r, w)])
+            added = upto
             pivots[bound] = [degree(w) for _, w in ech.rows]
         return pivots, images
 
     def ext_dimension(self, i, j, n):
         """dim Ext^n(M_j, M_i), stable at B and B + 1."""
+        if n not in (1, 2):
+            raise ValidationError("ext_dimension computes n = 1 or 2")
         if (i, j, n) not in self._dim_cache:
-            self._hom_groups(i, j, (n,))
-        return self._dim_cache[(i, j, n)]
+            self._rank_profiles(i, j)
+        return self._stable_dimension(i, j, n)
 
-    def _hom_groups(self, i, j, degrees=(1, 2)):
-        """(n, dim, boundaries, images) for Ext^n(M_j, M_i), n in ``degrees``:
-        its dimension, stable at the degree bound B and B + 1; and, when the
-        dimension is not 0, its boundary echelon at B and the images of the
-        Hom(L_{n,j}, M_i) coordinates at B, else None for both.
+    def _stable_dimension(self, i, j, n):
+        low, high = self._dim_cache[(i, j, n)]
+        if low != high:
+            raise NotStabilized(
+                "Ext^%d(M%d, M%d) is %d at bound %d but %d at bound %d"
+                % (n, j, i, low, self.degree_bound, high, self.degree_bound + 1))
+        return low
+
+    def _rank_profiles(self, i, j):
+        """{m: rank profile of d_m} for m = 0, 1, 2, recording the counts of
+        Ext^1(M_j, M_i) and Ext^2(M_j, M_i) at the degree bound B and B + 1.
 
         One rank profile per differential d_m (``_rank_profile``) gives
         every count.  The cocycles at bound k number the coordinates at k
@@ -394,37 +409,42 @@ class ExtComputer:
         d_{n-1} profile.  So the d_1 profile, over B ... B + 1 +
         BOUNDARY_SLACK, serves the Ext^1 cocycles and Ext^2 boundaries.
         """
-        if 0 in degrees:
-            raise ValidationError("ext_dimension computes n = 1 or 2")
         bound, slack = self.degree_bound, BOUNDARY_SLACK
         windows = (bound, bound + 1)
-        needed = {}
-        for n in degrees:
-            needed.setdefault(n, set()).update(windows)
-            needed.setdefault(n - 1, set()).update(k + slack for k in windows)
-        profiles = {m: self._rank_profile(i, j, m, sorted(bounds))
-                    for m, bounds in sorted(needed.items())}
-        out = []
-        for n in degrees:
-            pivots, images = profiles[n]
-            potential_pivots, potentials = profiles[n - 1]
-            dims = []
+        potentials = tuple(k + slack for k in windows)
+        profiles = {m: self._rank_profile(i, j, m, bounds) for m, bounds in (
+            (0, potentials), (1, sorted({*windows, *potentials})), (2, windows))}
+        module, rank = self.bundle.res(i).module, self.bundle.res(j).rank
+        for n in (1, 2):
+            pivots, potential_pivots = profiles[n][0], profiles[n - 1][0]
+            counts = []
             for k in windows:
                 spanned = potential_pivots[k + slack]
-                dims.append(len(self._coords(i, j, n, k)) - len(pivots[k])
-                            - (len(spanned) - sum(1 for d in spanned if d > k)))
-            if dims[0] != dims[1]:
-                raise NotStabilized(
-                    "Ext^%d(M%d, M%d) is %d at bound %d but %d at bound %d"
-                    % (n, j, i, dims[0], bound, dims[1], bound + 1))
-            self._dim_cache[(i, j, n)] = dims[0]
+                counts.append(rank(n) * len(module.basis_words(k)) - len(pivots[k])
+                              - (len(spanned) - sum(1 for d in spanned if d > k)))
+            self._dim_cache[(i, j, n)] = tuple(counts)
+        return profiles
+
+    def _hom_groups(self, i, j):
+        """(n, dim, boundaries, images) for Ext^n(M_j, M_i), n = 1, 2: its
+        dimension, stable at the degree bound B and B + 1; and, when the
+        dimension is not 0, its boundary echelon at B and the images of the
+        Hom(L_{n,j}, M_i) coordinates at B, else None for both.
+        """
+        profiles = self._rank_profiles(i, j)
+        bound = self.degree_bound
+        out = []
+        for n in (1, 2):
+            dim = self._stable_dimension(i, j, n)
             boundaries = coords = None
-            if dims[0]:
+            if dim:
+                potentials = profiles[n - 1][1]
                 boundaries = self._boundary_echelon(
-                    bound, [potentials[lab]
-                            for lab in self._coords(i, j, n - 1, bound + slack)])
+                    bound, [potentials[lab] for lab in
+                            self._coords(i, j, n - 1, bound + BOUNDARY_SLACK)])
+                images = profiles[n][1]
                 coords = {lab: images[lab] for lab in self._coords(i, j, n, bound)}
-            out.append((n, dims[0], boundaries, coords))
+            out.append((n, dim, boundaries, coords))
         return out
 
     # -- representatives --------------------------------------------------
@@ -543,23 +563,33 @@ class ExtComputer:
             raise SolverBoundError("no bounded-degree solution for the lift")
         return out
 
+    def hom_classes(self, i):
+        """Hom-complex cocycles of Ext^n(M_j, M_i), n = 1, 2, for every j.
+
+        Returns {(n, j): (cocycles, dim, boundaries)}, the cocycles picked by
+        ``_hom_representatives`` against the boundary echelon, which checks
+        each dimension against the kernel.  Nothing is lifted.
+        """
+        out = {}
+        for j in range(1, self.bundle.p + 1):
+            for n, dim, boundaries, images in self._hom_groups(i, j):
+                out[(n, j)] = (self._hom_representatives(images, dim, boundaries),
+                               dim, boundaries)
+        return out
+
     def ext_basis(self, i):
         """Deterministic Yoneda representatives of Ext^n(M_j, M_i), n = 1, 2.
 
-        Returns {(n, j): representatives} for every j.  All the lifts of the
-        source module M_i go through ``_lift_to_yoneda`` together; each
-        group is certified as ``ExtBasis.certify`` would, against the same
-        boundary echelon its representatives were chosen with.
+        Returns {(n, j): representatives} for every j: the ``hom_classes``
+        of the source module M_i, all lifted through ``_lift_to_yoneda``
+        together.  Each group is certified as ``ExtBasis.certify`` would,
+        against the same boundary echelon its cocycles were picked with.
         """
-        groups, echelons = [], []
-        for j in range(1, self.bundle.p + 1):
-            for n, dim, boundaries, images in self._hom_groups(i, j):
-                vecs = self._hom_representatives(images, dim, boundaries)
-                groups.append((j, n, vecs))
-                echelons.append((dim, boundaries))
+        classes = self.hom_classes(i)
+        groups = [(j, n, vecs) for (n, j), (vecs, _, _) in classes.items()]
         out = {}
-        for (j, n, _), reps, (dim, boundaries) in zip(
-                groups, self._lift_to_yoneda(i, groups), echelons):
+        for ((n, j), (_, dim, boundaries)), reps in zip(
+                classes.items(), self._lift_to_yoneda(i, groups)):
             _certify_independent(self, n, i, j, reps, dim, boundaries)
             out[(n, j)] = reps
         return out
@@ -824,9 +854,10 @@ class ExtBasis:
                         raise ValidationError(
                             "representative for Ext^%d(%d,%d) is not a cocycle"
                             % (n, i, j))
-            groups = computer._hom_groups(i, j, tuple(n for n, _ in tables))
-            for (n, reps), (_, dim, boundaries, _) in zip(tables, groups):
-                _certify_independent(computer, n, i, j, reps, dim, boundaries,
+            groups = {n: (dim, boundaries)
+                      for n, dim, boundaries, _ in computer._hom_groups(i, j)}
+            for n, reps in tables:
+                _certify_independent(computer, n, i, j, reps, *groups[n],
                                      outside=ValidationError)
         return True
 

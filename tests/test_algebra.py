@@ -303,6 +303,62 @@ def test_basis_words_are_the_normal_words_avoiding_the_ideal(weyl, poly3):
             assert module.basis_words(bound) == expected
 
 
+def _reference_words(pres, max_degree, gens):
+    """Normal words over ``gens`` of degree <= max_degree: a breadth-first
+    search by length, then one sort of the whole list by ``word_key``."""
+    words = [()]
+    frontier = [((), 0)]
+    while frontier:
+        new = []
+        for w, deg in frontier:
+            for g in gens:
+                deg2 = deg + pres.weights[g]
+                if deg2 <= max_degree and not (w and (w[-1], g) in pres.rules):
+                    new.append((w + (g,), deg2))
+        words.extend(w for w, _ in new)
+        frontier = new
+    return sorted(words, key=pres.word_key)
+
+
+def _weighted():
+    # x of weight 2 and y of weight 3, so the degree layers 1 and 2 + 3k
+    # hold no y-free word of odd degree
+    return AlgebraPresentation(["x", "y"], [(("y", "x"), [(("x", "y"), 1)])],
+                               weights={"x": 2, "y": 3})
+
+
+@pytest.mark.parametrize("name, top", [("weyl2", 15), ("poly3", 12), ("weighted", 20),
+                                       ("count-changing", 10), ("non-confluent", 12)])
+def test_words_by_layer_are_the_sorted_breadth_first_words(name, top, request):
+    # each presentation fresh, its bounds asked in descending and then in
+    # ascending order, so a layer serves bounds both below and above it
+    for bounds in (range(top, -1, -1), range(top + 1)):
+        pres = _weighted() if name == "weighted" else _presentation(name, request)
+        pres = AlgebraPresentation(pres.generators, list(pres.rules.items()), pres.weights)
+        gens = tuple(pres.generators)
+        for bound in bounds:
+            assert pres.normal_words(bound) == _reference_words(pres, bound, gens)
+
+
+def test_module_basis_words_by_layer_are_the_sorted_breadth_first_words(weyl):
+    for res in weyl.bundle.resolutions.values():
+        module = res.module
+        for bound in range(16):
+            assert module.basis_words(bound) == _reference_words(
+                module.pres, bound, module._basis_gens)
+
+
+@pytest.mark.parametrize("name", ["weyl2", "poly3", "weighted", "count-changing",
+                                  "non-confluent"])
+def test_class_groups_group_the_normal_words_by_class(name, request):
+    pres = _weighted() if name == "weighted" else _presentation(name, request)
+    for bound in (9, 3, 6):
+        want = {}
+        for n, w in enumerate(pres.normal_words(bound)):
+            want.setdefault(pres.word_class(w), []).append(n)
+        assert list(pres.class_groups(bound).items()) == list(want.items())
+
+
 def _case4_presentation():
     """y*x -> u*y and u*y -> x*y with ideal (x, u): x*y^a is x*y^a in A, so
     no rule gives x*y^a directly and the table takes reduce's value (case 4)."""

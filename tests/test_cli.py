@@ -537,6 +537,11 @@ def _poly3_algebra(**edits):
     pytest.param(_poly3_algebra(rules=[["y*x", "x*w"]]), "unknown generator",
                  id="rule-to-an-unknown-generator"),
     pytest.param(_poly3_algebra(weights=[1, 1, 1]), "weights", id="weights-list"),
+    # z's weight would default to 1, and q's value was never read
+    pytest.param(_poly3_algebra(weights={"x": 1, "y": 1, "zq": 5}), "unknown weight 'zq'",
+                 id="weight-of-a-misspelled-generator"),
+    pytest.param(_poly3_algebra(weights={"x": 1, "y": 1, "z": 1, "q": "junk"}),
+                 "unknown weight 'q'", id="junk-weight-of-a-non-generator"),
     pytest.param(_poly3_algebra(wieghts={}), "unknown algebra key 'wieghts'",
                  id="unknown-key"),
 ])

@@ -134,3 +134,20 @@ def test_bound12_output_matches_benchmark_digest(key, tmp_path, capsys):
         output = capsys.readouterr().out.encode()
     expected = json.loads((BENCH / "expected.json").read_text())[key]
     assert hashlib.sha256(output).hexdigest() == expected
+
+
+def test_ext_lifts_nothing_and_prints_the_benchmark_digest(monkeypatch, capsys):
+    # ext prints only dimensions: the computed basis's Hom-complex classes
+    # are picked and checked, but no class is lifted to a Yoneda cochain
+    from ncdef import checker, yoneda
+
+    def refused(*args):
+        raise AssertionError("ext lifted or solved")
+
+    for module in (linalg, yoneda, checker):
+        monkeypatch.setattr(module, "solve_sparse", refused)
+    monkeypatch.setattr(yoneda.ExtComputer, "_lift_to_yoneda", refused)
+    assert main(BOUND12["weyl2-ext12"]) == 0
+    output = capsys.readouterr().out.encode()
+    expected = json.loads((BENCH / "expected.json").read_text())["weyl2-ext12"]
+    assert hashlib.sha256(output).hexdigest() == expected

@@ -619,12 +619,53 @@ def test_ext_basis_computes_each_hom_image_once(problem, request):
     for i in range(1, bundle.p + 1):
         for j in range(1, bundle.p + 1):
             for n, dim, boundaries, images_n in computer._hom_groups(i, j):
-                ((_, dim2, boundaries2, images2),) = computer._hom_groups(i, j, (n,))
-                assert dim == dim2
+                kernel_dim, boundaries2 = _reference_hom_dims(
+                    computer, i, j, n, computer.degree_bound)
+                images2 = dict(_reference_images(computer, i, j, n, computer.degree_bound))
+                assert dim == kernel_dim - len(boundaries2.rows)
                 if dim:
                     assert _rows(boundaries) == _rows(boundaries2)
                     assert [(lab, _in_order(v)) for lab, v in images_n.items()] == \
                         [(lab, _in_order(v)) for lab, v in images2.items()]
+
+
+@pytest.mark.parametrize("problem", ["weyl", "poly3"])
+def test_a_cold_ext_table_profiles_each_pair_once(problem, request):
+    # one rank profile of d_0, d_1 and d_2 per pair serves both degrees,
+    # whichever of ext_dimension, ext_tables and _hom_groups asks first
+    from ncdef.report import ext_tables
+
+    bundle = request.getfixturevalue(problem).bundle
+    p = bundle.p
+    want = ext_tables(ExtComputer(bundle, RunOptions().ladder), p)
+    for first in ("tables", "groups"):
+        computer = ExtComputer(bundle, RunOptions().ladder)
+        profile, profiled = computer._rank_profile, []
+        computer._rank_profile = lambda i, j, m, bounds: (
+            profiled.append((i, j, m)) or profile(i, j, m, bounds))
+        if first == "groups":
+            for i in range(1, p + 1):
+                for j in range(1, p + 1):
+                    computer._hom_groups(i, j)
+        assert ext_tables(computer, p) == want
+        for i in range(1, p + 1):
+            for j in range(1, p + 1):
+                for n in (1, 2):
+                    computer.ext_dimension(i, j, n)
+        assert sorted(profiled) == [(i, j, m) for i in range(1, p + 1)
+                                    for j in range(1, p + 1) for m in (0, 1, 2)]
+
+
+def test_ext_dimension_of_a_stable_degree_beside_an_unstable_one():
+    # the line's self-extensions grow with the bound, while its Ext^2 is 0
+    computer = ExtComputer(_line_over_the_plane(), RunOptions().ladder)
+    assert computer.ext_dimension(1, 1, 2) == 0
+    with pytest.raises(NotStabilized, match="Ext\\^1"):
+        computer.ext_dimension(1, 1, 1)
+    with pytest.raises(NotStabilized, match="Ext\\^1"):
+        computer._hom_groups(1, 1)
+    with pytest.raises(ValidationError, match="n = 1 or 2"):
+        computer.ext_dimension(1, 1, 3)
 
 
 def _reference_dimension(computer, i, j, n):
