@@ -25,11 +25,13 @@ bound; ``_class_groups`` maps a bound to the normal words grouped by
 ``word_class`` and ``_prefix_classes`` each word grouped so far to its
 class; ``_degree_cache`` maps a word to its degree, capped at
 ``CACHE_CAP``; ``_letter_classes`` maps each generator to its class, built
-on the first ``word_class`` or ``class_groups`` call.  A module acts through
-a table of generator actions on basis words, as one computes in solvable (PBW)
-algebras (Kandri-Rody and Weispfenning, J. Symb. Comp. 9 (1990)); the class
-of a word u is its action u*1 on the empty word, so ``QuotientModule.reduce``
-only fills the table entries that no rule gives.
+on the first ``word_class`` or ``class_groups`` call.  A module acts
+through a table of generator actions on basis words, as one computes in
+solvable (PBW) algebras (Kandri-Rody and Weispfenning, J. Symb. Comp. 9
+(1990)); the class of a word u is its action u*1 on the empty word, and
+``QuotientModule.reduce`` sums those classes.  An entry that no rule gives
+takes one trade step through the table, and nesting past ``ACTION_DEPTH``
+raises StepBudgetExceeded.
 """
 
 from __future__ import annotations
@@ -231,12 +233,7 @@ class AlgebraElement:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+        _add_multiple(out, other.terms, 1)
         return AlgebraElement(self.pres, out)
 
     def scale(self, c):
@@ -322,11 +319,11 @@ class QuotientModule:
     """Cyclic left module A / (A*g1 + ... + A*gk) for generator ideals.
 
     Classes are represented by elements whose words avoid the ideal
-    generators entirely; reduction repeatedly trades a word containing some
-    g for the lower-degree correction terms of ``(word/g) * g``.  This is a
-    well-defined linear section exactly for ideals in the supported class
-    (no two generators linked by an inhomogeneous rule), which covers the
-    shipped presets.
+    generators entirely, and every class comes from one table of generator
+    actions on those basis words (``word_action``).  This is a well-defined
+    linear section exactly for ideals in the supported class (no two
+    generators linked by an inhomogeneous rule), which covers the shipped
+    presets.
 
     ``_action_cache`` maps (word u, basis word w) to the class of u*w, at
     most ``CACHE_CAP`` entries, so each action is computed only once.
@@ -348,25 +345,14 @@ class QuotientModule:
         self._action_cache = {}
 
     def reduce(self, a):
-        """Canonical representative of ``a`` modulo the left ideal."""
+        """Canonical representative of ``a`` modulo the left ideal: the sum
+        of the classes u*1 of its words u, off the action table."""
         if a.pres is not self.pres:
             raise ValidationError("element from a different presentation")
-        pres = self.pres
-        terms = dict(a.terms)
-        for _ in range(pres.step_budget + 1):
-            reducible = [w for w in terms if not self._gen_set.isdisjoint(w)]
-            if not reducible:
-                return AlgebraElement(pres, terms)
-            w = max(reducible, key=pres.word_key)
-            c = terms.pop(w)
-            g = next(gg for gg in reversed(w) if gg in self._gen_set)
-            k = len(w) - 1 - w[::-1].index(g)
-            rest = dict(normal_form(w[:k] + w[k + 1:] + (g,), pres).terms)
-            a = rest.pop(w, 0)  # w less g, times g: a*w + rest in A*g, w ~ -rest/a
-            if not a:
-                raise UnsupportedIdeal("the ideal cannot reduce %s" % _format_word(w))
-            _add_multiple(terms, rest, exact(Fraction(-c) / a))
-        raise StepBudgetExceeded("module reduction exceeded %d steps" % pres.step_budget)
+        out = {}
+        for u, c in a.terms.items():
+            _add_multiple(out, self._act(u, (), 0), c)
+        return AlgebraElement(self.pres, out)
 
     def basis_words(self, max_degree):
         """Normal words avoiding the ideal generators, up to max_degree."""
@@ -382,13 +368,15 @@ class QuotientModule:
           2. g is not an ideal generator:  g*w is a basis word;
           3. a rule h*g -> c (g*h) + sum c_v v, c != 0:
              g*w = (h*(g*r) - sum c_v (v*r)) / c;
-          4. ``reduce(normal_form(g*w))``, which also serves every entry
-             nested ``ACTION_DEPTH`` deep, so endless rewriting hits the
-             step budget;
-        and g*() is 0 for an ideal generator g, the word g otherwise.  A
-        class has one expansion over the basis words, so only the order of
-        its terms can differ from ``reduce``'s, and nothing reads it:
-        echelons pivot by label and ``format_element`` sorts.
+          4. one trade step (``_trade``): w*g lies in A*g and
+             nf(w*g) = a (g*w) + rest with a != 0, so g*w = -rest/a, each
+             word of rest read through the table; a = 0 raises
+             UnsupportedIdeal;
+        and g*() is 0 for an ideal generator g, the word g otherwise.  An
+        entry nested more than ``ACTION_DEPTH`` deep raises
+        StepBudgetExceeded, so a cycle of trades or rules ends at once.
+        The terms come in the order the table sums them; nothing reads that
+        order: echelons pivot by label and ``format_element`` sorts.
         """
         return self._act(tuple(u), word, 0)
 
@@ -399,8 +387,9 @@ class QuotientModule:
         depth += 1
         rules, ideal = self.pres.rules, self._gen_set
         if depth > ACTION_DEPTH:
-            pass  # case 4
-        elif len(u) != 1:
+            raise StepBudgetExceeded("module action nested deeper than %d entries"
+                                     % ACTION_DEPTH)
+        if len(u) != 1:
             terms = self._apply(u, {w: 1}, depth)
         elif not w:
             terms = {} if u[0] in ideal else {u: 1}
@@ -414,17 +403,29 @@ class QuotientModule:
             h, r = w[:1], w[1:]
             rhs = rules.get(h + u, ())
             c = sum(cv for v, cv in rhs if v == u + h)
-            if c:  # case 3, else case 4
+            if c:  # case 3
                 terms = self._apply(h, self._act(u, r, depth), depth)
                 for v, cv in rhs:
                     if v != u + h:
                         _add_multiple(terms, self._apply(v, {r: 1}, depth), -cv)
                 if c != 1:
                     terms = {x: exact(Fraction(y) / c) for x, y in terms.items()}
-        if terms is None:
-            terms = self.reduce(normal_form(u + w, self.pres)).terms
+            else:
+                terms = self._trade(u + w, depth)
         if len(self._action_cache) < CACHE_CAP:
             self._action_cache[(u, w)] = terms
+        return terms
+
+    def _trade(self, word, depth):
+        """Case 4, the class of ``word`` = g*w: w*g lies in A*g, and
+        nf(w*g) = a*(g*w) + rest, so g*w has the class of -rest/a."""
+        rest = normal_form(word[1:] + word[:1], self.pres).terms
+        a = rest.pop(word, 0)
+        if not a:
+            raise UnsupportedIdeal("the ideal cannot reduce %s" % _format_word(word))
+        terms = {}
+        for v, c in rest.items():
+            _add_multiple(terms, self._apply(v, {(): 1}, depth), exact(Fraction(-c) / a))
         return terms
 
     def _apply(self, v, vec, depth):

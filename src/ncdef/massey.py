@@ -52,7 +52,7 @@ class HullState(namedtuple("HullState", [
     def relations(self):
         """Nonzero relation series, keyed by tag, in canonical order."""
         out = {}
-        for tag in sorted(self.series, key=lambda t: (t.i, t.j, t.l)):
+        for tag in sorted(self.series):
             if not self.series[tag].is_zero():
                 out[tag] = self.series[tag]
         return out
@@ -173,7 +173,7 @@ def advance_order(state):
     # collapse the tags: each tag becomes the combination sum_x <x, tag> x of
     # the top-degree monomials, a substitution into R's structure constants
     vectors = []
-    for tag in sorted(new_series, key=lambda t: (t.i, t.j, t.l)):
+    for tag in sorted(new_series):
         vec = {}
         if tag in R.index:
             vec[R.index[tag]] = 1

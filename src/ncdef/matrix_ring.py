@@ -227,11 +227,7 @@ class MatricPoly:
 
     def add_term(self, m, c):
         terms = dict(self.terms)
-        s = terms.get(m, 0) + c
-        if s:
-            terms[m] = s
-        else:
-            terms.pop(m, None)
+        _add_multiple(terms, {m: c}, 1)
         return MatricPoly(self.type, terms)
 
     def __repr__(self):
@@ -298,7 +294,7 @@ def parse_monomial(text, p):
 def label_sort_key(label):
     if isinstance(label, Monomial):
         return (0, label.key())
-    return (1, (label.i, label.j, label.l))
+    return (1, label)
 
 
 def label_type(label):
@@ -618,7 +614,7 @@ def quotient_by_vectors(algebra, vectors):
     def priority(col):
         label = algebra.basis[col]
         if isinstance(label, RelTag):
-            return (1, 0, (0,), (label.i, label.j, label.l))
+            return (1, 0, (0,), label)
         return (0, -label.degree, label.key(), (0, 0, 0))
 
     ech = Echelon(priority=priority)

@@ -53,7 +53,7 @@ from functools import partial
 from .algebra import AlgebraElement, QuotientModule, multiply
 from .errors import (NotACoboundary, NotStabilized, ProjectionFailed, ShapeMismatch,
                      SolverBoundError, ValidationError)
-from .linalg import Echelon, _add_multiple, kernel_basis, solve_sparse, vec_scale
+from .linalg import Echelon, kernel_basis, solve_sparse, vec_scale
 
 BOUNDARY_SLACK = 2
 
@@ -142,15 +142,6 @@ class Mat:
         return "Mat(%dx%d, %r)" % (self.nrows, self.ncols, self.entries)
 
 
-def _module_class(module, a):
-    """The class of an element ``a`` in a quotient module, as terms over its
-    basis words: the action table's class of u * 1 for each word u of ``a``."""
-    out = {}
-    for u, c in a.terms.items():
-        _add_multiple(out, module.word_action(u, ()), c)
-    return out
-
-
 class FreeResolution:
     """Free resolution of a cyclic module A / (left ideal of generators).
 
@@ -183,7 +174,7 @@ class FreeResolution:
                     "differentials %d and %d do not compose to zero" % (m, m + 1))
         # augmentation sanity: rows of d_0 must die in the module
         for v in self.diffs[0].entries.values():
-            if _module_class(self.module, v):
+            if not self.module.reduce(v).is_zero():
                 raise ValidationError("d_0 does not map into the ideal")
 
     @property
@@ -599,7 +590,7 @@ class ExtComputer:
         module = self.bundle.res(phi.i).module
         # L_0 = A has rank 1, so each row of the degree-0 component is one entry
         return {(r, w): cw for (r, _), a in phi.mats[0].entries.items()
-                for w, cw in _module_class(module, a).items()}
+                for w, cw in module.reduce(a).terms.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from ncdef.algebra import (AlgebraPresentation, QuotientModule, format_element,
                            format_scalar, multiply, normal_form, parse_element,
                            preset_presentation)
 from ncdef.errors import StepBudgetExceeded, UnsupportedIdeal, ValidationError
-from ncdef.linalg import Echelon
+from ncdef.linalg import Echelon, _add_multiple
 
 
 @pytest.fixture(scope="module")
@@ -361,7 +361,7 @@ def test_class_groups_group_the_normal_words_by_class(name, request):
 
 def _case4_presentation():
     """y*x -> u*y and u*y -> x*y with ideal (x, u): x*y^a is x*y^a in A, so
-    no rule gives x*y^a directly and the table takes reduce's value (case 4)."""
+    no rule gives x*y^a directly and the table takes a trade step (case 4)."""
     return AlgebraPresentation(
         ["x", "y", "u"],
         [(("y", "x"), [(("u", "y"), 1)]), (("u", "y"), [(("x", "y"), 1)]),
@@ -384,28 +384,51 @@ def _action_modules(request):
     yield "case4", QuotientModule(_case4_presentation(), ["x", "u"]), True
 
 
+def _reference_reduce(module, a):
+    """The class of ``a`` by the trade loop: trade the largest word holding
+    an ideal generator g, at its last g, for the corrections of nf((w/g)*g),
+    until no word holds one."""
+    pres = module.pres
+    terms = dict(a.terms)
+    for _ in range(pres.step_budget + 1):
+        reducible = [w for w in terms if not module._gen_set.isdisjoint(w)]
+        if not reducible:
+            return terms
+        w = max(reducible, key=pres.word_key)
+        c = terms.pop(w)
+        k = max(n for n, g in enumerate(w) if g in module._gen_set)
+        rest = dict(normal_form(w[:k] + w[k + 1:] + w[k:k + 1], pres).terms)
+        lead = rest.pop(w, 0)  # w less g, times g: lead*w + rest in A*g
+        if not lead:
+            raise UnsupportedIdeal("the ideal cannot reduce %s" % (w,))
+        _add_multiple(terms, rest, Fraction(-c) / lead)
+    raise StepBudgetExceeded("module reduction exceeded %d steps" % pres.step_budget)
+
+
 def test_action_table_is_the_reduced_product(request, monkeypatch):
     # every generator on every basis word up to degree 9, and every word of
-    # degree 2 acting letter by letter: the class of u*w, whatever the order
-    # of its terms.  Words of degree 2 skip the case-4 module, whose reduce
-    # never ends on u*x*y.
-    for name, module, may_reduce in _action_modules(request):
+    # degree 2 acting letter by letter: the trade loop's class of u*w,
+    # whatever the order of its terms, and so is reduce's.  Words of degree
+    # 2 skip the case-4 module, whose trade loop cannot reduce u*x*y.
+    for name, module, may_trade in _action_modules(request):
         pres = module.pres
-        reduced = []
-        reduce = QuotientModule.reduce
-        monkeypatch.setattr(QuotientModule, "reduce",
-                            lambda self, a: reduced.append(a) or reduce(self, a))
-        words = [u for u in pres.normal_words(2 - may_reduce) if u]
+        traded = []
+        trade = QuotientModule._trade
+        monkeypatch.setattr(QuotientModule, "_trade",
+                            lambda self, *args: traded.append(args) or trade(self, *args))
+        words = [u for u in pres.normal_words(2 - may_trade) if u]
         basis = module.basis_words(9)
         table = {(u, w): dict(module.word_action(u, w)) for u in words for w in basis}
-        assert bool(reduced) == may_reduce, name
-        monkeypatch.setattr(QuotientModule, "reduce", reduce)
+        assert bool(traded) == may_trade, name
         for (u, w), terms in table.items():
-            expected = module.reduce(normal_form(u + w, pres)).terms
+            product = normal_form(u + w, pres)
+            expected = _reference_reduce(module, product)
             assert terms == expected, (name, u, w)
+            assert module.reduce(product).terms == expected, (name, u, w)
             assert all(set(x).isdisjoint(module.ideal_gens) for x in terms)
             # cached
             assert module.word_action(u, w) == terms
+        monkeypatch.setattr(QuotientModule, "_trade", trade)
 
 
 def test_action_table_of_a_non_terminating_presentation_stops_on_the_budget():
@@ -428,8 +451,8 @@ def test_module_reduction_stops_on_the_budget():
 
 
 def test_module_reduction_cycle_stops_on_the_budget():
-    # y*x -> x*y + x*z and z*x -> x*z + x*y with the ideal (x): each trade
-    # removes x*y or x*z and brings back the other, so only the budget stops it
+    # y*x -> x*y + x*z and z*x -> x*z + x*y with the ideal (x): the class of
+    # x*y is minus that of x*z and back, so the nesting bound stops it
     pres = AlgebraPresentation(["x", "y", "z"],
                                [(("y", "x"), [(("x", "y"), 1), (("x", "z"), 1)]),
                                 (("z", "x"), [(("x", "z"), 1), (("x", "y"), 1)])],

@@ -639,3 +639,19 @@ def test_module_word_the_ideal_cannot_reduce_fails_validation(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "cannot reduce x*w" in err
     assert "Traceback" not in err
+
+
+def test_module_trade_cycle_exits_on_the_nesting_bound(tmp_path, capsys):
+    # with the ideal (x), the class of x*y is minus that of x*z and back:
+    # the action table stops on its nesting bound instead of spinning the
+    # step budget
+    spec = {"schema": "ncdef-problem/1", "name": "trade-cycle",
+            "algebra": {"generators": ["x", "y", "z"],
+                        "rules": [["y*x", "x*y + x*z"], ["z*x", "x*z + x*y"]]},
+            "modules": [{"name": "M", "ideal": ["x"], "ranks": [1, 1],
+                         "diffs": [[["x"]]]}]}
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver bound exhausted:")
+    assert "module action nested deeper than 100 entries" in err
+    assert "Traceback" not in err

@@ -716,27 +716,28 @@ def test_rank_profile_dims_match_the_window_echelons(problem, request):
                         "line": {0, NotStabilized}}[problem]
 
 
-def _count_reduce(monkeypatch):
-    reduced = []
-    reduce = QuotientModule.reduce
-    monkeypatch.setattr(QuotientModule, "reduce",
-                        lambda self, a: reduced.append(a) or reduce(self, a))
-    return reduced
+def _count_trades(monkeypatch):
+    traded = []
+    trade = QuotientModule._trade
+    monkeypatch.setattr(QuotientModule, "_trade",
+                        lambda self, *args: traded.append(args) or trade(self, *args))
+    return traded
 
 
 def test_ext_of_weyl2_at_degree_bound_12_stays_small(monkeypatch, capsys):
-    # the module actions and classes come from the action table, not from
-    # reducing each product (2,196 reduce calls before it), and only the 12
-    # nonzero Ext groups build a window echelon (64 before)
+    # the module actions and classes come from the action table's rules, not
+    # from trading each product (2,196 trade-loop reductions before the
+    # table), and only the 12 nonzero Ext groups build a window echelon (64
+    # before)
     from ncdef.cli import main
-    reduced, windows = _count_reduce(monkeypatch), []
+    traded, windows = _count_trades(monkeypatch), []
     window = ExtComputer._boundary_echelon
     monkeypatch.setattr(ExtComputer, "_boundary_echelon",
                         lambda self, *args: windows.append(args) or window(self, *args))
     assert main(["ext", "--preset", "weyl2-simple4", "--computed-basis",
                  "--degree-bound", "12", "--json"]) == 0
     capsys.readouterr()
-    assert len(reduced) == 0
+    assert len(traded) == 0
     assert len(windows) == 12
 
 
@@ -747,9 +748,9 @@ def test_ext_of_weyl2_at_degree_bound_12_stays_small(monkeypatch, capsys):
 ])
 def test_benchmark_runs_never_reduce_a_module_element(argv, monkeypatch, capsys):
     # the d_0 checks and the Hom-complex images of the representatives read
-    # each word's class off the action table; reduce is only its fallback
+    # each word's class off the action table, and no entry takes a trade step
     from ncdef.cli import main
-    reduced = _count_reduce(monkeypatch)
+    traded = _count_trades(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
-    assert len(reduced) == 0
+    assert len(traded) == 0
