@@ -47,6 +47,8 @@ def _load_problem(args):
         flags["use_computed_basis"] = True
     if getattr(args, "no_early_stop", False):
         flags["stop_on_stabilized"] = False
+    if args.preset and args.spec:
+        raise ValidationError("give --preset or --spec, not both")
     if args.preset:
         return load_preset(args.preset, RunOptions.from_json(flags))
     if args.spec:
@@ -95,9 +97,12 @@ def cmd_run(args):
     text = text_presentation(report)
     if args.out:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.json").write_text(canonical_json(report))
-        (outdir / "presentation.txt").write_text(text)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            (outdir / "report.json").write_text(canonical_json(report))
+            (outdir / "presentation.txt").write_text(text)
+        except OSError as exc:
+            raise ValidationError("cannot write reports to %s: %s" % (outdir, exc))
     if args.json:
         sys.stdout.write(canonical_json(report))
     else:

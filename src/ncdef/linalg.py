@@ -9,10 +9,10 @@ Column labels need not be integers; an Echelon is parametrized by a pivot
 priority function so quotient constructions can steer which coordinates get
 eliminated.
 
-``Echelon`` holds the only row-reduction loop.  It updates its rows in
-place and keeps an index from each non-pivot column to the rows that
-contain it, so inserting a row touches only the rows holding its pivot,
-and reducing a vector is one pass over the pivot columns it starts with.
+``Echelon`` holds the only row-reduction loop.  Its rows are write-once,
+so reducing a vector eliminates its pivot columns highest first, each once,
+and ``Echelon.reduced_rows`` back-substitutes once for the reader that
+needs the reduced row echelon form.
 ``solve_sparse`` and ``kernel_basis`` run on it with augmented columns:
 extra columns appended to every row (one per right-hand side, or the
 combination of inputs that produced the row) that are equal only to
@@ -26,6 +26,7 @@ column.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 
 
@@ -52,64 +53,47 @@ def vec_scale(a, c):
     return {k: c * v for k, v in a.items()}
 
 
-def _add_multiple(vec, row, c, holders=None, owner=None):
-    """vec += c * row in place; entries that cancel are removed.
-
-    With ``holders`` (column -> set of rows containing it), record that the
-    row ``owner`` now contains the columns that appeared in ``vec`` and no
-    longer contains the ones that cancelled.
-    """
+def _add_multiple(vec, row, c):
+    """vec += c * row in place; entries that cancel are removed."""
     for k, v in row.items():
         old = vec.get(k)
         s = c * v if old is None else old + c * v
         if s:
             vec[k] = s
-            if old is None and holders is not None:
-                holders.setdefault(k, set()).add(owner)
         elif old is not None:
             del vec[k]
-            if holders is not None:
-                _forget(holders, k, owner)
-
-
-def _forget(holders, col, owner):
-    owners = holders[col]
-    owners.discard(owner)
-    if not owners:
-        del holders[col]
 
 
 class Echelon:
-    """Reduced row echelon span with a configurable pivot priority.
+    """Row echelon span with a configurable pivot priority.
 
-    ``priority(col)`` returns a sortable key; within a row's support the
-    column with the largest key becomes the pivot (the first such column of
-    the reduced row on a tie).  Rows are normalized to pivot coefficient 1
-    and fully reduced against each other, so for a priority that orders
-    every column strictly, reduction against the echelon is canonical.  An
+    ``priority(col)`` returns a sortable key; within a reduced vector the
+    column with the largest key becomes the pivot (the first such column on
+    a tie).  Rows are write-once: ``add`` stores a vector reduced against
+    the rows, with pivot coefficient 1, so no column of a row outranks its
+    pivot, and no later ``add`` changes it.  ``reduce`` eliminates pivot
+    columns highest first, since subtracting a row brings in none that
+    ranks higher.  What is left holds no pivot column, so for a priority
+    that orders every column strictly it depends only on the span.  An
     augmented column pivots only when its priority is the largest left in
     the reduced row, i.e. when every real column in it has been eliminated.
-
-    Because the rows are fully reduced, a pivot column occurs in its own row
-    only, and subtracting a row from a vector changes no other pivot column.
-    ``reduce`` therefore eliminates the pivot columns of its input in one
-    pass, in the input's order.  ``add`` back-substitutes the new pivot
-    only into the rows the private column index lists for it, and keeps the
-    index (non-pivot column -> pivots of the rows containing it) current as
-    entries appear and cancel.  ``rows`` is read-only outside this class;
-    ``restrict`` drops rows.
     """
 
     def __init__(self, priority=None):
         self.priority = priority or (lambda col: col)
-        self.rows = {}  # pivot col -> row vector
-        self._holders = {}  # non-pivot col -> pivots of the rows containing it
+        self.rows = {}  # pivot col -> row vector, read-only outside this class
 
     def reduce(self, vec):
         vec = dict(vec)
-        rows = self.rows
-        for col in [col for col in vec if col in rows]:
-            _add_multiple(vec, rows[col], -vec[col])
+        rows, priority = self.rows, self.priority
+        todo = sorted((col for col in vec if col in rows), key=priority)
+        while todo:
+            col = todo.pop()
+            if col in vec:
+                row = rows[col]
+                for k in [k for k in row if k not in vec and k in rows]:
+                    insort(todo, k, key=priority)
+                _add_multiple(vec, row, -vec[col])
         return vec
 
     def add(self, vec):
@@ -119,23 +103,20 @@ class Echelon:
             return None
         pivot = max(vec, key=self.priority)
         lead = vec[pivot]
-        row = vec if lead == 1 else vec_scale(vec, Fraction(1, lead))
-        holders = self._holders
-        for p in tuple(holders.get(pivot, ())):
-            other = self.rows[p]
-            _add_multiple(other, row, -other[pivot], holders, p)
-        self.rows[pivot] = row
-        for col in row:
-            if col != pivot:
-                holders.setdefault(col, set()).add(pivot)
+        self.rows[pivot] = vec if lead == 1 else vec_scale(vec, Fraction(1, lead))
         return pivot
 
-    def restrict(self, keep):
-        """Drop the rows whose pivot fails ``keep``; the rest stay fully reduced."""
-        for p in [p for p in self.rows if not keep(p)]:
-            for col in self.rows.pop(p):
-                if col != p:
-                    _forget(self._holders, col, p)
+    def reduced_rows(self):
+        """{pivot: row} of the reduced row echelon form, lowest pivot first:
+        a row holds only pivots of later rows that rank no higher, so one
+        pass each, lowest first (later first on a tie), reduces the rows."""
+        out = {}
+        for pivot in sorted(reversed(self.rows), key=self.priority):
+            row = dict(self.rows[pivot])
+            for col in [col for col in row if col in out]:
+                _add_multiple(row, out[col], -row[col])
+            out[pivot] = row
+        return out
 
     def pivots(self):
         return set(self.rows)
@@ -164,11 +145,11 @@ def solve_sparse(equations, targets):
     least variable of a row pivots.  A row that pivots on an augmented
     column has no variable left: it is a combination of the equations whose
     left-hand sides cancel, so every target with an entry in it is
-    inconsistent.  The rows that pivot on a variable, restricted to the
-    variables and the column of a consistent target, are then the reduced
-    echelon form of that target's system alone, so each consistent target
-    gets the solution a single-target solve returns; it depends only on the
-    system, not on the order of its equations or on the other targets.
+    inconsistent.  Reduced, the rows that pivot on a variable, restricted
+    to the variables and the column of a consistent target, are the
+    reduced echelon form of that target's system alone, so each consistent
+    target gets the solution a single-target solve returns; it depends only
+    on the system, not on the order of its equations or on the other targets.
     """
     variables = sorted({var for vec, _ in equations for var in vec})
     columns = [_Augmented(len(variables) + t) for t in range(targets)]
@@ -183,16 +164,15 @@ def solve_sparse(equations, targets):
                 row[columns[t]] = exact(value)
         pivot = ech.add(row)
         if type(pivot) is _Augmented:
-            # such a row later changes only by multiples of rows added the
-            # same way, so the entries recorded here are all there will be
+            # a stored row never changes, so its entries are all there will be
             inconsistent.update(col.index - len(variables) for col in ech.rows[pivot])
             if len(inconsistent) == targets:
                 return [None] * targets
-    # rows are fully reduced, so every non-pivot variable of a row is free
-    # (value 0) and a consistent target's column holds the pivot's value
+    # in the reduced rows every non-pivot variable of a row is free (value
+    # 0) and a consistent target's column holds the pivot's value
     solutions = [None if t in inconsistent else {} for t in range(targets)]
     live = [(sol, col) for sol, col in zip(solutions, columns) if sol is not None]
-    rows = ech.rows
+    rows = ech.reduced_rows()
     for var in variables:
         row = rows.get(var)
         if row is not None:

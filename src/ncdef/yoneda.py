@@ -21,7 +21,8 @@ at B and B + 1.  The images come from the modules' action tables
 (``QuotientModule.word_action``), each computed once.  Every count comes
 from one rank profile per differential and pair (i, j), an echelon that
 takes the coordinates bound by bound; only the groups with classes build
-the window echelon that their representatives are reduced against.
+the window echelon that their representatives are reduced against, from
+the rows of their potentials' profile that pivot inside the window.
 ``hom_classes`` picks the classes of each group; only an Ext basis
 (``ext_basis``) lifts them through the projectives to Yoneda cochains by
 bounded-degree solves, so ``ncdef ext``, which prints dimensions, lifts
@@ -344,14 +345,15 @@ class ExtComputer:
         return out
 
     def _rank_profile(self, i, j, m, bounds):
-        """{bound: pivot degrees} of d_m on the Hom(L_{m,j}, M_i) coordinates
-        of degree <= each ascending bound, and the images at the last one.
+        """The (pivot, row) pairs of d_m's echelon on the Hom(L_{m,j}, M_i)
+        coordinates, {bound: their number at degree <= bound} for each
+        ascending bound, and the images at the last bound.
 
         One echelon takes the coordinates of the first bound, then each
-        later bound's new ones, in ``_coords`` order; their number of
-        pivots is the rank.  A pivot is its row's column of highest degree
-        and occurs in no other row, so the rows with a pivot above degree k
-        count the rank of the images' terms above k.
+        later bound's new ones, in ``_coords`` order.  Rows never change
+        once stored, so a bound's rows are the first ones; their number is
+        the rank.  A pivot is its row's column of highest degree, so the
+        rows pivoting at degree <= k span the images inside degree k.
         """
         degree = self.bundle.pres.word_degree
         module = self.bundle.res(i).module
@@ -360,7 +362,7 @@ class ExtComputer:
         # a bound's words are a prefix of the last bound's
         words = module.basis_words(bounds[-1])
         ech = Echelon(priority=lambda c: (degree(c[1]), c[0], c[1]))
-        added, pivots = 0, {}
+        added, counts = 0, {}
         for bound in bounds:
             upto = len(module.basis_words(bound))
             for r in range(rank):
@@ -368,8 +370,8 @@ class ExtComputer:
                     if images[(r, w)]:
                         ech.add(images[(r, w)])
             added = upto
-            pivots[bound] = [degree(w) for _, w in ech.rows]
-        return pivots, images
+            counts[bound] = len(ech.rows)
+        return list(ech.rows.items()), counts, images
 
     def ext_dimension(self, i, j, n):
         """dim Ext^n(M_j, M_i), stable at B and B + 1."""
@@ -395,10 +397,10 @@ class ExtComputer:
         every count.  The cocycles at bound k number the coordinates at k
         less the rank of d_n there.  The boundaries inside the window W of
         degree <= k are V n W for the image V of the potentials at
-        k + BOUNDARY_SLACK, and dim(V n W) = dim V - dim pi_out(V) for the
-        projection pi_out onto the columns above k, both read off the
-        d_{n-1} profile.  So the d_1 profile, over B ... B + 1 +
-        BOUNDARY_SLACK, serves the Ext^1 cocycles and Ext^2 boundaries.
+        k + BOUNDARY_SLACK, and the rows of the d_{n-1} profile there that
+        pivot inside W are a basis of V n W.  So the d_1 profile, over
+        B ... B + 1 + BOUNDARY_SLACK, serves the Ext^1 cocycles and Ext^2
+        boundaries.
         """
         bound, slack = self.degree_bound, BOUNDARY_SLACK
         windows = (bound, bound + 1)
@@ -406,14 +408,13 @@ class ExtComputer:
         profiles = {m: self._rank_profile(i, j, m, bounds) for m, bounds in (
             (0, potentials), (1, sorted({*windows, *potentials})), (2, windows))}
         module, rank = self.bundle.res(i).module, self.bundle.res(j).rank
+        degree = self.bundle.pres.word_degree
         for n in (1, 2):
-            pivots, potential_pivots = profiles[n][0], profiles[n - 1][0]
-            counts = []
-            for k in windows:
-                spanned = potential_pivots[k + slack]
-                counts.append(rank(n) * len(module.basis_words(k)) - len(pivots[k])
-                              - (len(spanned) - sum(1 for d in spanned if d > k)))
-            self._dim_cache[(i, j, n)] = tuple(counts)
+            (rows, counts), ranks = profiles[n - 1][:2], profiles[n][1]
+            self._dim_cache[(i, j, n)] = tuple(
+                rank(n) * len(module.basis_words(k)) - ranks[k]
+                - sum(degree(w) <= k for (_, w), _ in rows[:counts[k + slack]])
+                for k in windows)
         return profiles
 
     def _hom_groups(self, i, j):
@@ -429,36 +430,30 @@ class ExtComputer:
             dim = self._stable_dimension(i, j, n)
             boundaries = coords = None
             if dim:
-                potentials = profiles[n - 1][1]
+                rows, counts = profiles[n - 1][:2]
                 boundaries = self._boundary_echelon(
-                    bound, [potentials[lab] for lab in
-                            self._coords(i, j, n - 1, bound + BOUNDARY_SLACK)])
-                images = profiles[n][1]
+                    bound, rows[:counts[bound + BOUNDARY_SLACK]])
+                images = profiles[n][2]
                 coords = {lab: images[lab] for lab in self._coords(i, j, n, bound)}
             out.append((n, dim, boundaries, coords))
         return out
 
     # -- representatives --------------------------------------------------
 
-    def _boundary_echelon(self, bound, potentials):
+    def _boundary_echelon(self, bound, rows):
         """Echelon of the boundaries supported inside the bound-B window.
 
-        ``potentials`` are the images of the potentials at bound +
-        BOUNDARY_SLACK; they go into one echelon in which every column of
-        degree > bound outranks every column inside the window.  A row is
-        led by its highest column, so the rows that pivot inside the window
-        have no outside column; since each outside pivot occurs in its own
-        row only, they span (image intersect window), and they are its
-        reduced echelon for the priority (row, word).  The outside-pivot rows
-        are dropped, so ``len(rows)`` is the boundary dimension in the window.
+        ``rows`` are the (pivot, row) pairs of the potentials' rank profile
+        at bound + BOUNDARY_SLACK (``_rank_profile``).  Those pivoting inside
+        the window span (image intersect window), and only they go into an
+        echelon with the priority (row, word), so ``len(rows)`` is the
+        boundary dimension in the window.
         """
         degree = self.bundle.pres.word_degree
-        words = {w for v in potentials for _, w in v}
-        outside = {w: degree(w) > bound for w in words}
-        ech = Echelon(priority=lambda c: (outside[c[1]], c[0], c[1]))
-        for v in potentials:
-            ech.add(v)
-        ech.restrict(lambda p: not outside[p[1]])
+        ech = Echelon(priority=lambda c: (c[0], c[1]))
+        for (_, w), row in rows:
+            if degree(w) <= bound:
+                ech.add(row)
         return ech
 
     def _hom_representatives(self, images, dim, boundaries):

@@ -309,6 +309,32 @@ def test_unknown_preset():
     assert main(["ext", "--preset", "nope"]) == 2
 
 
+@pytest.mark.parametrize("command", ["ext", "run"])
+def test_preset_together_with_spec_fails_validation(command, tmp_path, capsys):
+    # neither source is dropped silently, whether or not the spec exists
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"preset": "poly1-point"}))
+    for path in (spec, tmp_path / "missing.json"):
+        assert main([command, "--preset", "poly1-point", "--spec", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "validation error: give --preset or --spec, not both")
+
+
+@pytest.mark.parametrize("sub", [None, "inner"])
+def test_unwritable_out_fails_validation(sub, tmp_path, capsys):
+    # --out names an existing file, or a directory below one
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    out = taken if sub is None else taken / sub
+    assert main(["run", "--preset", "poly1-point", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: cannot write reports to %s" % out)
+    assert "Traceback" not in err
+    assert taken.read_text() == ""
+
+
 def test_verify_inline_spec_report(tmp_path, capsys):
     # length-one resolutions have zero-rank top components whose cochains
     # serialize as empty matrices; verify must rebuild their shapes

@@ -60,7 +60,9 @@ def test_echelon_keeps_a_unit_pivot_row_as_given():
     assert list(ech.rows[1].items()) == [(0, 2), (1, 1)]
     assert all(type(c) is int for c in ech.rows[1].values())
     ech.add({0: 3})
-    assert ech.rows == {1: {1: 1}, 0: {0: 1}}
+    # the stored row stays as given; the reduced rows back-substitute
+    assert ech.rows == {1: {0: 2, 1: 1}, 0: {0: 1}}
+    assert ech.reduced_rows() == {1: {1: 1}, 0: {0: 1}}
 
 
 def _typed(entries):
@@ -380,9 +382,9 @@ def test_divisor_truncation_small_kernel():
 
 
 class _ReferenceEchelon:
-    """The dict-copying Echelon the column-indexed one replaced: every
-    reduction rescans the vector from the start, and every insertion visits
-    every stored row."""
+    """A fully reduced echelon that copies dicts: every reduction rescans the
+    vector from the start, and every insertion back-substitutes its pivot
+    into every stored row."""
 
     def __init__(self, priority):
         self.priority = priority
@@ -420,29 +422,11 @@ def _tied_priority(col):
     return (1, col // 2)
 
 
-def _ordered(vec):
-    return list(vec.items())
-
-
-def _ordered_rows(ech):
-    return [(p, _ordered(row)) for p, row in ech.rows.items()]
-
-
-def _column_index(rows):
-    """Non-pivot column -> pivots of the rows containing it, from scratch."""
-    index = {}
-    for p, row in rows.items():
-        for col in row:
-            if col != p:
-                index.setdefault(col, set()).add(p)
-    return index
-
-
 def _random_operations(rng):
     """(kind, vector) pairs over tied real columns and augmented columns.
 
     Roughly a third of the vectors combine earlier ones, so they reduce to
-    zero, and back-substitution cancels entries of the stored rows."""
+    zero, and back-substitution cancels entries of the reduced rows."""
     ncols = rng.randint(2, 9)
     augmented = [_Augmented(k) for k in range(rng.randint(0, 3))]
     columns = list(range(ncols)) + augmented
@@ -461,48 +445,98 @@ def _random_operations(rng):
 
 
 def _assert_same(ech, ref):
-    assert _ordered_rows(ech) == _ordered_rows(ref)
-    assert ech._holders == _column_index(ech.rows)
+    # the same pivots and the same reduced rows
+    assert ech.reduced_rows() == ref.rows
+
+
+def _assert_same_span(ech, ref):
+    # on a tie the pivot depends on the order of the reduced vector's
+    # entries, so only the span and the priorities of the pivots must agree
+    priority = ech.priority
+    assert sorted(map(priority, ech.rows)) == sorted(map(priority, ref.rows))
+    assert all(not ech.reduce(row) for row in ref.rows.values())
+    assert all(not ref.reduce(row) for row in ech.rows.values())
+    reduced = ech.reduced_rows()
+    assert reduced.keys() == ech.rows.keys()
+    assert all(row[p] == 1 and not any(col in reduced for col in row if col != p)
+               for p, row in reduced.items())
 
 
 @pytest.mark.parametrize("priority", [_tied_priority, lambda c: (
     (0, c.index) if type(c) is _Augmented else (1, -c))])
 def test_echelon_matches_reference_kernel(priority):
     rng = random.Random(7301)
+    tied = priority is _tied_priority
     kinds = set()
     for _ in range(300):
         ech, ref = Echelon(priority=priority), _ReferenceEchelon(priority)
         for kind, vec in _random_operations(rng):
             if kind == "add":
-                pivot = ech.add(vec)
-                assert pivot == ref.add(vec)
+                pivot, want = ech.add(vec), ref.add(vec)
+                if tied:
+                    assert (pivot is None) == (want is None)
+                    _assert_same_span(ech, ref)
+                else:
+                    assert pivot == want
+                    _assert_same(ech, ref)
                 kinds.add("dependent" if pivot is None else type(pivot).__name__)
-                _assert_same(ech, ref)
+                for p, row in ech.rows.items():
+                    assert row[p] == 1
+                    assert not any(priority(col) > priority(p) for col in row)
+            elif tied:
+                assert (not ech.reduce(vec)) == (not ref.reduce(vec))
             else:
-                assert _ordered(ech.reduce(vec)) == _ordered(ref.reduce(vec))
+                assert ech.reduce(vec) == ref.reduce(vec)
     assert kinds == {"dependent", "int", "_Augmented"}
 
 
-def test_restricted_echelon_stays_reduced_and_indexed():
-    # drop the rows whose pivot is an even column, as the boundary echelon
-    # drops its outside-window rows, then keep adding
+def test_stored_rows_never_change():
+    # a row is stored once, reduced against the rows before it, and later
+    # additions leave it as it was: it holds no pivot of an earlier row
     rng = random.Random(7302)
-    dropped = 0
+    changed_later = 0
     for _ in range(200):
-        ech, ref = Echelon(priority=_tied_priority), _ReferenceEchelon(_tied_priority)
-        operations = [vec for kind, vec in _random_operations(rng)]
-        half = len(operations) // 2
-        for vec in operations[:half]:
-            assert ech.add(vec) == ref.add(vec)
-        keep = lambda p: type(p) is _Augmented or p % 2 == 1
-        dropped += sum(1 for p in ech.rows if not keep(p))
-        ech.restrict(keep)
-        ref.rows = {p: row for p, row in ref.rows.items() if keep(p)}
-        _assert_same(ech, ref)
-        for vec in operations[half:]:
-            assert ech.add(vec) == ref.add(vec)
-            _assert_same(ech, ref)
-            for p, row in ech.rows.items():
-                assert row[p] == 1
-                assert not any(col in ech.rows for col in row if col != p)
-    assert dropped > 0
+        ech = Echelon(priority=_tied_priority)
+        stored = {}
+        for kind, vec in _random_operations(rng):
+            if kind != "add":
+                continue
+            before = list(ech.rows)
+            pivot = ech.add(vec)
+            if pivot is not None:
+                stored[pivot] = (ech.rows[pivot], dict(ech.rows[pivot]))
+                assert not any(col in ech.rows[pivot] for col in before)
+            for p, (row, copy) in stored.items():
+                assert ech.rows[p] is row and row == copy
+        reduced = ech.reduced_rows()
+        changed_later += sum(1 for p in ech.rows if ech.rows[p] != reduced[p])
+    # some rows hold pivots added after them, which only the reduced rows drop
+    assert changed_later > 0
+
+
+@pytest.mark.parametrize("priority", [lambda c: c, lambda c: -c])
+def test_reduced_rows_are_sympy_rref_and_reduce_ignores_the_order_added(priority):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7303)
+    for _ in range(60):
+        ncols = rng.randint(1, 7)
+        vectors = _random_vectors(rng, ncols)
+        ech = Echelon(priority=priority)
+        for vec in vectors:
+            ech.add(vec)
+        # sympy's rref pivots on the leftmost column: list the columns by
+        # descending priority
+        order = sorted(range(ncols), key=priority, reverse=True)
+        rref, pivots = sympy.Matrix(len(vectors), ncols, lambda r, c: sympy.Rational(
+            vectors[r].get(order[c], 0))).rref()
+        want = {order[c]: {order[k]: F(int(x.p), int(x.q))
+                           for k, x in enumerate(rref.row(r)) if x}
+                for r, c in enumerate(pivots)}
+        assert ech.reduced_rows() == want
+        shuffled = Echelon(priority=priority)
+        for vec in rng.sample(vectors, len(vectors)):
+            shuffled.add(vec)
+        assert shuffled.pivots() == ech.pivots()
+        assert shuffled.reduced_rows() == want
+        for probe in _random_vectors(rng, ncols):
+            assert shuffled.reduce(probe) == ech.reduce(probe)

@@ -223,27 +223,47 @@ def test_bound_ladder_rejects_a_step_below_one(retry_step):
         RunOptions(4, retry_step, 12).ladder
 
 
+def _profile_rows(computer, i, j, n, bound):
+    """The rows of the d_{n-1} rank profile at bound + BOUNDARY_SLACK."""
+    return computer._rank_profile(i, j, n - 1, [bound + BOUNDARY_SLACK])[0]
+
+
 @pytest.mark.parametrize("problem", ["weyl", "poly3"])
-def test_boundary_echelon_is_the_window_part_of_the_boundaries(problem, request):
+def test_boundary_echelon_is_the_window_part_of_the_boundaries(problem, request,
+                                                                monkeypatch):
     # rank of (boundaries intersect window) = rank of all boundary generators
-    # minus rank of their projections onto the columns outside the window
+    # minus rank of their projections onto the columns outside the window;
+    # the echelon is the one that every potential image, with the outside
+    # columns ranked first, gives, though it adds only rows of the profile
     bundle = request.getfixturevalue(problem).bundle
     computer = ExtComputer(bundle, RunOptions().ladder)
     degree = bundle.pres.word_degree
+    added = []
+    add = Echelon.add
+    monkeypatch.setattr(Echelon, "add",
+                        lambda self, vec: added.append(vec) or add(self, vec))
     for i in range(1, bundle.p + 1):
         for j in range(1, bundle.p + 1):
             for n in (1, 2):
                 for bound in (4, 5):
-                    whole, outside, potentials = Echelon(), Echelon(), []
+                    rows = _profile_rows(computer, i, j, n, bound)
+                    added.clear()
+                    ech = computer._boundary_echelon(bound, rows)
+                    assert all(any(vec is row for _, row in rows) for vec in added)
+                    whole, outside, probes = Echelon(), Echelon(), []
                     for _, v in _reference_images(computer, i, j, n - 1,
                                                   bound + BOUNDARY_SLACK):
-                        potentials.append(v)
                         whole.add(v)
-                        outside.add({c: x for c, x in v.items() if degree(c[1]) > bound})
-                    ech = computer._boundary_echelon(bound, potentials)
+                        above = {c: x for c, x in v.items() if degree(c[1]) > bound}
+                        outside.add(above)
+                        probes.append({c: x for c, x in v.items() if c not in above})
                     assert len(ech.rows) == len(whole.rows) - len(outside.rows)
                     assert all(degree(c[1]) <= bound
                                for row in ech.rows.values() for c in row)
+                    want = _reference_window_echelon(computer, i, j, n, bound)
+                    assert ech.reduced_rows() == want.reduced_rows()
+                    assert [ech.reduce(v) for v in probes] == \
+                        [want.reduce(v) for v in probes]
 
 
 def test_lift_tries_a_degree_bound_above_max_bound(weyl):
@@ -514,17 +534,28 @@ def _reference_images(computer, i, j, m, bound):
             for lab in computer._coords(i, j, m, bound)]
 
 
+def _reference_window_echelon(computer, i, j, n, bound):
+    """The boundaries of Ext^n(M_j, M_i) inside the bound-``bound`` window,
+    from every potential image at bound + BOUNDARY_SLACK: they go into an
+    echelon in which the columns above the bound outrank the window, and
+    the rows that pivot outside are dropped."""
+    degree = computer.bundle.pres.word_degree
+    whole = Echelon(priority=lambda c: (degree(c[1]) > bound, c[0], c[1]))
+    for _, v in _reference_images(computer, i, j, n - 1, bound + BOUNDARY_SLACK):
+        whole.add(v)
+    window = Echelon(priority=lambda c: (c[0], c[1]))
+    for p, row in whole.rows.items():
+        if degree(p[1]) <= bound:
+            window.add(row)
+    return window
+
+
 def _reference_hom_dims(computer, i, j, n, bound):
     """(kernel dim, boundary echelon) with every image computed at ``bound``."""
     images = _reference_images(computer, i, j, n, bound)
     ech = Echelon(priority=lambda c: (c[0], c[1]))
     rank = sum(1 for _, v in images if v and ech.add(v) is not None)
-    degree = computer.bundle.pres.word_degree
-    boundaries = Echelon(priority=lambda c: (degree(c[1]) > bound, c[0], c[1]))
-    for _, v in _reference_images(computer, i, j, n - 1, bound + BOUNDARY_SLACK):
-        boundaries.add(v)
-    boundaries.restrict(lambda p: degree(p[1]) <= bound)
-    return len(images) - rank, boundaries
+    return len(images) - rank, _reference_window_echelon(computer, i, j, n, bound)
 
 
 def _reference_hom_representatives(computer, i, j, n, bound, dim, boundaries):
@@ -576,9 +607,8 @@ def test_hom_images_once_match_per_bound_images(problem, bound, request):
                     # no rows are kept for a group without classes; built
                     # directly, its window rows are still the reference's
                     assert boundaries is None and images is None
-                    potentials = [v for _, v in _reference_images(
-                        computer, i, j, n - 1, bound + BOUNDARY_SLACK)]
-                    assert _rows(computer._boundary_echelon(bound, potentials)) == \
+                    rows = _profile_rows(computer, i, j, n, bound)
+                    assert _rows(computer._boundary_echelon(bound, rows)) == \
                         _rows(want_ech)
                     continue
                 # on these problems the representatives would come out the
