@@ -6,7 +6,8 @@ rational coefficients, ints or Fractions: every coefficient enters through
 no adjacent generator pair is the left side of a rewrite rule; every rule
 rewrites a length-2 word into a linear combination of words of no larger
 degree, so exhaustive rewriting terminates for the shipped presets (a step
-budget guards user presentations).
+budget guards user presentations).  ``from_json`` rejects a document whose
+rules rewrite some overlap a*b*c of two left sides to two normal forms.
 
 The built-in algebras are presentation documents, read by
 ``AlgebraPresentation.from_json`` like a spec's ``algebra``
@@ -210,7 +211,9 @@ class AlgebraPresentation:
         probe = AlgebraPresentation(gens, [], weights)
         parsed = [(tuple(lhs.split("*")), list(probe.parse(rhs).terms.items()))
                   for lhs, rhs in rules]
-        return AlgebraPresentation(gens, parsed, weights)
+        pres = AlgebraPresentation(gens, parsed, weights)
+        _check_overlaps(pres)
+        return pres
 
 
 class AlgebraElement:
@@ -253,12 +256,14 @@ class AlgebraElement:
 def normal_form(word, pres):
     """Rewrite a word exhaustively to its normal-form element.
 
-    Reduction picks the leftmost reducible pair each step; the result is
-    order-independent for the shipped confluent presets (see the overlap
-    test in the suite).  The scan of a word rewritten at pair k resumes at
-    k - 1, since the pairs left of k are unchanged and were not reducible:
-    it finds the leftmost pair a scan from 0 finds, so the steps, their
-    count and the order of the result's terms stay those of a full rescan.
+    Reduction picks the leftmost reducible pair each step.  The result does
+    not depend on that choice when every overlap resolves, which
+    ``from_json`` checks (``_check_overlaps``); a presentation built
+    directly may skip the check.  The scan of a word rewritten at pair k
+    resumes at k - 1, since the pairs left of k are unchanged and were not
+    reducible: it finds the leftmost pair a scan from 0 finds, so the steps,
+    their count and the order of the result's terms stay those of a full
+    rescan.
     """
     word = tuple(word)
     cached = pres._nf_cache.get(word)
@@ -295,6 +300,29 @@ def normal_form(word, pres):
     return AlgebraElement(pres, result)
 
 
+def _check_overlaps(pres):
+    """Raise ValidationError unless every overlap a*b*c of two left sides a*b
+    and b*c has one normal form, whichever side is rewritten first.
+
+    With every overlap resolved, a terminating system is confluent, so each
+    word has one normal form (Bergman, Adv. Math. 29, 1978).  No static order
+    proves termination (a rule may raise ``word_key``, as x*x -> w2 does, or
+    the length, as y*y -> x*x*x does); the step budget still guards it.
+    """
+    for a, b in pres.rules:
+        for (b2, c), rhs in pres.rules.items():
+            if b2 != b:
+                continue
+            left = normal_form((a, b, c), pres)  # leftmost first: a*b
+            right = pres.zero()
+            for v, cv in rhs:
+                right = right + normal_form((a,) + v, pres).scale(cv)
+            if left != right:
+                raise ValidationError(
+                    "the rules are not confluent: %s rewrites to %s and to %s"
+                    % ("*".join((a, b, c)), format_element(left), format_element(right)))
+
+
 def multiply(a, b):
     """Product of two elements, bilinear over word concatenation."""
     a._check(b)
@@ -307,12 +335,9 @@ def multiply(a, b):
 
 
 def _linked_pairs(pres):
-    """Generator pairs whose rewrite rule is not a pure transposition."""
-    pairs = []
-    for (a, b), rhs in pres.rules.items():
-        if rhs != [((b, a), 1)]:
-            pairs.append(frozenset((a, b)))
-    return pairs
+    """Left sides a*b of the rewrite rules other than a plain transposition
+    a*b -> b*a."""
+    return [(a, b) for (a, b), rhs in pres.rules.items() if rhs != [((b, a), 1)]]
 
 
 class QuotientModule:
@@ -321,9 +346,10 @@ class QuotientModule:
     Classes are represented by elements whose words avoid the ideal
     generators entirely, and every class comes from one table of generator
     actions on those basis words (``word_action``).  This is a well-defined
-    linear section exactly for ideals in the supported class (no two
-    generators linked by an inhomogeneous rule), which covers the shipped
-    presets.
+    linear section for the supported ideals, which covers the shipped
+    presets: a rule between ideal generators must be a plain transposition
+    b*a -> a*b, so any other rule on them (b*a -> 2*a*b, x*x -> w2, e*e -> e)
+    is rejected.
 
     ``_action_cache`` maps (word u, basis word w) to the class of u*w, at
     most ``CACHE_CAP`` entries, so each action is computed only once.
@@ -336,10 +362,13 @@ class QuotientModule:
             if g not in pres.gen_index:
                 raise UnsupportedIdeal("ideal generator %r is not an algebra generator" % g)
         gens = set(self.ideal_gens)
-        for pair in _linked_pairs(pres):
-            if pair <= gens:
+        for lhs in _linked_pairs(pres):
+            if set(lhs) <= gens:
                 raise UnsupportedIdeal(
-                    "generators %s are linked by an inhomogeneous relation" % sorted(pair))
+                    "ideal generators are linked by the rule %s -> %s; only a plain "
+                    "transposition b*a -> a*b may link them"
+                    % ("*".join(lhs), format_sum((_format_word(w), c)
+                                                 for w, c in pres.rules[lhs])))
         self._gen_set = gens
         self._basis_gens = tuple(g for g in pres.generators if g not in gens)
         self._action_cache = {}

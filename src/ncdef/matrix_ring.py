@@ -13,7 +13,9 @@ basis; the tags of residual relation classes rank below every monomial.
 The arrow key is (source, |source-target|, target, index): sorting arrows by
 block distance before target makes the surviving bases of the shipped
 truncations reproducible and matches the hand-picked bases of the flagship
-example.
+example.  The generator table numbers the arrows once in this order, with
+each arrow's successors, so words of arrow numbers order as monomial keys
+do and every truncation and enumeration reuses that numbering.
 
 This priority is a multiplicative local order on paths, so the leading word
 of m * g * m' is m * LM(g) * m' whenever it lies below the cutoff, and
@@ -138,38 +140,27 @@ def concat(m1, m2):
 
 
 class GeneratorTable:
-    """Arrow counts d_ij (degree-1 generators) and r_ij (relation labels)."""
+    """Arrow counts d_ij (degree-1 generators) and r_ij (relation labels).
+
+    ``arrows`` lists the arrows in key order, ``number`` maps each to its
+    place there and ``after[k]`` lists the arrows that can follow arrow k.
+    """
 
     def __init__(self, p, d, r=None):
         self.p = p
-        self.d = {}
-        self.r = {}
-        for (i, j), n in dict(d).items():
-            if n:
-                self._check_pair(i, j, n)
-                self.d[(i, j)] = n
-        for (i, j), n in dict(r or {}).items():
-            if n:
-                self._check_pair(i, j, n)
-                self.r[(i, j)] = n
-
-    def _check_pair(self, i, j, n):
-        if not (1 <= i <= self.p and 1 <= j <= self.p) or n < 0:
-            raise ValidationError("bad generator table entry (%d, %d): %d" % (i, j, n))
-
-    def arrows_from(self, i):
-        out = []
-        for j in range(1, self.p + 1):
-            for l in range(1, self.d.get((i, j), 0) + 1):
-                out.append((i, j, l))
-        out.sort(key=arrow_key)
-        return out
+        self.d = {pair: n for pair, n in dict(d).items() if n}
+        self.r = {pair: n for pair, n in dict(r or {}).items() if n}
+        for (i, j), n in list(self.d.items()) + list(self.r.items()):
+            if not (1 <= i <= p and 1 <= j <= p) or n < 0:
+                raise ValidationError("bad generator table entry (%d, %d): %d" % (i, j, n))
+        self.arrows = sorted(((i, j, l) for (i, j), n in self.d.items()
+                              for l in range(1, n + 1)), key=arrow_key)
+        self.number = {a: k for k, a in enumerate(self.arrows)}
+        self.after = [[k for k, b in enumerate(self.arrows) if b[0] == a[1]]
+                      for a in self.arrows]
 
     def all_arrows(self):
-        out = []
-        for i in range(1, self.p + 1):
-            out.extend(self.arrows_from(i))
-        return out
+        return self.arrows
 
     def rel_tags(self):
         out = []
@@ -181,24 +172,16 @@ class GeneratorTable:
 
 
 def monomials_of_degree(table, n):
-    """Composable degree-n monomials in key order."""
+    """Composable degree-n monomials in key order: a level in key order,
+    each word extended in number order, is the next level in key order."""
     if n < 0:
         raise ValidationError("degree must be nonnegative")
     if n == 0:
         return [Monomial.idempotent(i) for i in range(1, table.p + 1)]
-    words = []
-
-    def extend(prefix, at):
-        if len(prefix) == n:
-            words.append(Monomial.from_arrows(prefix))
-            return
-        for arrow in table.arrows_from(at):
-            extend(prefix + [arrow], arrow[1])
-
-    for i in range(1, table.p + 1):
-        extend([], i)
-    words.sort(key=Monomial.key)
-    return words
+    level = [(k,) for k in range(len(table.arrows))]
+    for _ in range(n - 1):
+        level = [w + (k,) for w in level for k in table.after[w[-1]]]
+    return [Monomial.from_arrows([table.arrows[k] for k in w]) for w in level]
 
 
 class MatricPoly:
@@ -372,21 +355,18 @@ def _occurs(part, word):
 class _StandardBasis:
     """Reduced Gröbner basis of a two-sided ideal of a truncated path algebra.
 
-    Arrows are numbered in arrow-key order, so a positive-degree word is a
-    tuple of arrow numbers and ``_leading`` is the elimination order on
-    words.  Words of length >= cutoff are zero.  ``rules`` maps each tip,
-    the leading word of a monic basis element, to the rest of that element
-    as (words, tags): the tip rewrites to minus the rest.  A tag times any
-    arrow is zero, so a rewrite inside a longer word drops the tags of the
-    rest, and a remainder of tags alone is a relation among the tags, kept
-    in the echelon ``tags``, where the largest tag pivots.
+    A positive-degree word is a tuple of the table's arrow numbers, and
+    ``_leading`` is the elimination order on words.  Words of length >=
+    cutoff are zero.  ``rules`` maps each tip, the leading word of a monic
+    basis element, to the rest of that element as (words, tags): the tip
+    rewrites to minus the rest.  A tag times any arrow is zero, so a rewrite
+    inside a longer word drops the tags of the rest, and a remainder of tags
+    alone is a relation among the tags, kept in the echelon ``tags``, where
+    the largest tag pivots.
     """
 
     def __init__(self, table, cutoff):
-        self.arrows = sorted(table.all_arrows(), key=arrow_key)
-        self.number = {a: k for k, a in enumerate(self.arrows)}
-        self.after = [[k for k, b in enumerate(self.arrows) if b[0] == a[1]]
-                      for a in self.arrows]
+        self.arrows, self.number, self.after = table.arrows, table.number, table.after
         self.cutoff = cutoff
         self.rules = {}
         self.tags = Echelon()

@@ -1,7 +1,9 @@
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +203,32 @@ def test_non_confluent_presentation_depends_on_the_order():
     left = normal_form(("y", "x"), pres)
     right = multiply(pres.parse("x"), normal_form(("x", "x"), pres))
     assert left != right
+
+
+def test_from_json_rejects_the_unresolved_overlap():
+    # the document of _non_confluent: (x*x)*x and x*(x*x) differ by 1
+    with pytest.raises(ValidationError, match=r"not confluent: x\*x\*x rewrites to "
+                                              r"x\*y - 1 and to x\*y$"):
+        AlgebraPresentation.from_json({"generators": ["x", "y"],
+                                       "rules": [["x*x", "y"], ["y*x", "x*y - 1"]],
+                                       "weights": {"x": 1, "y": 2}})
+
+
+SPECS = sorted(Path(__file__).parent.glob("specs/*.json")) + \
+    [Path(__file__).parent.parent / "perfbench" / "poly3.json"]
+
+
+@pytest.mark.parametrize("document", [
+    # the cusp y^2 = x^3: y*y -> x*x*x keeps the weighted degree, not the length
+    {"generators": ["x", "y"], "rules": [["y*x", "x*y"], ["y*y", "x*x*x"]],
+     "weights": {"x": 2, "y": 3}},
+    # k[x]/(x^3): x*x -> w2 raises word_key, so no static order is asked for
+    {"generators": ["x", "w2"], "weights": {"x": 1, "w2": 2},
+     "rules": [["x*x", "w2"], ["x*w2", "0"], ["w2*x", "0"], ["w2*w2", "0"]]},
+] + [json.loads(path.read_text())["algebra"] for path in SPECS],
+    ids=["cusp3", "trunc3"] + [path.parent.name + "/" + path.stem for path in SPECS])
+def test_from_json_accepts_resolved_overlaps(document):
+    AlgebraPresentation.from_json(document)
 
 
 @pytest.mark.parametrize("make", [lambda: preset_presentation("weyl2"), _non_confluent],

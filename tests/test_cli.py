@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ncdef import algebra
 from ncdef.cli import main
 from ncdef.errors import ValidationError
 from ncdef.presets import RunOptions
@@ -681,3 +682,42 @@ def test_module_trade_cycle_exits_on_the_nesting_bound(tmp_path, capsys):
     assert err.startswith("solver bound exhausted:")
     assert "module action nested deeper than 100 entries" in err
     assert "Traceback" not in err
+
+
+# D*y*x rewrites to x*y*D + x^2*D + y with D*y first and to that plus 2*x
+# with y*x first, so 2*x = 0 and 1 = D*x - x*D = 0: A is the zero algebra.
+# Without the overlap check, ext printed Ext^1 = 1 and run the free hull.
+ZERO_ALGEBRA = {"schema": "ncdef-problem/1", "name": "zero-algebra",
+                "algebra": {"generators": ["x", "y", "D"],
+                            "rules": [["D*x", "x*D + 1"], ["y*x", "x*y + x*x"],
+                                      ["D*y", "y*D"]]},
+                "modules": [{"name": "M", "ideal": ["y", "D"], "ranks": [1, 2, 1],
+                             "diffs": [[["y"], ["D"]], [["D", "-y"]]]}]}
+
+
+def test_unresolved_overlap_exits_2_naming_the_word(tmp_path, capsys, monkeypatch):
+    spec = _write(tmp_path, "spec.json", ZERO_ALGEBRA)
+    for command in (["ext", "--spec", spec], ["run", "--spec", spec]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: the rules are not confluent: D*y*x")
+        assert "Traceback" not in err
+    # a report made with the check lifted does not verify
+    with monkeypatch.context() as patched:
+        patched.setattr(algebra, "_check_overlaps", lambda pres: None)
+        assert main(["run", "--spec", spec, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "out" / "report.json")]) == 2
+    assert "not confluent: D*y*x" in capsys.readouterr().err
+
+
+def test_quantum_plane_point_exits_2_naming_its_rule(tmp_path, capsys):
+    spec = {"schema": "ncdef-problem/1", "name": "quantum-plane",
+            "algebra": {"generators": ["x", "y"], "rules": [["y*x", "2*x*y"]]},
+            "modules": [{"name": "k", "ideal": ["x", "y"], "ranks": [1, 2, 1],
+                         "diffs": [[["x"], ["y"]], [["y", "-2*x"]]]}]}
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ideal generators are linked by the "
+                          "rule y*x -> 2*x*y; only a plain transposition")
+    assert "inhomogeneous" not in err and "Traceback" not in err

@@ -31,6 +31,9 @@ CASES = {
                            "--max-order", "6"],
     "poly3": ["--spec", str(HERE / "specs" / "poly3.json")],
     "poly3-computed": ["--spec", str(HERE / "specs" / "poly3.json"), "--computed-basis"],
+    "poly2-point-p2": ["--spec", str(HERE / "specs" / "poly2-point-p2.json")],
+    "poly2-point-p3": ["--spec", str(HERE / "specs" / "poly2-point-p3.json")],
+    "poly3-point-p2": ["--spec", str(HERE / "specs" / "poly3-point-p2.json")],
 }
 
 

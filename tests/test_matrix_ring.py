@@ -6,8 +6,8 @@ import pytest
 
 from ncdef.errors import InternalInvariantError, ValidationError
 from ncdef.matrix_ring import (GeneratorTable, MatricPoly, Monomial, RelTag,
-                               build_quotient, build_tagged_truncation, concat,
-                               divisor_truncation, format_monomial,
+                               arrow_key, build_quotient, build_tagged_truncation,
+                               concat, divisor_truncation, format_monomial,
                                monomials_of_degree, parse_monomial,
                                quotient_by_vectors)
 
@@ -44,6 +44,36 @@ def test_monomials_degree_zero(weyl_table):
 def test_monomials_free_two_loops():
     table = GeneratorTable(1, {(1, 1): 2})
     assert len(monomials_of_degree(table, 2)) == 4
+
+
+def _tables(weyl_table):
+    """The flagship table, the poly3 point's three loops, and two copies of
+    the point of k[x, y]: two arrows between every pair of vertices."""
+    return [weyl_table, GeneratorTable(1, {(1, 1): 3}, {(1, 1): 3}),
+            GeneratorTable(2, {(i, j): 2 for i in (1, 2) for j in (1, 2)})]
+
+
+def test_table_numbers_arrows_in_key_order(weyl_table):
+    for table in _tables(weyl_table):
+        # the arrows source by source, each source's sorted by key
+        by_source = [a for i in range(1, table.p + 1) for a in sorted(
+            ((i, j, l) for j in range(1, table.p + 1)
+             for l in range(1, table.d.get((i, j), 0) + 1)), key=arrow_key)]
+        assert table.arrows == sorted(by_source, key=arrow_key) == by_source
+        assert table.all_arrows() == table.arrows
+        assert table.number == {a: k for k, a in enumerate(table.arrows)}
+        assert table.after == [[k for k, b in enumerate(table.arrows) if b[0] == a[1]]
+                               for a in table.arrows]
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_monomials_of_degree_is_every_composable_word_in_key_order(weyl_table, degree):
+    for table in _tables(weyl_table):
+        words = [w for w in itertools.product(table.arrows, repeat=degree)
+                 if all(a[1] == b[0] for a, b in zip(w, w[1:]))]
+        expected = sorted((Monomial.from_arrows(w) for w in words), key=Monomial.key) \
+            if degree else [Monomial.idempotent(i) for i in range(1, table.p + 1)]
+        assert monomials_of_degree(table, degree) == expected
 
 
 def test_concat():
