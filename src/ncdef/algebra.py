@@ -32,7 +32,11 @@ solvable (PBW) algebras (Kandri-Rody and Weispfenning, J. Symb. Comp. 9
 (1990)); the class of a word u is its action u*1 on the empty word, and
 ``QuotientModule.reduce`` sums those classes.  An entry that no rule gives
 takes one trade step through the table, and nesting past ``ACTION_DEPTH``
-raises StepBudgetExceeded.
+entries not yet in the table, even after ``word_action`` fills the word's
+suffixes, raises StepBudgetExceeded.
+
+Rule right sides and document matrix entries are element strings, read
+under one strict grammar by ``parse_element``.
 """
 
 from __future__ import annotations
@@ -404,10 +408,20 @@ class QuotientModule:
         and g*() is 0 for an ideal generator g, the word g otherwise.  An
         entry nested more than ``ACTION_DEPTH`` deep raises
         StepBudgetExceeded, so a cycle of trades or rules ends at once.
+        Since the depth counts only entries not yet in the table, a call
+        that breaches it fills the entries of u on the suffixes of ``word``,
+        shortest first, and tries once more, so the class of a long word does
+        not depend on what the table already holds.
         The terms come in the order the table sums them; nothing reads that
         order: echelons pivot by label and ``format_element`` sorts.
         """
-        return self._act(tuple(u), word, 0)
+        u = tuple(u)
+        try:
+            return self._act(u, word, 0)
+        except StepBudgetExceeded:
+            for k in range(len(word) - 1, 0, -1):
+                self._act(u, word[k:], 0)
+            return self._act(u, word, 0)
 
     def _act(self, u, w, depth):
         terms = self._action_cache.get((u, w))
@@ -471,7 +485,12 @@ class QuotientModule:
 # parsing / formatting
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|(%s)|(\^)|(\*)|(\+)|(-))" % _NAME.pattern)
+# the grammar of ``parse_element``: factors, terms and whole elements
+_FACTOR = re.compile(r"\s*(?:(\d+(?:/0*[1-9]\d*)?)|(%s)(?:\s*\^\s*(\d+))?)\s*"
+                     % _NAME.pattern)
+_TERM = r"%s(?:\*%s)*" % (_FACTOR.pattern, _FACTOR.pattern)
+_ELEMENT = re.compile(r"(?:\s*-)?%s(?:[-+]%s)*" % (_TERM, _TERM))
+_SIGNED_TERM = re.compile(r"([-+]?)(%s)" % _TERM)
 
 
 def check_keys(data, allowed, what):
@@ -481,73 +500,39 @@ def check_keys(data, allowed, what):
         raise ValidationError("unknown %s key %s" % (what, ", ".join(map(repr, unknown))))
 
 
-def _parse_scalar(num, text):
-    try:
-        return exact(num)
-    except ZeroDivisionError:
-        raise ValidationError("zero denominator in %r" % text)
-
-
 def parse_element(pres, text):
-    """Parse '2/3*x^2*Dy - x + 1' style expressions into an element."""
+    """Parse '2/3*x^2*Dy - x + 1' style expressions into an element.
+
+    ``text`` must be terms joined by + or -, each a *-product of integers,
+    fractions a/b (b > 0) and generators with an optional ^exponent; only
+    the first term may carry a leading -, and "0" is zero.  Anything else,
+    or a term whose word is longer than ``pres.step_budget`` generators,
+    raises ValidationError naming ``text``.
+    """
     if not isinstance(text, str):
         raise ValidationError("element %r is not a string" % (text,))
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValidationError("cannot parse element %r at position %d" % (text, pos))
-            break
-        pos = m.end()
-        tokens.append(m)
-    result = pres.zero()
-    sign = 1
-    coeff = None
-    word = []
-    have_term = False
-
-    def flush():
-        nonlocal result, sign, coeff, word, have_term
-        if not have_term:
-            raise ValidationError("empty term in %r" % text)
-        c = sign * (coeff if coeff is not None else 1)
-        result = result + normal_form(word, pres).scale(c)
-        sign, coeff, word, have_term = 1, None, [], False
-
-    i = 0
-    while i < len(tokens):
-        num, name, caret, star, plus, minus = tokens[i].groups()
-        if plus or minus:
-            if have_term:
-                flush()
-            if minus:
-                sign = -sign
-        elif num:
-            c = _parse_scalar(num, text)
-            coeff = c if coeff is None else coeff * c
-            have_term = True
-        elif name:
-            power = 1
-            if i + 2 < len(tokens) and tokens[i + 1].groups()[2]:
-                nxt = tokens[i + 2].groups()[0]
-                if nxt is None:
-                    raise ValidationError("expected exponent in %r" % text)
-                power = _parse_scalar(nxt, text)
-                if power.denominator != 1:
-                    raise ValidationError("exponent %s is not a non-negative "
-                                          "integer in %r" % (nxt, text))
-                power = int(power)
-                i += 2
-            word.extend([name] * power)
-            have_term = True
-        i += 1
-    if have_term:
-        flush()
-    elif sign != 1 or coeff is not None:
-        raise ValidationError("dangling sign in %r" % text)
-    return result
+    if not _ELEMENT.fullmatch(text):
+        raise ValidationError("cannot parse element %r: expected terms joined by + or "
+                              "-, each a *-product of integers, fractions a/b with "
+                              "b > 0 and generators with an optional ^exponent" % text)
+    out = {}
+    for term in _SIGNED_TERM.finditer(text):
+        coeff, word = -1 if term[1] == "-" else 1, []
+        for factor in term[2].split("*"):
+            num, name, power = _FACTOR.fullmatch(factor).groups()
+            try:
+                if num:
+                    coeff *= exact(num)
+                    continue
+                power = int(power or 1)
+            except ValueError:  # past int's limit on decimal digits
+                raise ValidationError("element %r has a number too long to read" % text)
+            if len(word) + power > pres.step_budget:
+                raise ValidationError("element %r has a word longer than %d generators"
+                                      % (text, pres.step_budget))
+            word += [name] * power
+        _add_multiple(out, normal_form(word, pres).terms, exact(coeff))
+    return AlgebraElement(pres, out)
 
 
 def format_scalar(c):

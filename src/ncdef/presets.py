@@ -82,11 +82,11 @@ def _cochain_from_mats(bundle, degree, i, j, mats_rows):
     mats = []
     for m in range(max(len(mats_rows), bundle.mmax - degree + 1)):
         rows = mats_rows[m] if m < len(mats_rows) else None
-        nrows, ncols = bundle.res(j).rank(m + degree), bundle.res(i).rank(m)
+        shape = bundle.res(j).rank(m + degree), bundle.res(i).rank(m)
+        mat = Mat(*shape) if rows is None else Mat.from_rows(rows, bundle.pres)
         # zero-rank components serialize as empty lists and lose their shape;
         # rebuild them, and missing ones, from the resolution ranks
-        mats.append(Mat(nrows, ncols) if rows is None or not nrows or not ncols
-                    else Mat.from_rows(rows, bundle.pres))
+        mats.append(Mat(*shape) if 0 in shape and mat.is_zero() else mat)
     return Cochain(bundle, degree, i, j, mats)
 
 
@@ -94,13 +94,8 @@ def read_cochain(bundle, degree, i, j, mats, what):
     """The cochain of type (i, j) written as JSON matrices ``mats``: one entry
     per component, each null or a list of rows of element strings.  A
     malformed or misshapen entry raises ValidationError naming ``what``."""
-    if not (isinstance(mats, list) and all(
-            rows is None or isinstance(rows, list)
-            and all(isinstance(row, list) and all(isinstance(v, str) for v in row)
-                    for row in rows)
-            for rows in mats)):
-        raise ValidationError("malformed %s: matrices must be lists of rows of "
-                              "element strings" % what)
+    if not isinstance(mats, list):
+        raise ValidationError("malformed %s: matrices must be a list" % what)
     try:
         return _cochain_from_mats(bundle, degree, i, j, mats)
     except (ShapeMismatch, ValidationError) as exc:
@@ -196,11 +191,8 @@ def _build_problem(name, doc, options, spec=None):
                 and all(type(r) is int and r >= 0 for r in ranks)):
             raise ValidationError("module %d 'ranks' must be a list of "
                                   "nonnegative integers" % k)
-        if not (isinstance(diffs, list) and all(
-                isinstance(d, list) and all(isinstance(row, list) for row in d)
-                for d in diffs)):
-            raise ValidationError("module %d 'diffs' must be a list of matrices, "
-                                  "each a list of rows" % k)
+        if not isinstance(diffs, list):
+            raise ValidationError("module %d 'diffs' must be a list of matrices" % k)
         resolutions.append(FreeResolution(pres, ideal, ranks, diffs))
     bundle = ResolutionBundle(pres, resolutions)
     preset_basis = None

@@ -51,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 
-from .algebra import AlgebraElement, QuotientModule, multiply
+from .algebra import QuotientModule, multiply
 from .errors import (NotACoboundary, NotStabilized, ProjectionFailed, ShapeMismatch,
                      SolverBoundError, ValidationError)
 from .linalg import Echelon, kernel_basis, solve_sparse, vec_scale
@@ -76,23 +76,16 @@ class Mat:
 
     @staticmethod
     def from_rows(rows, pres):
-        nrows = len(rows)
+        """The matrix a document writes as a list of rows of element strings,
+        all of one length; any other shape raises ValidationError."""
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ValidationError("a matrix must be a list of rows of element strings")
         ncols = len(rows[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValidationError("ragged matrix rows")
-            for c, v in enumerate(row):
-                if isinstance(v, str):
-                    v = pres.parse(v)
-                elif type(v) in (int, Fraction):
-                    v = pres.one().scale(v)
-                elif not isinstance(v, AlgebraElement):
-                    raise ValidationError("matrix entry %r is neither an element "
-                                          "nor an exact scalar" % (v,))
-                if not v.is_zero():
-                    entries[(r, c)] = v
-        return Mat(nrows, ncols, entries)
+        if any(len(row) != ncols for row in rows):
+            raise ValidationError("ragged matrix rows")
+        return Mat(len(rows), ncols, {(r, c): pres.parse(text)
+                                      for r, row in enumerate(rows)
+                                      for c, text in enumerate(row)})
 
     def is_zero(self):
         return not self.entries

@@ -1,17 +1,19 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ncdef.algebra import (AlgebraPresentation, QuotientModule, format_element,
+from ncdef.algebra import (_ALGEBRAS, AlgebraPresentation, QuotientModule, format_element,
                            format_scalar, multiply, normal_form, parse_element,
                            preset_presentation)
 from ncdef.errors import StepBudgetExceeded, UnsupportedIdeal, ValidationError
 from ncdef.linalg import Echelon, _add_multiple
+from ncdef.presets import _PRESETS
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +140,81 @@ def test_parse_format_round_trip(weyl2):
         elem = parse_element(weyl2, text)
         again = parse_element(weyl2, format_element(elem))
         assert again == elem
+
+
+# the tokens of the element reader that the grammar replaced
+_OLD_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-))")
+
+
+def _reference_parse(pres, text):
+    """A well-formed element string read token by token, as the token loop
+    did: a number multiplies the term's coefficient, a generator and its
+    ^exponent extend the term's word, and a + or - after a term closes it."""
+    result, sign, coeff, word, have_term = pres.zero(), 1, 1, [], False
+    tokens = [m.groups() for m in _OLD_TOKEN.finditer(text)]
+    k = 0
+    while k < len(tokens):
+        num, name, _, _, plus, minus = tokens[k]
+        if (plus or minus) and have_term:
+            result = result + normal_form(word, pres).scale(sign * coeff)
+            sign, coeff, word, have_term = 1, 1, [], False
+        if minus:
+            sign = -sign
+        elif num:
+            coeff, have_term = coeff * Fraction(num), True
+        elif name:
+            power = 1
+            if k + 2 < len(tokens) and tokens[k + 1][2]:
+                power, k = int(tokens[k + 2][0]), k + 2
+            word, have_term = word + [name] * power, True
+        k += 1
+    return result + normal_form(word, pres).scale(sign * coeff) if have_term else result
+
+
+def _nested_strings(matrices):
+    if isinstance(matrices, str):
+        yield matrices
+    elif isinstance(matrices, list):
+        for item in matrices:
+            yield from _nested_strings(item)
+
+
+def _shipped_element_strings():
+    """(presentation, element string) for each rule right side, differential
+    entry and given Ext entry of the built-in algebras, the presets, the
+    shipped specs and perfbench's spec, and each versal family entry of the
+    goldens.  Right sides are read with no rules, as ``from_json`` reads them."""
+    documents = [(doc, []) for doc in _PRESETS.values()]
+    documents += [(json.loads(path.read_text()), []) for path in SPECS]
+    for path in sorted(Path(__file__).parent.glob("golden/*/report.json")):
+        report = json.loads(path.read_text())
+        problem = report["problem"]
+        documents.append((_PRESETS[problem["preset"]] if "preset" in problem else problem,
+                          [phi["mats"] for phi in report["versal_family"].values()]))
+    algebras = list(_ALGEBRAS.values())
+    for doc, family in documents:
+        algebra = doc["algebra"]
+        algebras.append(_ALGEBRAS[algebra] if isinstance(algebra, str) else algebra)
+        pres = AlgebraPresentation.from_json(algebras[-1])
+        given = [rep["mats"] for table in doc.get("ext_basis", {}).values()
+                 for reps in table.values() for rep in reps]
+        for matrices in [mod["diffs"] for mod in doc["modules"]] + given + family:
+            yield from ((pres, text) for text in _nested_strings(matrices))
+    for algebra in algebras:
+        probe = AlgebraPresentation(algebra["generators"], [], algebra.get("weights"))
+        yield from ((probe, rhs) for _, rhs in algebra["rules"])
+
+
+def test_shipped_element_strings_read_as_the_token_loop_read_them(weyl2):
+    strings = list(_shipped_element_strings())
+    assert len(strings) > 1000
+    strings += [(weyl2, text) for text in (
+        "Dx*x - 4/2*y + 1/2", " - x ^ 2 * y  +  3 ", "2/3-1/2*Dy^0", "0*x + 0",
+        "1/2*2*x", "x^10*Dx^3 - 7*Dy*y*x^2 + 3/4")]
+    for pres, text in strings:
+        expected = _reference_parse(pres, text)
+        assert list(parse_element(pres, text).terms.items()) == \
+            list(expected.terms.items()), text
 
 
 def test_rule_validation():
@@ -409,6 +486,9 @@ def _action_modules(request):
         pres = AlgebraPresentation(count_changing.generators,
                                    list(count_changing.rules.items()))
         yield "count-changing-" + ideal[0], QuotientModule(pres, ideal), False
+    # D*x -> 2*x*D + 1 with the ideal (x): x*D^k takes case 3, dividing by 2
+    case3 = AlgebraPresentation(["x", "D"], [(("D", "x"), [(("x", "D"), 2), ((), 1)])])
+    yield "case3", QuotientModule(case3, ["x"]), False
     yield "case4", QuotientModule(_case4_presentation(), ["x", "u"]), True
 
 
@@ -487,3 +567,11 @@ def test_module_reduction_cycle_stops_on_the_budget():
                                step_budget=500)
     with pytest.raises(StepBudgetExceeded):
         QuotientModule(pres, ["x"]).reduce(pres.parse("x*y"))
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_nesting_bound_does_not_depend_on_what_the_table_holds(n):
+    # on a fresh table the entry of Dx on x^n nests n entries deep; once the
+    # entries on the shorter powers are in the table it nests one deep
+    module = QuotientModule(preset_presentation("weyl1"), ["Dx"])
+    assert module.word_action(("Dx",), ("x",) * n) == {("x",) * (n - 1): n}

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from ncdef import algebra
+from ncdef import algebra, massey
 from ncdef.cli import main
-from ncdef.errors import ValidationError
+from ncdef.errors import ProjectionFailed, ValidationError
 from ncdef.presets import RunOptions
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -536,6 +536,9 @@ def _poly3_spec():
     {"ranks": [1, 1], "diffs": [[["x", "y"]]]},
     {"ideal": [["x"], "y", "z"]},
     {"nmae": "k"},
+    # entries are element strings only: an exact JSON 0 for "0" once read as 0
+    {"diffs": [[["x"], ["y"], ["z"]], [["y", "-x", 0], ["z", "0", "-x"], ["0", "z", "-y"]],
+               [["z", "-y", "x"]]]},
 ])
 def test_malformed_spec_resolution_fails_validation(module, tmp_path, capsys):
     spec = _poly3_spec()
@@ -610,6 +613,30 @@ def test_fractional_exponent_fails_validation(tmp_path, capsys):
     assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation error:") and "exponent" in err
+    assert "Traceback" not in err
+
+
+MALFORMED_ELEMENTS = ["x^2^3", "x^", "x + ", "*x", "2*", "+", "", "x**y", "x y", "2 3",
+                      "x+-y", "--x", "1/2/3", "+x", "2x", "1/0", "x^1000000000000",
+                      "x^" + "9" * 5000, "7" * 5000 + "*x"]
+
+
+@pytest.mark.parametrize("place", ["rule", "diff", "ext_basis"])
+@pytest.mark.parametrize("text", MALFORMED_ELEMENTS,
+                         ids=lambda text: text[:20] if text else "empty")
+def test_malformed_element_string_exits_2_naming_it(text, place, tmp_path, capsys):
+    # the token loop read most of these as something else (x^2^3 as 3*x^2,
+    # "x y" as x*y, "+" and "" as 0), and x^1000000000000 ran out of memory
+    spec = _poly3_spec()
+    if place == "rule":
+        spec["algebra"]["rules"][0][1] = text
+    elif place == "diff":
+        spec["modules"][0]["diffs"][0][0] = [text]
+    else:
+        spec["ext_basis"] = {"ext1": {"1,1": [{"mats": [[[text], ["0"], ["0"]]]}]}}
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation error:") and repr(text) in err
     assert "Traceback" not in err
 
 
@@ -721,3 +748,12 @@ def test_quantum_plane_point_exits_2_naming_its_rule(tmp_path, capsys):
     assert err.startswith("validation error: ideal generators are linked by the "
                           "rule y*x -> 2*x*y; only a plain transposition")
     assert "inhomogeneous" not in err and "Traceback" not in err
+
+
+def test_solver_error_names_the_order_it_stopped_at(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise ProjectionFailed("probe")
+
+    monkeypatch.setattr(massey, "project_ext2", fail)
+    assert main(["run", "--preset", "weyl2-simple4", "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "solver bound exhausted: order 2: probe\n"
