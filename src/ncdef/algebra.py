@@ -273,9 +273,6 @@ def normal_form(word, pres):
     cached = pres._nf_cache.get(word)
     if cached is not None:
         return AlgebraElement(pres, dict(cached))
-    for g in word:
-        if g not in pres.gen_index:
-            raise ValidationError("unknown generator %r" % g)
     rules = pres.rules
     result = {}
     stack = [(word, 1, 0)]
@@ -506,8 +503,8 @@ def parse_element(pres, text):
     ``text`` must be terms joined by + or -, each a *-product of integers,
     fractions a/b (b > 0) and generators with an optional ^exponent; only
     the first term may carry a leading -, and "0" is zero.  Anything else,
-    or a term whose word is longer than ``pres.step_budget`` generators,
-    raises ValidationError naming ``text``.
+    a generator ``pres`` lacks, or a term whose word is longer than
+    ``pres.step_budget`` generators, raises ValidationError naming ``text``.
     """
     if not isinstance(text, str):
         raise ValidationError("element %r is not a string" % (text,))
@@ -527,6 +524,9 @@ def parse_element(pres, text):
                 power = int(power or 1)
             except ValueError:  # past int's limit on decimal digits
                 raise ValidationError("element %r has a number too long to read" % text)
+            if name not in pres.gen_index:
+                raise ValidationError("cannot parse element %r: unknown generator %r"
+                                      % (text, name))
             if len(word) + power > pres.step_budget:
                 raise ValidationError("element %r has a word longer than %d generators"
                                       % (text, pres.step_budget))

@@ -5,23 +5,20 @@ Fractions.  Scalars enter through ``exact``, which keeps an integral value
 an int, so the small integers that make up most systems stay ints through
 the elimination; a float is refused.
 
-Column labels need not be integers; an Echelon is parametrized by a pivot
-priority function so quotient constructions can steer which coordinates get
-eliminated.
-
-``Echelon`` holds the only row-reduction loop.  Its rows are write-once,
-so reducing a vector eliminates its pivot columns highest first, each once,
-and ``Echelon.reduced_rows`` back-substitutes once for the reader that
-needs the reduced row echelon form.
-``solve_sparse`` and ``kernel_basis`` run on it with augmented columns:
-extra columns appended to every row (one per right-hand side, or the
-combination of inputs that produced the row) that are equal only to
-themselves, so no column label can collide with them, and that rank below
-every real column, so they pivot only in a row whose real part has reduced
-to zero.  ``solve_sparse`` carries all the right-hand sides of a system as
-such columns through one elimination; a right-hand side is inconsistent
-exactly when a row that pivots on an augmented column has an entry in its
-column.
+``Echelon`` holds the only row-reduction loop.  The labels of one echelon
+must be mutually comparable, with no two distinct labels equal: their own
+``<`` is the elimination order, and a caller that wants another order
+writes it into the labels.  Rows are write-once, so reducing a vector
+eliminates its pivot columns highest first, each once, and
+``Echelon.reduced_rows`` back-substitutes once for the reader that needs
+the reduced row echelon form.  ``solve_sparse`` and ``kernel_basis`` run
+on it with augmented columns: extra columns appended to every row (one per
+right-hand side, or the combination of inputs that produced the row),
+labelled to rank below every real column, so they pivot only in a row
+whose real part has reduced to zero.  ``solve_sparse`` carries all the
+right-hand sides of a system as such columns through one elimination; a
+right-hand side is inconsistent exactly when a row that pivots on an
+augmented column has an entry in its column.
 """
 
 from __future__ import annotations
@@ -65,34 +62,31 @@ def _add_multiple(vec, row, c):
 
 
 class Echelon:
-    """Row echelon span with a configurable pivot priority.
+    """Row echelon span over mutually comparable column labels.
 
-    ``priority(col)`` returns a sortable key; within a reduced vector the
-    column with the largest key becomes the pivot (the first such column on
-    a tie).  Rows are write-once: ``add`` stores a vector reduced against
+    The labels of one echelon must compare with ``<``, and no two distinct
+    labels may be equal; within a reduced vector the largest column becomes
+    the pivot.  Rows are write-once: ``add`` stores a vector reduced against
     the rows, with pivot coefficient 1, so no column of a row outranks its
     pivot, and no later ``add`` changes it.  ``reduce`` eliminates pivot
     columns highest first, since subtracting a row brings in none that
-    ranks higher.  What is left holds no pivot column, so for a priority
-    that orders every column strictly it depends only on the span.  An
-    augmented column pivots only when its priority is the largest left in
-    the reduced row, i.e. when every real column in it has been eliminated.
+    ranks higher.  What is left holds no pivot column, so it depends only
+    on the span.
     """
 
-    def __init__(self, priority=None):
-        self.priority = priority or (lambda col: col)
+    def __init__(self):
         self.rows = {}  # pivot col -> row vector, read-only outside this class
 
     def reduce(self, vec):
         vec = dict(vec)
-        rows, priority = self.rows, self.priority
-        todo = sorted((col for col in vec if col in rows), key=priority)
+        rows = self.rows
+        todo = sorted(col for col in vec if col in rows)
         while todo:
             col = todo.pop()
             if col in vec:
                 row = rows[col]
                 for k in [k for k in row if k not in vec and k in rows]:
-                    insort(todo, k, key=priority)
+                    insort(todo, k)
                 _add_multiple(vec, row, -vec[col])
         return vec
 
@@ -101,17 +95,17 @@ class Echelon:
         vec = self.reduce(vec)
         if not vec:
             return None
-        pivot = max(vec, key=self.priority)
+        pivot = max(vec)
         lead = vec[pivot]
         self.rows[pivot] = vec if lead == 1 else vec_scale(vec, Fraction(1, lead))
         return pivot
 
     def reduced_rows(self):
         """{pivot: row} of the reduced row echelon form, lowest pivot first:
-        a row holds only pivots of later rows that rank no higher, so one
-        pass each, lowest first (later first on a tie), reduces the rows."""
+        a row holds only pivots of later rows that rank lower, so one pass
+        each, lowest first, reduces the rows."""
         out = {}
-        for pivot in sorted(reversed(self.rows), key=self.priority):
+        for pivot in sorted(self.rows):
             row = dict(self.rows[pivot])
             for col in [col for col in row if col in out]:
                 _add_multiple(row, out[col], -row[col])
@@ -120,15 +114,6 @@ class Echelon:
 
     def pivots(self):
         return set(self.rows)
-
-
-class _Augmented:
-    """An augmented column: hashed by identity, so equal to no column label."""
-
-    __slots__ = ("index",)
-
-    def __init__(self, index):
-        self.index = index
 
 
 def solve_sparse(equations, targets):
@@ -140,41 +125,41 @@ def solve_sparse(equations, targets):
     or Fraction in sorted variable order with free variables omitted
     (treated as 0), or None when that target's system is inconsistent.
 
-    Target t rides in every row as its own augmented column, ranked below
-    every variable and below the columns of the targets before it, and the
-    least variable of a row pivots.  A row that pivots on an augmented
-    column has no variable left: it is a combination of the equations whose
-    left-hand sides cancel, so every target with an entry in it is
-    inconsistent.  Reduced, the rows that pivot on a variable, restricted
-    to the variables and the column of a consistent target, are the
-    reduced echelon form of that target's system alone, so each consistent
-    target gets the solution a single-target solve returns; it depends only
-    on the system, not on the order of its equations or on the other targets.
+    The n variables, in sorted order, are the columns 0, -1, ..., -(n - 1),
+    so the least variable of a row pivots, and target t rides in every row
+    as the column -n - t, below every variable and below the targets
+    before it.  A row whose pivot is -n or less has no variable left: it is
+    a combination of the equations whose left-hand sides cancel, so every
+    target with an entry in it is inconsistent.  Reduced, the rows that
+    pivot on a variable, restricted to the variables and the column of a
+    consistent target, are the reduced echelon form of that target's
+    system alone, so each consistent target gets the solution a
+    single-target solve returns; it depends only on the system, not on the
+    order of its equations or on the other targets.
     """
     variables = sorted({var for vec, _ in equations for var in vec})
-    columns = [_Augmented(len(variables) + t) for t in range(targets)]
-    priority = {var: -k for k, var in enumerate(variables)}
-    priority.update((col, -col.index) for col in columns)
-    ech = Echelon(priority=priority.__getitem__)
+    n = len(variables)
+    column = {var: -k for k, var in enumerate(variables)}
+    ech = Echelon()
     inconsistent = set()
     for vec, rhs in equations:
-        row = dict(vec)
+        row = {column[var]: c for var, c in vec.items()}
         for t, value in rhs.items():
             if value:
-                row[columns[t]] = exact(value)
+                row[-n - t] = exact(value)
         pivot = ech.add(row)
-        if type(pivot) is _Augmented:
+        if pivot is not None and pivot <= -n:
             # a stored row never changes, so its entries are all there will be
-            inconsistent.update(col.index - len(variables) for col in ech.rows[pivot])
+            inconsistent.update(-n - col for col in ech.rows[pivot])
             if len(inconsistent) == targets:
                 return [None] * targets
     # in the reduced rows every non-pivot variable of a row is free (value
     # 0) and a consistent target's column holds the pivot's value
     solutions = [None if t in inconsistent else {} for t in range(targets)]
-    live = [(sol, col) for sol, col in zip(solutions, columns) if sol is not None]
+    live = [(sol, -n - t) for t, sol in enumerate(solutions) if sol is not None]
     rows = ech.reduced_rows()
     for var in variables:
-        row = rows.get(var)
+        row = rows.get(column[var])
         if row is not None:
             for sol, col in live:
                 if col in row:
@@ -185,18 +170,19 @@ def solve_sparse(equations, targets):
 def kernel_basis(vectors, tags):
     """The linear relations among ``vectors``, yielded one by one.
 
-    Vector k carries one augmented column, of coefficient 1, that ranks
-    below every real column and above the augmented columns of the vectors
-    before it.  A vector that reduces into the span of the earlier ones
-    therefore pivots on its own augmented column, and its augmented part is
-    the unique relation expressing it over the earlier independent vectors,
-    over ``tags``, one per vector.  Each relation is yielded as soon as its
+    A real column ``label`` (the labels of all the vectors must be
+    mutually comparable) becomes ``(1, label)``, and vector k carries one
+    augmented column ``(0, k)`` of coefficient 1, below every real column
+    and above the augmented columns of the vectors before it.  A
+    vector that reduces into the span of the earlier ones therefore pivots
+    on its own augmented column, and its augmented part is the unique
+    relation expressing it over the earlier independent vectors, over
+    ``tags``, one per vector.  Each relation is yielded as soon as its
     vector is added, so a caller that stops early leaves the later vectors
     uneliminated.  Deterministic.
     """
-    real = len(vectors)
-    ech = Echelon(priority=lambda c: c.index if type(c) is _Augmented else real)
+    ech = Echelon()
     for k, vec in enumerate(vectors):
-        pivot = ech.add({**vec, _Augmented(k): 1})
-        if type(pivot) is _Augmented:
-            yield {tags[c.index]: v for c, v in ech.rows[pivot].items()}
+        pivot = ech.add({**{(1, col): c for col, c in vec.items()}, (0, k): 1})
+        if pivot[0] == 0:
+            yield {tags[col[1]]: v for col, v in ech.rows[pivot].items()}

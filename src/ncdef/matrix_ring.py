@@ -579,8 +579,9 @@ def quotient_by_vectors(algebra, vectors):
 
     Each vector must be a type-homogeneous combination of tags and monomials
     of the top degree cutoff - 1; such vectors already span a two-sided
-    ideal.  Tag columns are eliminated first so the result has a monomial
-    basis whenever possible.
+    ideal.  The basis lists the tags last and the monomials of one degree
+    by key, so the echelon's index order eliminates tag columns first, and
+    the result has a monomial basis whenever possible.
     """
     for vec in vectors:
         labels = [algebra.basis[k] for k in vec]
@@ -591,16 +592,9 @@ def quotient_by_vectors(algebra, vectors):
                 "collapse vector %s is not a type-homogeneous combination of "
                 "tags and top-degree monomials" % (labels,))
 
-    def priority(col):
-        label = algebra.basis[col]
-        if isinstance(label, RelTag):
-            return (1, 0, (0,), label)
-        return (0, -label.degree, label.key(), (0, 0, 0))
-
-    ech = Echelon(priority=priority)
+    ech = Echelon()
     for vec in vectors:
-        if vec:
-            ech.add(dict(vec))
+        ech.add(vec)
     pivots = ech.pivots()
     keep = [k for k in range(algebra.dim) if k not in pivots]
     reindex = {k: n for n, k in enumerate(keep)}

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import AlgebraPresentation, check_keys, format_element, preset_presentation
-from .errors import ShapeMismatch, ValidationError
+from .errors import NcdefError, ShapeMismatch, ValidationError
 from .yoneda import Cochain, ExtBasis, FreeResolution, Mat, ResolutionBundle
 
 SCHEMA_PROBLEM = "ncdef-problem/1"
@@ -193,7 +193,10 @@ def _build_problem(name, doc, options, spec=None):
                                   "nonnegative integers" % k)
         if not isinstance(diffs, list):
             raise ValidationError("module %d 'diffs' must be a list of matrices" % k)
-        resolutions.append(FreeResolution(pres, ideal, ranks, diffs))
+        try:
+            resolutions.append(FreeResolution(pres, ideal, ranks, diffs))
+        except NcdefError as exc:
+            raise type(exc)("module %d: %s" % (k, exc))
     bundle = ResolutionBundle(pres, resolutions)
     preset_basis = None
     if "ext_basis" in doc:

@@ -345,8 +345,9 @@ class ExtComputer:
         One echelon takes the coordinates of the first bound, then each
         later bound's new ones, in ``_coords`` order.  Rows never change
         once stored, so a bound's rows are the first ones; their number is
-        the rank.  A pivot is its row's column of highest degree, so the
-        rows pivoting at degree <= k span the images inside degree k.
+        the rank.  The echelon's columns are (degree, row, word), so a pivot
+        is its row's column of highest degree, and the rows pivoting at
+        degree <= k span the images inside degree k.
         """
         degree = self.bundle.pres.word_degree
         module = self.bundle.res(i).module
@@ -354,14 +355,15 @@ class ExtComputer:
         images = self._images(i, j, m, self._coords(i, j, m, bounds[-1]))
         # a bound's words are a prefix of the last bound's
         words = module.basis_words(bounds[-1])
-        ech = Echelon(priority=lambda c: (degree(c[1]), c[0], c[1]))
+        ech = Echelon()
         added, counts = 0, {}
         for bound in bounds:
             upto = len(module.basis_words(bound))
             for r in range(rank):
                 for w in words[added:upto]:
                     if images[(r, w)]:
-                        ech.add(images[(r, w)])
+                        ech.add({(degree(w2), s, w2): c
+                                 for (s, w2), c in images[(r, w)].items()})
             added = upto
             counts[bound] = len(ech.rows)
         return list(ech.rows.items()), counts, images
@@ -401,12 +403,11 @@ class ExtComputer:
         profiles = {m: self._rank_profile(i, j, m, bounds) for m, bounds in (
             (0, potentials), (1, sorted({*windows, *potentials})), (2, windows))}
         module, rank = self.bundle.res(i).module, self.bundle.res(j).rank
-        degree = self.bundle.pres.word_degree
         for n in (1, 2):
             (rows, counts), ranks = profiles[n - 1][:2], profiles[n][1]
             self._dim_cache[(i, j, n)] = tuple(
                 rank(n) * len(module.basis_words(k)) - ranks[k]
-                - sum(degree(w) <= k for (_, w), _ in rows[:counts[k + slack]])
+                - sum(d <= k for (d, _, _), _ in rows[:counts[k + slack]])
                 for k in windows)
         return profiles
 
@@ -439,14 +440,13 @@ class ExtComputer:
         ``rows`` are the (pivot, row) pairs of the potentials' rank profile
         at bound + BOUNDARY_SLACK (``_rank_profile``).  Those pivoting inside
         the window span (image intersect window), and only they go into an
-        echelon with the priority (row, word), so ``len(rows)`` is the
+        echelon over the Hom coordinates (row, word), so ``len(rows)`` is the
         boundary dimension in the window.
         """
-        degree = self.bundle.pres.word_degree
-        ech = Echelon(priority=lambda c: (c[0], c[1]))
-        for (_, w), row in rows:
-            if degree(w) <= bound:
-                ech.add(row)
+        ech = Echelon()
+        for (d, _, _), row in rows:
+            if d <= bound:
+                ech.add({(s, w): c for (_, s, w), c in row.items()})
         return ech
 
     def _hom_representatives(self, images, dim, boundaries):
@@ -456,7 +456,7 @@ class ExtComputer:
             return []
         kernel = kernel_basis(list(images.values()), tags=list(images))
         chosen = []
-        chosen_ech = Echelon(priority=lambda c: (c[0], c[1]))
+        chosen_ech = Echelon()
         for vec in kernel:
             resid = boundaries.reduce(vec)
             resid = chosen_ech.reduce(resid)
@@ -855,7 +855,7 @@ def _certify_independent(computer, n, i, j, reps, dim, boundaries,
             % (n, j, i, dim, len(reps)))
     bound = computer.degree_bound
     degree = computer.bundle.pres.word_degree
-    seen = Echelon(priority=lambda c: (c[0], c[1]))
+    seen = Echelon()
     for phi in reps:
         vec = computer.hom_vector(phi)
         if any(degree(w) > bound for _, w in vec):

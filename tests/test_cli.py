@@ -8,8 +8,8 @@ import pytest
 
 from ncdef import algebra, massey
 from ncdef.cli import main
-from ncdef.errors import ProjectionFailed, ValidationError
-from ncdef.presets import RunOptions
+from ncdef.errors import ProjectionFailed, UnsupportedIdeal, ValidationError
+from ncdef.presets import RunOptions, problem_from_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -549,6 +549,27 @@ def test_malformed_spec_resolution_fails_validation(module, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("m, r, row, message", [
+    (1, 0, ["y"], "module 1: ragged matrix rows"),
+    (0, 0, ["w"], "module 1: cannot parse element 'w': unknown generator 'w'"),
+], ids=["ragged-d1", "unknown-generator"])
+def test_resolution_error_names_the_module_and_the_string(m, r, row, message,
+                                                          tmp_path, capsys):
+    # both messages once named neither the module nor the string
+    spec = _poly3_spec()
+    spec["modules"][0]["diffs"][m][r] = row
+    assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: %s\n" % message
+
+
+def test_resolution_error_keeps_its_class():
+    spec = _poly3_spec()
+    spec["modules"][0]["ideal"] = ["x", "y", "w"]
+    with pytest.raises(UnsupportedIdeal, match="^module 1: ideal generator 'w'"):
+        problem_from_json(spec)
+
+
 def _poly3_algebra(**edits):
     return {**_poly3_spec()["algebra"], **edits}
 
@@ -745,8 +766,8 @@ def test_quantum_plane_point_exits_2_naming_its_rule(tmp_path, capsys):
                          "diffs": [[["x"], ["y"]], [["y", "-2*x"]]]}]}
     assert main(["ext", "--spec", _write(tmp_path, "spec.json", spec)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("validation error: ideal generators are linked by the "
-                          "rule y*x -> 2*x*y; only a plain transposition")
+    assert err.startswith("validation error: module 1: ideal generators are linked "
+                          "by the rule y*x -> 2*x*y; only a plain transposition")
     assert "inhomogeneous" not in err and "Traceback" not in err
 
 

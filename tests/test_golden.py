@@ -6,6 +6,9 @@ To regenerate after an intended output change, run the listed arguments with
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,6 +106,19 @@ def test_run_matches_golden(name, tmp_path, capsys, coefficient_types):
         fresh = (tmp_path / filename).read_bytes()
         assert fresh == (GOLDEN / name / filename).read_bytes(), filename
     assert not coefficient_types[:5]
+
+
+@pytest.mark.parametrize("seed", ["1", "123"])
+def test_run_matches_golden_under_any_hash_seed(seed, tmp_path):
+    # every echelon orders its columns by their labels, so no report may
+    # depend on the iteration order of a set or dict of strings
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(HERE.parent / "src"))
+    for name in ("weyl2-simple4", "weyl2-simple4-computed", "poly3"):
+        subprocess.run([sys.executable, "-m", "ncdef.cli", "run", *CASES[name],
+                        "--out", str(tmp_path / name)],
+                       env=env, capture_output=True, check=True)
+        fresh = (tmp_path / name / "report.json").read_bytes()
+        assert fresh == (GOLDEN / name / "report.json").read_bytes(), name
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncdef.linalg import Echelon, _Augmented, exact, kernel_basis, solve_sparse, vec_scale
+from ncdef.linalg import Echelon, exact, kernel_basis, solve_sparse, vec_scale
 from ncdef.matrix_ring import divisor_truncation, parse_monomial
 
 
@@ -25,7 +25,7 @@ def _vec_add(a, b, c=Fraction(1)):
 
 
 def test_echelon_rank_and_reduce():
-    ech = Echelon(priority=lambda c: c)
+    ech = Echelon()
     assert ech.add({0: F(2), 1: F(2)}) is not None
     assert ech.add({0: F(1), 1: F(1)}) is None
     assert ech.add({1: F(1)}) is not None
@@ -33,10 +33,10 @@ def test_echelon_rank_and_reduce():
     assert ech.reduce({0: F(3), 1: F(5)}) == {}
 
 
-def test_echelon_priority_steers_pivot():
-    ech = Echelon(priority=lambda c: -c)  # prefer small column labels
-    pivot = ech.add({0: F(1), 5: F(7)})
-    assert pivot == 0
+def test_echelon_labels_steer_pivot():
+    # the largest label pivots, so the labels -c prefer small columns c
+    assert Echelon().add({0: F(1), 5: F(7)}) == 5
+    assert Echelon().add({-0: F(1), -5: F(7)}) == 0
 
 
 def test_exact_keeps_integral_values_as_ints():
@@ -309,16 +309,20 @@ def _sympy_matrix(sympy, vectors, ncols):
                         lambda r, c: sympy.Rational(vectors[r].get(c, 0)))
 
 
-@pytest.mark.parametrize("priority", [lambda c: c, lambda c: -c])
-def test_echelon_rank_and_reduce_against_sympy(priority):
+def _relabelled(vec, relabel):
+    return {relabel(c): x for c, x in vec.items()}
+
+
+@pytest.mark.parametrize("relabel", [lambda c: c, lambda c: -c])
+def test_echelon_rank_and_reduce_against_sympy(relabel):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(4120)
     for _ in range(60):
         ncols = rng.randint(1, 6)
         vectors = _random_vectors(rng, ncols)
-        ech = Echelon(priority=priority)
+        ech = Echelon()
         for vec in vectors:
-            ech.add(vec)
+            ech.add(_relabelled(vec, relabel))
         A = _sympy_matrix(sympy, vectors, ncols)
         assert len(ech.rows) == A.rank()
         probes = _random_vectors(rng, ncols)
@@ -327,7 +331,7 @@ def test_echelon_rank_and_reduce_against_sympy(priority):
             combo = _vec_add(combo, vec, F(rng.randint(-2, 2)))
         for v in probes + [combo]:
             in_span = A.col_join(_sympy_matrix(sympy, [v], ncols)).rank() == A.rank()
-            assert (ech.reduce(v) == {}) == in_span
+            assert (ech.reduce(_relabelled(v, relabel)) == {}) == in_span
 
 
 def _assert_kernel(sympy, vectors, tags, kernel, ncols):
@@ -386,8 +390,7 @@ class _ReferenceEchelon:
     vector from the start, and every insertion back-substitutes its pivot
     into every stored row."""
 
-    def __init__(self, priority):
-        self.priority = priority
+    def __init__(self):
         self.rows = {}
 
     def reduce(self, vec):
@@ -406,7 +409,7 @@ class _ReferenceEchelon:
         vec = self.reduce(vec)
         if not vec:
             return None
-        pivot = max(vec, key=self.priority)
+        pivot = max(vec)
         row = {k: v / vec[pivot] for k, v in vec.items()}
         for p, other in self.rows.items():
             if pivot in other:
@@ -415,21 +418,15 @@ class _ReferenceEchelon:
         return pivot
 
 
-def _tied_priority(col):
-    # pairs of real columns tie, and augmented columns rank below them all
-    if type(col) is _Augmented:
-        return (0, -col.index)
-    return (1, col // 2)
-
-
 def _random_operations(rng):
-    """(kind, vector) pairs over tied real columns and augmented columns.
+    """(kind, vector) pairs over real columns (1, -c), of which the least c
+    ranks highest, and augmented columns (0, k), below every real column.
 
     Roughly a third of the vectors combine earlier ones, so they reduce to
     zero, and back-substitution cancels entries of the reduced rows."""
     ncols = rng.randint(2, 9)
-    augmented = [_Augmented(k) for k in range(rng.randint(0, 3))]
-    columns = list(range(ncols)) + augmented
+    columns = [(1, -c) for c in range(ncols)]
+    columns += [(0, k) for k in range(rng.randint(0, 3))]
     made = []
     for _ in range(rng.randint(1, 14)):
         if made and rng.random() < 0.35:
@@ -444,50 +441,25 @@ def _random_operations(rng):
         yield ("reduce" if rng.random() < 0.3 else "add"), vec
 
 
-def _assert_same(ech, ref):
-    # the same pivots and the same reduced rows
-    assert ech.reduced_rows() == ref.rows
-
-
-def _assert_same_span(ech, ref):
-    # on a tie the pivot depends on the order of the reduced vector's
-    # entries, so only the span and the priorities of the pivots must agree
-    priority = ech.priority
-    assert sorted(map(priority, ech.rows)) == sorted(map(priority, ref.rows))
-    assert all(not ech.reduce(row) for row in ref.rows.values())
-    assert all(not ref.reduce(row) for row in ech.rows.values())
-    reduced = ech.reduced_rows()
-    assert reduced.keys() == ech.rows.keys()
-    assert all(row[p] == 1 and not any(col in reduced for col in row if col != p)
-               for p, row in reduced.items())
-
-
-@pytest.mark.parametrize("priority", [_tied_priority, lambda c: (
-    (0, c.index) if type(c) is _Augmented else (1, -c))])
-def test_echelon_matches_reference_kernel(priority):
+def test_echelon_matches_reference_kernel():
     rng = random.Random(7301)
-    tied = priority is _tied_priority
     kinds = set()
     for _ in range(300):
-        ech, ref = Echelon(priority=priority), _ReferenceEchelon(priority)
+        ech, ref = Echelon(), _ReferenceEchelon()
         for kind, vec in _random_operations(rng):
             if kind == "add":
                 pivot, want = ech.add(vec), ref.add(vec)
-                if tied:
-                    assert (pivot is None) == (want is None)
-                    _assert_same_span(ech, ref)
-                else:
-                    assert pivot == want
-                    _assert_same(ech, ref)
-                kinds.add("dependent" if pivot is None else type(pivot).__name__)
+                assert pivot == want
+                # the same pivots and the same reduced rows
+                assert ech.reduced_rows() == ref.rows
+                kinds.add("dependent" if pivot is None
+                          else ("augmented", "real")[pivot[0]])
                 for p, row in ech.rows.items():
                     assert row[p] == 1
-                    assert not any(priority(col) > priority(p) for col in row)
-            elif tied:
-                assert (not ech.reduce(vec)) == (not ref.reduce(vec))
+                    assert not any(col > p for col in row)
             else:
                 assert ech.reduce(vec) == ref.reduce(vec)
-    assert kinds == {"dependent", "int", "_Augmented"}
+    assert kinds == {"dependent", "real", "augmented"}
 
 
 def test_stored_rows_never_change():
@@ -496,7 +468,7 @@ def test_stored_rows_never_change():
     rng = random.Random(7302)
     changed_later = 0
     for _ in range(200):
-        ech = Echelon(priority=_tied_priority)
+        ech = Echelon()
         stored = {}
         for kind, vec in _random_operations(rng):
             if kind != "add":
@@ -514,29 +486,30 @@ def test_stored_rows_never_change():
     assert changed_later > 0
 
 
-@pytest.mark.parametrize("priority", [lambda c: c, lambda c: -c])
-def test_reduced_rows_are_sympy_rref_and_reduce_ignores_the_order_added(priority):
+@pytest.mark.parametrize("relabel", [lambda c: c, lambda c: -c])
+def test_reduced_rows_are_sympy_rref_and_reduce_ignores_the_order_added(relabel):
     sympy = pytest.importorskip("sympy")
     rng = random.Random(7303)
     for _ in range(60):
         ncols = rng.randint(1, 7)
-        vectors = _random_vectors(rng, ncols)
-        ech = Echelon(priority=priority)
+        vectors = [_relabelled(vec, relabel) for vec in _random_vectors(rng, ncols)]
+        ech = Echelon()
         for vec in vectors:
             ech.add(vec)
-        # sympy's rref pivots on the leftmost column: list the columns by
-        # descending priority
-        order = sorted(range(ncols), key=priority, reverse=True)
+        # sympy's rref pivots on the leftmost column: list the labels in
+        # descending order
+        order = sorted(map(relabel, range(ncols)), reverse=True)
         rref, pivots = sympy.Matrix(len(vectors), ncols, lambda r, c: sympy.Rational(
             vectors[r].get(order[c], 0))).rref()
         want = {order[c]: {order[k]: F(int(x.p), int(x.q))
                            for k, x in enumerate(rref.row(r)) if x}
                 for r, c in enumerate(pivots)}
         assert ech.reduced_rows() == want
-        shuffled = Echelon(priority=priority)
+        shuffled = Echelon()
         for vec in rng.sample(vectors, len(vectors)):
             shuffled.add(vec)
         assert shuffled.pivots() == ech.pivots()
         assert shuffled.reduced_rows() == want
         for probe in _random_vectors(rng, ncols):
+            probe = _relabelled(probe, relabel)
             assert shuffled.reduce(probe) == ech.reduce(probe)

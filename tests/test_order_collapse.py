@@ -54,16 +54,21 @@ def _reference_quotient(algebra, vectors):
         if v:
             seeds.extend(_type_split(algebra.basis, v))
 
-    def priority(col):
-        label = algebra.basis[col]
+    def column(k):
+        # basis index k's elimination column, which ends with k: tags rank
+        # above monomials, and monomials of lower degree above higher ones
+        label = algebra.basis[k]
         if isinstance(label, RelTag):
-            return (1, 0, (0,), (label.i, label.j, label.l))
-        return (0, -label.degree, label.key(), (0, 0, 0))
+            return (1, 0, (0,), (label.i, label.j, label.l), k)
+        return (0, -label.degree, label.key(), (0, 0, 0), k)
 
-    ech = Echelon(priority=priority)
+    def add(v):
+        return ech.add({column(k): c for k, c in v.items()})
+
+    ech = Echelon()
     members = []
     for v in seeds:
-        if ech.add(dict(v)) is not None:
+        if add(v) is not None:
             members.append(v)
     rad = [k for k, b in enumerate(algebra.basis)
            if not (isinstance(b, Monomial) and b.degree == 0)]
@@ -75,16 +80,16 @@ def _reference_quotient(algebra, vectors):
                 for left in (True, False):
                     ru = {r: Fraction(1)}
                     w = _mult_coords(algebra, ru, v) if left else _mult_coords(algebra, v, ru)
-                    if w and ech.add(dict(w)) is not None:
+                    if w and add(w) is not None:
                         nxt.append(w)
         frontier = nxt
-    pivots = ech.pivots()
+    pivots = {col[-1] for col in ech.pivots()}
     keep = [k for k in range(algebra.dim) if k not in pivots]
     reindex = {k: n for n, k in enumerate(keep)}
 
     def push(coords):
-        red = ech.reduce(coords)
-        return {reindex[k]: c for k, c in red.items()}
+        red = ech.reduce({column(k): c for k, c in coords.items()})
+        return {reindex[col[-1]]: c for col, c in red.items()}
 
     eliminated = {algebra.basis[k]: push({k: Fraction(1)}) for k in sorted(pivots)}
     products = {}

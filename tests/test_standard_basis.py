@@ -25,10 +25,12 @@ from ncdef.matrix_ring import (GeneratorTable, MatricPoly, Monomial, RelTag,
 from ncdef.presets import RunOptions
 
 
-def _priority(col):
-    if isinstance(col, RelTag):
-        return (0, col)
-    return (1, -col.degree, col.key())
+def _column(label):
+    """The elimination column of a label, which it ends with: tags rank
+    lowest, then monomials from the highest degree down."""
+    if isinstance(label, RelTag):
+        return (0, label)
+    return (1, -label.degree, label.key(), label)
 
 
 def _ideal_rows(table, relations, cutoff, exclude_unit):
@@ -69,15 +71,15 @@ def reference_truncation(table, cutoff, relations=(), series=None):
             vec[tag] = -1
             rows.append(vec)
             tags.append(tag)
-    elim = Echelon(priority=_priority)
+    elim = Echelon()
     for row in rows:
-        elim.add(row)
-    pivots = elim.pivots()
+        elim.add({_column(m): c for m, c in row.items()})
+    pivots = {col[-1] for col in elim.pivots()}
     monos = [m for d in range(cutoff) for m in monomials_of_degree(table, d)]
     basis = sorted([m for m in monos if m not in pivots]
                    + [t for t in tags if t not in pivots], key=label_sort_key)
     index = {b: k for k, b in enumerate(basis)}
-    classes = {m: {index[c]: v for c, v in elim.reduce({m: 1}).items()}
+    classes = {m: {index[col[-1]]: v for col, v in elim.reduce({_column(m): 1}).items()}
                for m in monos}
     starting = {}
     for b, lb in enumerate(basis):

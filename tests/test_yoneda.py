@@ -249,7 +249,9 @@ def test_boundary_echelon_is_the_window_part_of_the_boundaries(problem, request,
                     rows = _profile_rows(computer, i, j, n, bound)
                     added.clear()
                     ech = computer._boundary_echelon(bound, rows)
-                    assert all(any(vec is row for _, row in rows) for vec in added)
+                    profile_rows = [{(r, w): c for (_, r, w), c in row.items()}
+                                    for _, row in rows]
+                    assert all(vec in profile_rows for vec in added)
                     whole, outside, probes = Echelon(), Echelon(), []
                     for _, v in _reference_images(computer, i, j, n - 1,
                                                   bound + BOUNDARY_SLACK):
@@ -540,20 +542,20 @@ def _reference_window_echelon(computer, i, j, n, bound):
     echelon in which the columns above the bound outrank the window, and
     the rows that pivot outside are dropped."""
     degree = computer.bundle.pres.word_degree
-    whole = Echelon(priority=lambda c: (degree(c[1]) > bound, c[0], c[1]))
+    whole = Echelon()
     for _, v in _reference_images(computer, i, j, n - 1, bound + BOUNDARY_SLACK):
-        whole.add(v)
-    window = Echelon(priority=lambda c: (c[0], c[1]))
-    for p, row in whole.rows.items():
-        if degree(p[1]) <= bound:
-            window.add(row)
+        whole.add({(degree(w) > bound, r, w): c for (r, w), c in v.items()})
+    window = Echelon()
+    for (outside, _, _), row in whole.rows.items():
+        if not outside:
+            window.add({(r, w): c for (_, r, w), c in row.items()})
     return window
 
 
 def _reference_hom_dims(computer, i, j, n, bound):
     """(kernel dim, boundary echelon) with every image computed at ``bound``."""
     images = _reference_images(computer, i, j, n, bound)
-    ech = Echelon(priority=lambda c: (c[0], c[1]))
+    ech = Echelon()
     rank = sum(1 for _, v in images if v and ech.add(v) is not None)
     return len(images) - rank, _reference_window_echelon(computer, i, j, n, bound)
 
@@ -564,7 +566,7 @@ def _reference_hom_representatives(computer, i, j, n, bound, dim, boundaries):
         return []
     coords, images = zip(*_reference_images(computer, i, j, n, bound))
     chosen = []
-    chosen_ech = Echelon(priority=lambda c: (c[0], c[1]))
+    chosen_ech = Echelon()
     for vec in kernel_basis(list(images), tags=list(coords)):
         resid = chosen_ech.reduce(boundaries.reduce(vec))
         if resid:
