@@ -24,12 +24,14 @@ from .yoneda import (Cochain, Mat, SparseSystem, compose_cochains, decode_entrie
                      is_cocycle, multiply)
 
 
-def product_sum(left, right, product):
+def product_sum(left, right, product, compose=None):
     """{z: sum over (a, b) of <z, a*b> left[a] . right[b]}, zero sums omitted.
 
     ``left`` and ``right`` map keys to cochains, ``product(a, b)`` gives a*b
-    as {z: coefficient}, and . is the Yoneda product ``compose_cochains``.
+    as {z: coefficient}, and . is the Yoneda product ``compose_cochains``,
+    or ``compose``, a ``YonedaProducts`` that remembers it.
     """
+    compose = compose or compose_cochains
     acc = {}
     for a, ca in left.items():
         for b, cb in right.items():
@@ -38,7 +40,7 @@ def product_sum(left, right, product):
             coords = product(a, b)
             if not coords:
                 continue
-            prod = compose_cochains(ca, cb)
+            prod = compose(ca, cb)
             if prod.is_zero():
                 continue
             for z, coeff in coords.items():
@@ -53,12 +55,32 @@ def product_sum(left, right, product):
             if any(not mat.is_zero() for mat in mats)}
 
 
-def curvature(algebra, system):
+class YonedaProducts:
+    """``compose_cochains`` remembered per pair of cochain objects.
+
+    A defining system's cochains never change once set, so the order step
+    keeps one of these for a whole run and composes each pair once.  It
+    holds every cochain it has seen, so no id is reused while it lives.
+    """
+
+    def __init__(self):
+        self._seen = {}
+
+    def __call__(self, outer, inner):
+        key = (id(outer), id(inner))
+        entry = self._seen.get(key)
+        if entry is None:
+            entry = self._seen[key] = (outer, inner, compose_cochains(outer, inner))
+        return entry[2]
+
+
+def curvature(algebra, system, compose=None):
     """Per-basis-label components of d*d for the lifted differential.
 
     ``system`` maps basis labels to degree-1 cochains (missing labels count
     as zero; idempotent labels must carry the resolution differentials).
     Returns a dict label -> degree-2 Cochain, omitting zero entries.
+    ``compose`` is as in ``product_sum``.
     """
     items = {}
     for label, phi in system.items():
@@ -69,7 +91,7 @@ def curvature(algebra, system):
                                 % (label, phi.degree, phi.type))
         if not phi.is_zero():
             items[algebra.index[label]] = phi
-    curv = product_sum(items, items, algebra.product)
+    curv = product_sum(items, items, algebra.product, compose)
     return {algebra.basis[z]: phi for z, phi in curv.items()}
 
 
@@ -114,9 +136,11 @@ class LiftedComplex:
         return dict(self.cochains)
 
 
-def verify_lifted_complex(complex_):
-    """Check the flatness condition; returns (ok, first_failure_or_None)."""
-    curv = curvature(complex_.algebra, complex_.system())
+def verify_lifted_complex(complex_, compose=None):
+    """Check the flatness condition; returns (ok, first_failure_or_None).
+
+    ``compose`` is as in ``product_sum``."""
+    curv = curvature(complex_.algebra, complex_.system(), compose)
     if not curv:
         return True, None
     failures = sorted(curv, key=label_sort_key)

@@ -12,7 +12,11 @@ its combination of top-degree monomials in R's structure constants, so the
 curvature of the defining system over H is R's curvature pushed through the
 substitution; that curvature is the residual the corrections kill.  A
 degree's basis never changes once the hull passes it, so the state keeps
-only the current H.
+the current H and, for the next order, the last bookkeeping ring: R_{n+1}
+extends R_n by one degree and recomputes only the steps and products that
+a new series term or a changed rule reaches.  A run also remembers the
+Ext^2 coefficients of every cocycle it projected and the Yoneda product of
+every pair of system cochains it composed, since neither changes.
 
 Stabilization is certified separately: the zero extension of the defining
 system over the relation quotient, truncated two degrees above the last
@@ -27,8 +31,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .checker import (LiftedComplex, certificate_cutoff, curvature, product_sum,
-                      verify_lifted_complex)
+from .checker import (LiftedComplex, YonedaProducts, certificate_cutoff, curvature,
+                      product_sum, verify_lifted_complex)
 from .errors import (FlatnessViolated, NcdefError, NotACoboundary, NotACocycle,
                      ProjectionFailed, ValidationError)
 from .matrix_ring import (MatricPoly, Monomial, RelTag, build_quotient,
@@ -43,8 +47,10 @@ class HullState(namedtuple("HullState", [
         "algebra",            # H_order, monomial basis
         "system",             # Monomial -> Cochain (sparse, zeros omitted)
         "series",             # RelTag -> MatricPoly
-        "products_log", "stabilized", "certificate"],
-        defaults=[False, None])):
+        "products_log", "stabilized", "certificate",
+        "ring",               # the truncation the next bookkeeping ring extends
+        "memo"],              # RunMemo, shared by the states of one run
+        defaults=[False, None, None, None])):
     """Snapshot of the hull computation at one order."""
 
     __slots__ = ()
@@ -62,6 +68,12 @@ class HullState(namedtuple("HullState", [
         return max(degs, default=0)
 
 
+# what a run computes once: each 2-cocycle's Ext^2 coefficients, as
+# (cocycle, coefficients) pairs listed by type, and the Yoneda products of
+# its cochains
+RunMemo = namedtuple("RunMemo", ["projections", "compose"])
+
+
 def init_order2(ext, options):
     """Defining system at the tangent level: differentials plus Ext^1 reps."""
     bundle = ext.bundle
@@ -76,7 +88,8 @@ def init_order2(ext, options):
     series = {tag: MatricPoly((tag.i, tag.j)) for tag in table.rel_tags()}
     return HullState(bundle=bundle, table=table, ext=ext, options=options,
                      order=2, algebra=algebra, system=system, series=series,
-                     products_log={})
+                     products_log={}, ring=algebra,
+                     memo=RunMemo(projections={}, compose=YonedaProducts()))
 
 
 def order_obstructions(state):
@@ -89,12 +102,12 @@ def order_obstructions(state):
     consistency check).
     """
     n = state.order
-    R = build_tagged_truncation(state.table, state.series, n + 1)
+    R = build_tagged_truncation(state.table, state.series, n + 1, state.ring)
     for mono in state.algebra.monomial_basis():
         if mono not in R.index:
             raise FlatnessViolated("basis monomial %r lost in the bookkeeping ring"
                                    % (mono,))
-    curv = curvature(R, state.system)
+    curv = curvature(R, state.system, state.memo.compose)
     ys = {}
     ws = {}
     for label, comp in curv.items():
@@ -135,20 +148,37 @@ def _by_type(cochains, solve):
 def _project(state, cochains):
     """Coefficients of each 2-cocycle over the Ext^2 basis of its type.
 
-    The nonzero cocycles of one type are projected in one call.
+    A run projects each distinct nonzero cocycle once and keeps its
+    coefficients in ``state.memo``; the new ones of one type are projected
+    in one call.
     """
     ladder = state.options.ladder
     ext2 = state.ext.ext2
-    nonzero = {key: y for key, y in cochains.items() if not y.is_zero()}
-    projected = _by_type(nonzero, lambda typ, ys: [
+    seen = state.memo.projections
+
+    def known(y):
+        if y.is_zero():
+            return [0] * len(ext2.get(y.type, []))
+        return next((coeffs for z, coeffs in seen.get(y.type, ()) if z == y), None)
+
+    new = {}
+    for key, y in cochains.items():
+        if known(y) is None and y not in new.values():
+            new[key] = y
+    projected = _by_type(new, lambda typ, ys: [
         coeffs for coeffs, _ in project_ext2(ys, ext2.get(typ, []), ladder)])
-    return {key: projected[key] if key in projected
-            else [0] * len(ext2.get(y.type, []))
-            for key, y in cochains.items()}
+    for key, coeffs in projected.items():
+        seen.setdefault(new[key].type, []).append((new[key], coeffs))
+    return {key: known(y) for key, y in cochains.items()}
 
 
 def advance_order(state):
-    """One step of the hull algorithm; returns the state at order + 1."""
+    """One step of the hull algorithm; returns the state at order + 1.
+
+    The new state carries R, the ring the next order extends, and the run's
+    memo; the relation-class check, the cocycle checks and the flatness
+    checks run on every order's values.
+    """
     n = state.order
     opts = state.options
     R, ys, ws = order_obstructions(state)
@@ -188,7 +218,8 @@ def advance_order(state):
 
     # H's structure constants are R's pushed through the collapse, so by
     # linearity its curvature is R's curvature pushed
-    residual = curvature(H, state.system)
+    compose = state.memo.compose
+    residual = curvature(H, state.system, compose)
     for label in residual:
         if label.degree < n:
             raise FlatnessViolated("order collapse disturbed degree %d"
@@ -200,7 +231,7 @@ def advance_order(state):
     system.update(alphas)
 
     lifted = LiftedComplex(H, state.bundle, system)
-    ok, failure = verify_lifted_complex(lifted)
+    ok, failure = verify_lifted_complex(lifted, compose)
     if not ok:
         raise FlatnessViolated("extended defining system fails at %r" % (failure,))
 
@@ -208,7 +239,8 @@ def advance_order(state):
     plog[n] = products
     return HullState(bundle=state.bundle, table=state.table, ext=state.ext,
                      options=opts, order=n + 1, algebra=H, system=system,
-                     series=new_series, products_log=plog)
+                     series=new_series, products_log=plog, ring=R,
+                     memo=state.memo)
 
 
 def check_stabilized(state):

@@ -53,8 +53,10 @@ products.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 
 from .algebra import format_sum
 from .errors import InconsistentRelations, InternalInvariantError, ValidationError
@@ -71,7 +73,7 @@ def arrow_key(arrow):
 class Monomial:
     """Composable word in matric generators; degree 0 words are idempotents."""
 
-    __slots__ = ("i", "j", "arrows", "_key")
+    __slots__ = ("i", "j", "arrows", "_key", "_hash")
 
     def __init__(self, i, j, arrows=()):
         arrows = tuple(arrows)
@@ -87,6 +89,7 @@ class Monomial:
         self.j = j
         self.arrows = arrows
         self._key = (len(arrows), tuple(arrow_key(a) for a in arrows), (i, j))
+        self._hash = hash(self._key)
 
     @staticmethod
     def idempotent(i):
@@ -114,7 +117,7 @@ class Monomial:
         return isinstance(other, Monomial) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
     def __lt__(self, other):
         if not isinstance(other, Monomial):
@@ -369,6 +372,7 @@ class _StandardBasis:
         self.arrows, self.number, self.after = table.arrows, table.number, table.after
         self.cutoff = cutoff
         self.rules = {}
+        self.longest = 0  # the length of the longest tip
         self.tags = Echelon()
 
     def word(self, mono):
@@ -380,17 +384,24 @@ class _StandardBasis:
     def _tip_in(self, word):
         """(start, tip) of the leftmost shortest tip in ``word``, or None."""
         rules = self.rules
-        for start in range(len(word) - 1):
-            for stop in range(start + 2, len(word) + 1):
+        n = len(word)
+        for start in range(n - 1):
+            for stop in range(start + 2, min(n, start + self.longest) + 1):
                 if word[start:stop] in rules:
                     return start, word[start:stop]
         return None
 
     def has_tip_suffix(self, word):
-        return any(word[start:] in self.rules for start in range(len(word) - 1))
+        n = len(word)
+        return any(word[start:] in self.rules
+                   for start in range(max(0, n - self.longest), n - 1))
 
-    def reduce(self, words, tags=()):
-        """(words, tags) rewritten until no word holds a tip."""
+    def reduce(self, words, tags=(), used=None):
+        """(words, tags) rewritten until no word holds a tip.
+
+        ``used``, when given, is a set that collects the tip of each rewrite,
+        and None when a rewrite drops a word at the cutoff.
+        """
         words = dict(words)
         tags = dict(tags)
         out = {}
@@ -404,9 +415,14 @@ class _StandardBasis:
             start, tip = found
             left, right = word[:start], word[start + len(tip):]
             rest, rest_tags = self.rules[tip]
+            if used is not None:
+                used.add(tip)
             if left or right:
                 room = self.cutoff - len(left) - len(right)
-                rest = {left + w + right: v for w, v in rest.items() if len(w) < room}
+                kept = {left + w + right: v for w, v in rest.items() if len(w) < room}
+                if used is not None and len(kept) < len(rest):
+                    used.add(None)
+                rest = kept
             else:
                 _add_multiple(tags, rest_tags, -c)
             _add_multiple(words, rest, -c)
@@ -435,6 +451,7 @@ class _StandardBasis:
             for other in [other for other in self.rules if _occurs(tip, other)]:
                 queue.append(self._remove(other))
             self.rules[tip] = (words, tags)
+            self.longest = max(self.longest, len(tip))
             for other in list(self.rules):
                 queue.extend(self._overlaps(tip, other))
                 if other != tip:
@@ -446,6 +463,7 @@ class _StandardBasis:
     def _remove(self, tip):
         """Drop a rule whose tip holds a newer tip; its element is reduced again."""
         words, tags = self.rules.pop(tip)
+        self.longest = max(map(len, self.rules), default=0)
         words = dict(words)
         words[tip] = 1
         return words, tags
@@ -467,15 +485,50 @@ class _StandardBasis:
         return out
 
 
-def _truncation(table, relations, cutoff):
-    """Quotient by (f, tag) pairs and all words of degree >= cutoff.
+class _Truncation(FiniteDimPointedAlgebra):
+    """A truncation with what its extension to a higher cutoff reuses.
 
-    Each nonzero truncated f enters as f, or as f - tag when tagged.  The
-    survivors of degree d are the one-arrow extensions of those of degree
-    d - 1 with no tip as a suffix; each (survivor, arrow) word is reduced
-    once, and the product of survivors s * t folds t's arrows into s
-    through those normal forms.
+    ``std`` is its completed standard basis and ``labels`` maps the word of
+    each basis monomial of positive degree to that monomial.  ``reduced``
+    maps each (survivor, arrow) word that is no survivor to (words, tags,
+    used): its normal form, with the tags not yet reduced by the tag
+    relations, and the tips its rewriting used, or None when the rewriting
+    dropped a word at the cutoff.  Its products and those of its extensions
+    share their coordinate dicts, which no one changes.
     """
+
+    def __init__(self, p, basis, products, cutoff, std, labels, reduced):
+        super().__init__(p, basis, products, cutoff)
+        self.std = std
+        self.labels = labels
+        self.reduced = reduced
+
+    @staticmethod
+    def nothing(table):
+        """The truncation at cutoff 0, where every extension can start."""
+        return _Truncation(table.p, [Monomial.idempotent(i) for i in range(1, table.p + 1)],
+                           {}, 0, _StandardBasis(table, 0), {}, {})
+
+
+def _truncation(table, relations, cutoff, previous):
+    """Quotient by (f, tag) pairs and all words of degree >= cutoff, as the
+    extension of ``previous``, a truncation of the same table at a lower
+    cutoff (None: the one at cutoff 0).
+
+    Each nonzero truncated f enters as f, or as f - tag when tagged, and the
+    completion runs afresh, since a new series term changes the rules.  The
+    survivors of degree d are the one-arrow extensions of those of degree
+    d - 1 with no tip as a suffix.  Each (survivor, arrow) word that is no
+    survivor is reduced once: ``previous``'s normal form stands when the
+    rules it used are unchanged, it dropped nothing at the lower cutoff and
+    its words still survive.  The product of survivors s * t folds t's
+    arrows into s through those steps.  A product below the previous cutoff
+    is carried, renumbered where the basis moved, unless a factor is new or
+    a step or product it folds through changed or is new.
+    """
+    old = previous if previous is not None else _Truncation.nothing(table)
+    if old.cutoff >= cutoff:
+        raise InternalInvariantError("a truncation extends only to a higher cutoff")
     std = _StandardBasis(table, cutoff)
     elements = []
     tags = []
@@ -490,66 +543,129 @@ def _truncation(table, relations, cutoff):
             if tag is not None:
                 tags.append(tag)
     std.complete(elements)
+    # only the tips below the previous cutoff fit in its words
+    changed = {tip for tip in old.std.rules.keys() | std.rules.keys()
+               if len(tip) < old.cutoff and old.std.rules.get(tip) != std.rules.get(tip)}
+    tags_moved = old.std.tags.rows != std.tags.rows
 
-    level = [(k,) for k in range(len(std.arrows))] if cutoff > 1 else []
-    survivors = []
-    while level:
-        survivors += level
-        if len(level[0]) + 1 >= cutoff:
-            break
+    p = table.p
+    # the survivors are the words with no tip as a factor, so they are the
+    # previous ones below the previous cutoff if no rule there changed
+    if old.cutoff > 1 and not changed:
+        labels = dict(old.labels)
+        level = [w for w in old.labels if len(w) == old.cutoff - 1]
+    else:
+        labels = {}
+        level = [(k,) for k in range(len(std.arrows))] if cutoff > 1 else []
+        for w in level:
+            labels[w] = old.labels.get(w) or std.monomial(w)
+    while level and len(level[0]) + 1 < cutoff:
         level = [w + (k,) for w in level for k in std.after[w[-1]]
                  if not std.has_tip_suffix(w + (k,))]
-    labels = {w: std.monomial(w) for w in survivors}
-    basis = [Monomial.idempotent(i) for i in range(1, table.p + 1)]
+        for w in level:
+            labels[w] = old.labels.get(w) or std.monomial(w)
+    # levels of words in number order are in key order, so the basis is sorted
+    basis = [Monomial.idempotent(i) for i in range(1, p + 1)]
     basis += labels.values()
-    basis += [t for t in tags if t not in std.tags.rows]
-    basis.sort(key=label_sort_key)
+    basis += sorted(t for t in tags if t not in std.tags.rows)
     index = {b: k for k, b in enumerate(basis)}
-    position = {w: index[m] for w, m in labels.items()}
+    position = {w: p + k for k, w in enumerate(labels)}
 
+    fresh = {b for w, b in position.items() if len(w) < old.cutoff and w not in old.labels}
+    # below the previous cutoff nothing moves when the rules and the tag
+    # relations there are the same and the rules are homogeneous: then a
+    # product of degree d is a sum of words of degree d, and only the pairs
+    # of the new degrees are folded, through new steps
+    settled = not changed and not tags_moved and all(
+        len(w) == len(tip) for tip, (words, _) in old.std.rules.items() for w in words)
+    reduced = dict(old.reduced) if settled else {}
     steps = {}
-    for w in survivors:
+    moved = set()  # steps below the previous cutoff whose value may have changed
+    for w, a in position.items():
         if len(w) + 1 >= cutoff:
+            break
+        if settled and len(w) + 1 < old.cutoff:
             continue
         for k in std.after[w[-1]]:
             x = w + (k,)
-            if x in position:
-                coords = {position[x]: 1}
-            else:
-                words, residual = std.reduce({x: 1})
-                coords = {position[v]: c for v, c in words.items()}
-                coords.update((index[t], c)
-                              for t, c in std.tags.reduce(residual).items())
-            steps[(position[w], k)] = coords
+            b = position.get(x)
+            if b is not None:
+                steps[(a, k)] = {b: 1}
+                if len(x) < old.cutoff and x not in old.labels:
+                    moved.add((a, k))
+                continue
+            carried = entry = old.reduced.get(x)
+            if (entry is None or entry[2] is None or entry[2] & changed
+                    or not all(v in position for v in entry[0])):
+                used = set()
+                entry = std.reduce({x: 1}, used=used)
+                entry += (None if None in used else frozenset(used),)
+            reduced[x] = entry
+            coords = {position[v]: c for v, c in entry[0].items()}
+            if entry[1]:
+                coords.update((index[t], c) for t, c in std.tags.reduce(entry[1]).items())
+            steps[(a, k)] = coords
+            if len(x) < old.cutoff and (entry is not carried or tags_moved and entry[1]):
+                moved.add((a, k))
 
-    prefix = {}
-    starting = {}
-    for k, label in enumerate(basis):
-        if isinstance(label, Monomial):
-            starting.setdefault(label.i, []).append(k)
-            if label.arrows:
-                head = Monomial(label.i, label.arrows[-1][0], label.arrows[:-1])
-                prefix[k] = (index[head], std.number[label.arrows[-1]])
+    renumber = [index.get(label) for label in old.basis]
+    low = next((k for k, n in enumerate(renumber) if n != k), len(renumber))
     products = {}
-    for a, la in enumerate(basis):
-        if isinstance(la, RelTag):
+    stale = set()
+    for (a, b), coords in old.products.items():
+        if a < low and b < low and max(coords) < low:
+            products[(a, b)] = coords
             continue
-        for b in starting[la.j]:
-            lb = basis[b]
-            if la.degree + lb.degree >= cutoff:
+        a, b = renumber[a], renumber[b]
+        if a is None or b is None:
+            continue
+        coords = {renumber[k]: c for k, c in coords.items()}
+        if None in coords:
+            stale.add((a, b))
+        else:
+            products[(a, b)] = coords
+
+    # a tag times an arrow is zero, so no step starts at a tag
+    degree = [0] * p + [len(w) for w in labels] + [0] * (len(basis) - len(position) - p)
+    ends = list(range(1, p + 1)) + [std.arrows[w[-1]][1] for w in labels]
+    starting = {i: [i - 1] for i in range(1, p + 1)}
+    prefix = {}
+    for w, b in position.items():
+        i = std.arrows[w[0]][0]
+        starting[i].append(b)
+        prefix[b] = (position[w[:-1]] if len(w) > 1 else i - 1, w[-1])
+    degrees = {i: [degree[b] for b in row] for i, row in starting.items()}
+    dirty = set()
+    for a in range(p + len(labels)):
+        row = starting[ends[a]]
+        first = bisect_left(degrees[ends[a]], old.cutoff - degree[a]) if settled else 0
+        for b in islice(row, first, None):
+            if degree[a] + degree[b] >= cutoff:
                 break
-            if not lb.degree:
+            if not degree[b]:
                 coords = {a: 1}
-            elif not la.degree:
+            elif not degree[a]:
                 coords = {b: 1}
             else:
                 head, arrow = prefix[b]
+                left = products.get((a, head), {})
+                # the words of the previous top degree had no steps there
+                if (degree[a] + degree[b] < old.cutoff and a not in fresh
+                        and b not in fresh and (a, head) not in dirty
+                        and not any((k, arrow) in moved or degree[k] + 1 >= old.cutoff
+                                    for k in left)):
+                    continue
+                dirty.add((a, b))
                 coords = {}
-                for k, c in products.get((a, head), {}).items():
+                for k, c in left.items():
                     _add_multiple(coords, steps.get((k, arrow), {}), c)
             if coords:
                 products[(a, b)] = coords
-    return FiniteDimPointedAlgebra(table.p, basis, products, cutoff)
+            else:
+                products.pop((a, b), None)
+    if stale - dirty:
+        raise InternalInvariantError("a carried product names a lost basis element")
+    return _Truncation(p, basis, products, cutoff, std, labels, reduced)
 
 
 def build_quotient(table, relations, cutoff):
@@ -560,18 +676,21 @@ def build_quotient(table, relations, cutoff):
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
-    return _truncation(table, [(f, None) for f in relations], cutoff)
+    return _truncation(table, [(f, None) for f in relations], cutoff, None)
 
 
-def build_tagged_truncation(table, series, cutoff):
+def build_tagged_truncation(table, series, cutoff, previous=None):
     """Truncation of T1 / (I*f + f*I + I^cutoff) with tagged series classes.
 
     ``series`` maps RelTag -> MatricPoly.  Each nonzero truncated series
     joins the basis as a tagged vector identified with its residue class;
     the bookkeeping ring of the order step has exactly this mixed basis of
-    monomials and truncated series.
+    monomials and truncated series.  ``previous``, a truncation of the same
+    table at a lower cutoff, lends the steps and products that did not
+    change.
     """
-    return _truncation(table, [(f, tag) for tag, f in series.items()], cutoff)
+    return _truncation(table, [(f, tag) for tag, f in series.items()], cutoff,
+                       previous)
 
 
 def quotient_by_vectors(algebra, vectors):
@@ -581,7 +700,8 @@ def quotient_by_vectors(algebra, vectors):
     of the top degree cutoff - 1; such vectors already span a two-sided
     ideal.  The basis lists the tags last and the monomials of one degree
     by key, so the echelon's index order eliminates tag columns first, and
-    the result has a monomial basis whenever possible.
+    the result has a monomial basis whenever possible.  A product that names
+    no index at or above the lowest pivot is kept as it is, dict and all.
     """
     for vec in vectors:
         labels = [algebra.basis[k] for k in vec]
@@ -598,15 +718,17 @@ def quotient_by_vectors(algebra, vectors):
     pivots = ech.pivots()
     keep = [k for k in range(algebra.dim) if k not in pivots]
     reindex = {k: n for n, k in enumerate(keep)}
-
-    def push(coords):
-        return {reindex[k]: c for k, c in ech.reduce(coords).items()}
+    # below the lowest pivot nothing is eliminated or renumbered
+    low = min(pivots, default=algebra.dim)
 
     products = {}
     for (a, b), coords in algebra.products.items():
+        if a < low and b < low and max(coords) < low:
+            products[(a, b)] = coords
+            continue
         if a in pivots or b in pivots:
             continue
-        pushed = push(dict(coords))
+        pushed = {reindex[k]: c for k, c in ech.reduce(coords).items()}
         if pushed:
             products[(reindex[a], reindex[b])] = pushed
     return FiniteDimPointedAlgebra(algebra.p, [algebra.basis[k] for k in keep],

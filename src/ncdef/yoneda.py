@@ -513,6 +513,14 @@ class ExtComputer:
                             for j, n, mats in batch]
                     sols = self._solve_unknown_times_known(nrows, ncols,
                                                            res_i.diff(m), rhss)
+                failed = sorted({(n, j) for (j, n, _), sol in zip(batch, sols)
+                                 if sol is None})
+                if failed:
+                    raise SolverBoundError(
+                        "no bounded-degree solution for the lift of %s at "
+                        "resolution step %d, tried at degree bounds %s"
+                        % (", ".join("Ext^%d(M_%d, M_%d)" % (n, j, i) for n, j in failed),
+                           m, ", ".join(map(str, self.ladder))))
                 for (_, _, mats), sol in zip(batch, sols):
                     mats.append(sol)
         out = [[Cochain(bundle, n, i, j, mats) for mats in group]
@@ -522,7 +530,8 @@ class ExtComputer:
         return out
 
     def _solve_unknown_times_known(self, nrows, ncols, known, rhss):
-        """Solve U * known == rhs for an nrows x ncols U of bounded degree, per rhs."""
+        """Solve U * known == rhs for an nrows x ncols U of bounded degree, per
+        rhs; None for a rhs that no bound of the ladder solves."""
         pres = self.bundle.pres
         if ncols != known.nrows:
             raise ShapeMismatch("inner dimensions differ")
@@ -536,11 +545,8 @@ class ExtComputer:
             out = Mat(nrows, ncols, decode_entries(sol, "u", pres).get((), {}))
             return out if out.mul(known) == rhss[k] else None
 
-        out = _solve_on_ladder(self.ladder, [list(rhs.entries.items()) for rhs in rhss],
-                               operator, accept)
-        if None in out:
-            raise SolverBoundError("no bounded-degree solution for the lift")
-        return out
+        return _solve_on_ladder(self.ladder, [list(rhs.entries.items()) for rhs in rhss],
+                                operator, accept)
 
     def hom_classes(self, i):
         """Hom-complex cocycles of Ext^n(M_j, M_i), n = 1, 2, for every j.

@@ -732,6 +732,24 @@ def test_module_trade_cycle_exits_on_the_nesting_bound(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_failed_ext_lift_names_its_group_step_and_bounds(tmp_path, capsys, monkeypatch):
+    # the point of the cusp y^2 = x^9, resolved periodically: its Ext^1 and
+    # Ext^2 cocycles need lifts of degree above the default ladder's top
+    monkeypatch.setattr(algebra, "_linked_pairs", lambda pres: [])
+    spec = {"schema": "ncdef-problem/1", "name": "cusp9",
+            "algebra": {"generators": ["x", "y"],
+                        "rules": [["y*x", "x*y"], ["y*y", "x^9"]],
+                        "weights": {"x": 2, "y": 9}},
+            "modules": [{"ideal": ["x", "y"], "ranks": [1, 2, 2, 2],
+                         "diffs": [[["x"], ["y"]], [["y", "-x"], ["x^8", "-y"]],
+                                   [["y", "-x"], ["x^8", "-y"]]]}]}
+    assert main(["run", "--spec", _write(tmp_path, "spec.json", spec)]) == 3
+    assert capsys.readouterr().err == (
+        "solver bound exhausted: no bounded-degree solution for the lift of "
+        "Ext^1(M_1, M_1), Ext^2(M_1, M_1) at resolution step 0, tried at degree "
+        "bounds 4, 6, 8, 10, 12\n")
+
+
 # D*y*x rewrites to x*y*D + x^2*D + y with D*y first and to that plus 2*x
 # with y*x first, so 2*x = 0 and 1 = D*x - x*D = 0: A is the zero algebra.
 # Without the overlap check, ext printed Ext^1 = 1 and run the free hull.

@@ -142,17 +142,20 @@ def assert_matches_reference(algebra, std, ref):
 
 
 def _flagship_calls(weyl):
-    """Arguments of every truncation the flagship builds up to order 9."""
+    """Arguments and results of every truncation the flagship builds up to
+    order 9; the bookkeeping rings extend the previous order's."""
     calls = []
     quotient, tagged = massey.build_quotient, massey.build_tagged_truncation
 
     def record_quotient(table, relations, cutoff):
-        calls.append((table, cutoff, list(relations), None))
-        return quotient(table, relations, cutoff)
+        algebra = quotient(table, relations, cutoff)
+        calls.append((table, cutoff, list(relations), None, algebra))
+        return algebra
 
-    def record_tagged(table, series, cutoff):
-        calls.append((table, cutoff, (), dict(series)))
-        return tagged(table, series, cutoff)
+    def record_tagged(table, series, cutoff, previous):
+        algebra = tagged(table, series, cutoff, previous)
+        calls.append((table, cutoff, (), dict(series), algebra))
+        return algebra
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(massey, "build_quotient", record_quotient)
@@ -164,15 +167,16 @@ def _flagship_calls(weyl):
 
 def test_flagship_truncations_match_the_elimination_builder(weyl, completions):
     calls = _flagship_calls(weyl)
-    assert sorted(c for _, c, _, s in calls if s is not None) == list(range(3, 11))
+    assert sorted(c for _, c, _, s, _ in calls if s is not None) == list(range(3, 11))
 
-    for table, cutoff, relations, series in calls:
+    for table, cutoff, relations, series, built in calls:
         if series is None:
             algebra = build_quotient(table, relations, cutoff)
         else:
             algebra = build_tagged_truncation(table, series, cutoff)
-        assert_matches_reference(algebra, completions["bases"][-1],
-                                 reference_truncation(table, cutoff, relations, series))
+        ref = reference_truncation(table, cutoff, relations, series)
+        assert_matches_reference(algebra, completions["bases"][-1], ref)
+        assert_matches_reference(built, built.std, ref)
 
 
 def _random_table(rng, vertices):
