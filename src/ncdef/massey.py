@@ -13,8 +13,9 @@ curvature of the defining system over H is R's curvature pushed through the
 substitution; that curvature is the residual the corrections kill.  A
 degree's basis never changes once the hull passes it, so the state keeps
 the current H and, for the next order, the last bookkeeping ring: R_{n+1}
-extends R_n by one degree and recomputes only the steps and products that
-a new series term or a changed rule reaches.  A run also remembers the
+extends R_n by one degree, carrying R_n whole when the rules below its
+cutoff and the tag relations did not change (and are homogeneous), and
+building from nothing when they did.  A run also remembers the
 Ext^2 coefficients of every cocycle it projected and the Yoneda product of
 every pair of system cochains it composed, since neither changes.
 
@@ -82,7 +83,7 @@ def init_order2(ext, options):
     system = {}
     for i in range(1, bundle.p + 1):
         system[Monomial.idempotent(i)] = bundle.differential_cochain(i)
-    for arrow in table.all_arrows():
+    for arrow in table.arrows:
         i, j, l = arrow
         system[Monomial.from_arrows([arrow])] = ext.ext1_rep(i, j, l)
     series = {tag: MatricPoly((tag.i, tag.j)) for tag in table.rel_tags()}

@@ -36,6 +36,11 @@ The class of any monomial below the cutoff, the beta table, is the same
 fold of its arrows through the products, made on demand, so no table of
 monomials is stored.
 
+A truncation extends one at a lower cutoff: when the lower one's rules
+are homogeneous and they and its tag relations are unchanged, nothing below
+its cutoff moves, so it is carried whole and only the new degrees are made;
+otherwise the extension starts from nothing, the truncation at cutoff 0.
+
 The bookkeeping ring of the order step carries tags: each nonzero truncated
 series f enters the ideal as f - tag.  A tag times any arrow is zero, so
 u * (f - tag) * v = u * f * v unless u and v are both units, which is
@@ -161,9 +166,6 @@ class GeneratorTable:
         self.number = {a: k for k, a in enumerate(self.arrows)}
         self.after = [[k for k, b in enumerate(self.arrows) if b[0] == a[1]]
                       for a in self.arrows]
-
-    def all_arrows(self):
-        return self.arrows
 
     def rel_tags(self):
         out = []
@@ -297,9 +299,9 @@ class FiniteDimPointedAlgebra:
 
     Relations start in degree 2 and the order step's collapse removes only
     tags and monomials of the top degree cutoff - 1 >= 2, so every arrow
-    below the cutoff is its own basis element.  No table of monomials is stored: the class of a monomial below
-    the cutoff (the beta table) is its arrows multiplied through the
-    products, on demand.
+    below the cutoff is its own basis element.  No table of monomials is
+    stored: the class of a monomial below the cutoff (the beta table) is its
+    arrows multiplied through the products, on demand.
     """
 
     def __init__(self, p, basis, products, cutoff):
@@ -396,12 +398,8 @@ class _StandardBasis:
         return any(word[start:] in self.rules
                    for start in range(max(0, n - self.longest), n - 1))
 
-    def reduce(self, words, tags=(), used=None):
-        """(words, tags) rewritten until no word holds a tip.
-
-        ``used``, when given, is a set that collects the tip of each rewrite,
-        and None when a rewrite drops a word at the cutoff.
-        """
+    def reduce(self, words, tags=()):
+        """(words, tags) rewritten until no word holds a tip."""
         words = dict(words)
         tags = dict(tags)
         out = {}
@@ -415,14 +413,9 @@ class _StandardBasis:
             start, tip = found
             left, right = word[:start], word[start + len(tip):]
             rest, rest_tags = self.rules[tip]
-            if used is not None:
-                used.add(tip)
             if left or right:
                 room = self.cutoff - len(left) - len(right)
-                kept = {left + w + right: v for w, v in rest.items() if len(w) < room}
-                if used is not None and len(kept) < len(rest):
-                    used.add(None)
-                rest = kept
+                rest = {left + w + right: v for w, v in rest.items() if len(w) < room}
             else:
                 _add_multiple(tags, rest_tags, -c)
             _add_multiple(words, rest, -c)
@@ -486,28 +479,26 @@ class _StandardBasis:
 
 
 class _Truncation(FiniteDimPointedAlgebra):
-    """A truncation with what its extension to a higher cutoff reuses.
+    """A truncation with what its extension to a higher cutoff carries.
 
     ``std`` is its completed standard basis and ``labels`` maps the word of
-    each basis monomial of positive degree to that monomial.  ``reduced``
-    maps each (survivor, arrow) word that is no survivor to (words, tags,
-    used): its normal form, with the tags not yet reduced by the tag
-    relations, and the tips its rewriting used, or None when the rewriting
-    dropped a word at the cutoff.  Its products and those of its extensions
-    share their coordinate dicts, which no one changes.
+    each basis monomial of positive degree to that monomial.  An extension
+    carries it whole when its rules are homogeneous and they and its tag
+    relations hold unchanged there, and otherwise starts from nothing.  Its
+    products and those of a carrying extension share their coordinate dicts,
+    which no one changes.
     """
 
-    def __init__(self, p, basis, products, cutoff, std, labels, reduced):
+    def __init__(self, p, basis, products, cutoff, std, labels):
         super().__init__(p, basis, products, cutoff)
         self.std = std
         self.labels = labels
-        self.reduced = reduced
 
     @staticmethod
     def nothing(table):
         """The truncation at cutoff 0, where every extension can start."""
         return _Truncation(table.p, [Monomial.idempotent(i) for i in range(1, table.p + 1)],
-                           {}, 0, _StandardBasis(table, 0), {}, {})
+                           {}, 0, _StandardBasis(table, 0), {})
 
 
 def _truncation(table, relations, cutoff, previous):
@@ -519,12 +510,13 @@ def _truncation(table, relations, cutoff, previous):
     completion runs afresh, since a new series term changes the rules.  The
     survivors of degree d are the one-arrow extensions of those of degree
     d - 1 with no tip as a suffix.  Each (survivor, arrow) word that is no
-    survivor is reduced once: ``previous``'s normal form stands when the
-    rules it used are unchanged, it dropped nothing at the lower cutoff and
-    its words still survive.  The product of survivors s * t folds t's
-    arrows into s through those steps.  A product below the previous cutoff
-    is carried, renumbered where the basis moved, unless a factor is new or
-    a step or product it folds through changed or is new.
+    survivor is reduced once, and the product of survivors s * t folds t's
+    arrows into s through those steps.  ``previous`` is carried whole when
+    its rules below its cutoff and its tag relations are unchanged and its
+    rules are homogeneous: then a product of degree d is a sum of words of
+    degree d, nothing below the previous cutoff moves, and only the
+    survivors, steps and products of the new degrees are made.  Otherwise
+    the extension starts from nothing.
     """
     old = previous if previous is not None else _Truncation.nothing(table)
     if old.cutoff >= cutoff:
@@ -543,27 +535,28 @@ def _truncation(table, relations, cutoff, previous):
             if tag is not None:
                 tags.append(tag)
     std.complete(elements)
-    # only the tips below the previous cutoff fit in its words
-    changed = {tip for tip in old.std.rules.keys() | std.rules.keys()
-               if len(tip) < old.cutoff and old.std.rules.get(tip) != std.rules.get(tip)}
-    tags_moved = old.std.tags.rows != std.tags.rows
+    # below the previous cutoff nothing moves when the rules there (the only
+    # tips that fit in its words) and the tag relations are the same and the
+    # rules are homogeneous; otherwise the extension starts from nothing
+    if (old.std.tags.rows != std.tags.rows
+            or any(old.std.rules.get(tip) != std.rules.get(tip)
+                   for tip in old.std.rules.keys() | std.rules.keys()
+                   if len(tip) < old.cutoff)
+            or any(len(w) != len(tip) for tip, (words, _) in old.std.rules.items()
+                   for w in words)):
+        old = _Truncation.nothing(table)
 
     p = table.p
-    # the survivors are the words with no tip as a factor, so they are the
-    # previous ones below the previous cutoff if no rule there changed
-    if old.cutoff > 1 and not changed:
+    if old.cutoff > 1:
         labels = dict(old.labels)
-        level = [w for w in old.labels if len(w) == old.cutoff - 1]
+        level = [w for w in labels if len(w) == old.cutoff - 1]
     else:
-        labels = {}
         level = [(k,) for k in range(len(std.arrows))] if cutoff > 1 else []
-        for w in level:
-            labels[w] = old.labels.get(w) or std.monomial(w)
+        labels = {w: std.monomial(w) for w in level}
     while level and len(level[0]) + 1 < cutoff:
         level = [w + (k,) for w in level for k in std.after[w[-1]]
                  if not std.has_tip_suffix(w + (k,))]
-        for w in level:
-            labels[w] = old.labels.get(w) or std.monomial(w)
+        labels.update((w, std.monomial(w)) for w in level)
     # levels of words in number order are in key order, so the basis is sorted
     basis = [Monomial.idempotent(i) for i in range(1, p + 1)]
     basis += labels.values()
@@ -571,59 +564,35 @@ def _truncation(table, relations, cutoff, previous):
     index = {b: k for k, b in enumerate(basis)}
     position = {w: p + k for k, w in enumerate(labels)}
 
-    fresh = {b for w, b in position.items() if len(w) < old.cutoff and w not in old.labels}
-    # below the previous cutoff nothing moves when the rules and the tag
-    # relations there are the same and the rules are homogeneous: then a
-    # product of degree d is a sum of words of degree d, and only the pairs
-    # of the new degrees are folded, through new steps
-    settled = not changed and not tags_moved and all(
-        len(w) == len(tip) for tip, (words, _) in old.std.rules.items() for w in words)
-    reduced = dict(old.reduced) if settled else {}
+    # the products of the new degrees fold through the steps of words of
+    # the previous top degree and above
     steps = {}
-    moved = set()  # steps below the previous cutoff whose value may have changed
     for w, a in position.items():
         if len(w) + 1 >= cutoff:
             break
-        if settled and len(w) + 1 < old.cutoff:
+        if len(w) + 1 < old.cutoff:
             continue
         for k in std.after[w[-1]]:
             x = w + (k,)
-            b = position.get(x)
-            if b is not None:
-                steps[(a, k)] = {b: 1}
-                if len(x) < old.cutoff and x not in old.labels:
-                    moved.add((a, k))
+            if x in position:
+                steps[(a, k)] = {position[x]: 1}
                 continue
-            carried = entry = old.reduced.get(x)
-            if (entry is None or entry[2] is None or entry[2] & changed
-                    or not all(v in position for v in entry[0])):
-                used = set()
-                entry = std.reduce({x: 1}, used=used)
-                entry += (None if None in used else frozenset(used),)
-            reduced[x] = entry
-            coords = {position[v]: c for v, c in entry[0].items()}
-            if entry[1]:
-                coords.update((index[t], c) for t, c in std.tags.reduce(entry[1]).items())
+            words, residual = std.reduce({x: 1})
+            coords = {position[v]: c for v, c in words.items()}
+            coords.update((index[t], c) for t, c in std.tags.reduce(residual).items())
             steps[(a, k)] = coords
-            if len(x) < old.cutoff and (entry is not carried or tags_moved and entry[1]):
-                moved.add((a, k))
 
     renumber = [index.get(label) for label in old.basis]
+    if None in renumber:
+        raise InternalInvariantError("a carried basis label is not in the extension")
     low = next((k for k, n in enumerate(renumber) if n != k), len(renumber))
     products = {}
-    stale = set()
     for (a, b), coords in old.products.items():
         if a < low and b < low and max(coords) < low:
             products[(a, b)] = coords
-            continue
-        a, b = renumber[a], renumber[b]
-        if a is None or b is None:
-            continue
-        coords = {renumber[k]: c for k, c in coords.items()}
-        if None in coords:
-            stale.add((a, b))
         else:
-            products[(a, b)] = coords
+            coords = {renumber[k]: c for k, c in coords.items()}
+            products[(renumber[a], renumber[b])] = coords
 
     # a tag times an arrow is zero, so no step starts at a tag
     degree = [0] * p + [len(w) for w in labels] + [0] * (len(basis) - len(position) - p)
@@ -635,10 +604,9 @@ def _truncation(table, relations, cutoff, previous):
         starting[i].append(b)
         prefix[b] = (position[w[:-1]] if len(w) > 1 else i - 1, w[-1])
     degrees = {i: [degree[b] for b in row] for i, row in starting.items()}
-    dirty = set()
     for a in range(p + len(labels)):
         row = starting[ends[a]]
-        first = bisect_left(degrees[ends[a]], old.cutoff - degree[a]) if settled else 0
+        first = bisect_left(degrees[ends[a]], old.cutoff - degree[a])
         for b in islice(row, first, None):
             if degree[a] + degree[b] >= cutoff:
                 break
@@ -648,24 +616,12 @@ def _truncation(table, relations, cutoff, previous):
                 coords = {b: 1}
             else:
                 head, arrow = prefix[b]
-                left = products.get((a, head), {})
-                # the words of the previous top degree had no steps there
-                if (degree[a] + degree[b] < old.cutoff and a not in fresh
-                        and b not in fresh and (a, head) not in dirty
-                        and not any((k, arrow) in moved or degree[k] + 1 >= old.cutoff
-                                    for k in left)):
-                    continue
-                dirty.add((a, b))
                 coords = {}
-                for k, c in left.items():
+                for k, c in products.get((a, head), {}).items():
                     _add_multiple(coords, steps.get((k, arrow), {}), c)
             if coords:
                 products[(a, b)] = coords
-            else:
-                products.pop((a, b), None)
-    if stale - dirty:
-        raise InternalInvariantError("a carried product names a lost basis element")
-    return _Truncation(p, basis, products, cutoff, std, labels, reduced)
+    return _Truncation(p, basis, products, cutoff, std, labels)
 
 
 def build_quotient(table, relations, cutoff):
@@ -686,8 +642,8 @@ def build_tagged_truncation(table, series, cutoff, previous=None):
     joins the basis as a tagged vector identified with its residue class;
     the bookkeeping ring of the order step has exactly this mixed basis of
     monomials and truncated series.  ``previous``, a truncation of the same
-    table at a lower cutoff, lends the steps and products that did not
-    change.
+    table at a lower cutoff, is carried whole when nothing below its cutoff
+    changed, and otherwise the ring is built from nothing.
     """
     return _truncation(table, [(f, tag) for tag, f in series.items()], cutoff,
                        previous)
@@ -753,7 +709,7 @@ def divisor_truncation(x, p):
     for i, j, l in arrows:
         counts[(i, j)] = max(counts.get((i, j), 0), l)
     table = GeneratorTable(p, counts)
-    letters = [Monomial.from_arrows([a]) for a in table.all_arrows()]
+    letters = [Monomial.from_arrows([a]) for a in table.arrows]
     relations = [MatricPoly(w.type, {w: 1}) for d in divisors for a in letters
                  for w in (concat(d, a), concat(a, d))
                  if w is not None and w not in divisors]

@@ -80,7 +80,7 @@ def build_report(problem, state, tables, checker_block):
         "schema": SCHEMA_REPORT,
         "problem": problem.to_json(),
         "ext_table": tables,
-        "generators": [format_arrow(a, table) for a in table.all_arrows()],
+        "generators": [format_arrow(a, table) for a in table.arrows],
         "orders": orders,
         "relations": relations_json(state),
         "basis": {str(d): [format_monomial(m, table)
@@ -175,7 +175,7 @@ def _is_count_table(rows, p):
 def _read_relation(rel, table):
     """A report relation as a MatricPoly in the arrows of ``table``."""
     types = [[i, j] for i in range(1, table.p + 1) for j in range(1, table.p + 1)]
-    arrows = [list(a) for a in table.all_arrows()]
+    arrows = [list(a) for a in table.arrows]
     _expect(isinstance(rel, dict) and isinstance(rel.get("name"), str)
             and rel.get("type") in types and isinstance(rel.get("terms"), list),
             "relation %r" % (rel,))

@@ -80,7 +80,7 @@ def test_criterion_2_order2_products(weyl, weyl_computer, weyl_computed_basis):
     computed_state = compute_hull(weyl_computed_basis, RunOptions())
     lam_mu = match_up_to_rescaling(preset_state.relations(),
                                    computed_state.relations(),
-                                   weyl.preset_basis.table().all_arrows())
+                                   weyl.preset_basis.table().arrows)
     assert lam_mu is not None
     _verdict(2, "eight signed products exact; computed-basis relations match "
                 "after rescaling")

@@ -2,17 +2,21 @@
 
 Each order's bookkeeping ring R_{n+1} extends the previous order's ring by
 one degree, and the collapse to H_{n+1} keeps the products it does not
-touch.  ``scratch_truncation`` below is the builder the order step ran
-before: it completes the standard basis, reduces every (survivor, arrow)
-word and folds every product anew at each order.  On every order step of
-the problems below, the carried R and H must have the same basis labels in
-the same order, the same products and the same tags as that builder plus
-``quotient_by_vectors``.  The points of k[x]/(x^N) gain the series term x^N
-only at order N, so their rings must recompute carried products.
+touch.  An extension carries the previous ring whole when its rules below
+its cutoff and its tag relations are unchanged and its rules are
+homogeneous, and otherwise starts from nothing.  ``scratch_truncation``
+below is the builder the order step ran before: it completes the standard
+basis, reduces every (survivor, arrow) word and folds every product anew
+at each order.  On every order step of the problems below, the carried R
+and H must have the same basis labels in the same order, the same products
+and the same tags as that builder plus ``quotient_by_vectors``.  The points
+of k[x]/(x^N) gain the series term x^N only at order N, so their rings
+must start from nothing there.
 
 The counts at the end keep the carry from decaying into a rebuild: on the
-order-7 flagship each ring folds only its new degree's products (and
-renumbers the few that name a tag), the run projects each distinct
+order-7 flagship only the ring at cutoff 4 starts from nothing, each later
+ring keeps the previous ring's products (and renumbers the few that name a
+tag) and folds only its new degree's, the run projects each distinct
 relation-class cocycle once, and each pair of system cochains is composed
 once.
 """
@@ -26,10 +30,11 @@ import pytest
 import ncdef.checker as checker
 import ncdef.massey as massey
 from ncdef import algebra
+from ncdef.errors import InternalInvariantError
 from ncdef.linalg import _add_multiple
 from ncdef.matrix_ring import (FiniteDimPointedAlgebra, MatricPoly, Monomial, RelTag,
-                               _StandardBasis, build_tagged_truncation, label_sort_key,
-                               quotient_by_vectors)
+                               _StandardBasis, _Truncation, build_tagged_truncation, concat,
+                               label_sort_key, quotient_by_vectors)
 from ncdef.presets import RunOptions, load_preset, problem_from_json
 from ncdef.yoneda import ExtBasis, ExtComputer
 from test_standard_basis import _dependent_relation, _random_relation, _random_table
@@ -180,8 +185,8 @@ def test_carried_rings_match_the_scratch_builder(name, max_order, monkeypatch):
             recomputed += sum(id(v) not in kept for (a, b), v in R.products.items()
                               if R.basis[a].degree + R.basis[b].degree < old.cutoff)
     if name.startswith("trunc"):
-        # x^N turns from a survivor into a tip, so the products that fold
-        # through it below the previous cutoff are folded again
+        # x^N turns from a survivor into a tip below the previous cutoff, so
+        # the ring starts from nothing and folds every product again
         assert recomputed
 
 
@@ -190,7 +195,7 @@ def test_random_series_extend_like_the_scratch_builder():
     # ring at cutoff c holds the terms below c - 1 and extends the ring at
     # c - 1, so rules change their rests, new tips appear below the previous
     # cutoff and inhomogeneous rules drop words at the cutoff
-    counts = {"reused": 0, "redone": 0}
+    counts = {"carried": 0, "restarted": 0}
     reduce = _StandardBasis.reduce
     for seed, (vertices, homogeneous) in enumerate(
             12 * [(1, True), (1, False), (2, True), (2, False)]):
@@ -209,16 +214,34 @@ def test_random_series_extend_like_the_scratch_builder():
             below = [(MatricPoly(f.type, {m: c for m, c in f.terms.items()
                                           if m.degree < cutoff - 1}), tag)
                      for tag, f in series.items()]
-            if R is not None:
-                for x, (_, _, used) in R.reduced.items():
-                    counts["reused" if used is not None else "redone"] += 1
-            R = build_tagged_truncation(table, {tag: f for f, tag in below}, cutoff, R)
+            old, R = R, build_tagged_truncation(table, {tag: f for f, tag in below},
+                                                cutoff, R)
+            if old is not None:
+                # a carried ring shares at least the idempotents' products
+                # with the previous one, a restarted ring none
+                kept = {id(v) for v in old.products.values()}
+                shared = any(id(v) in kept for v in R.products.values())
+                counts["carried" if shared else "restarted"] += 1
             ref = scratch_truncation(table, [(f, tag) for f, tag in below
                                              if not f.is_zero()], cutoff)
             assert R.basis == ref.basis, (seed, cutoff)
             assert R.products == ref.products, (seed, cutoff)
     assert _StandardBasis.reduce is reduce
-    assert counts["reused"] and counts["redone"]
+    assert counts["carried"] and counts["restarted"]
+
+
+def test_a_carried_label_missing_from_the_extension_is_an_invariant_error(weyl):
+    table = weyl.preset_basis.table()
+    x12, x24 = Monomial.from_arrows([(1, 2, 1)]), Monomial.from_arrows([(2, 4, 1)])
+    series = {RelTag(1, 4, 1): MatricPoly((1, 4), {concat(x12, x24): 1})}
+    R = build_tagged_truncation(table, series, 3)
+    # the series is settled, so the extension carries R whole
+    carried = build_tagged_truncation(table, series, 4, R)
+    assert carried.products[(0, 0)] is R.products[(0, 0)]
+    forged = _Truncation(R.p, R.basis + [RelTag(1, 4, 2)], R.products, R.cutoff,
+                         R.std, R.labels)
+    with pytest.raises(InternalInvariantError):
+        build_tagged_truncation(table, series, 4, forged)
 
 
 def _degree(label):
@@ -246,24 +269,38 @@ def test_flagship_order_step_reuses_what_did_not_change(weyl, monkeypatch):
     monkeypatch.setattr(checker, "compose_cochains", compose_spy)
     state = massey.init_order2(weyl.preset_basis,
                                RunOptions(max_order=7, stop_on_stabilized=False))
+    rings.append(state.ring)
     composed = []
     while state.order <= 7:
         before = len(pairs)
         state = massey.advance_order(state)
         composed.append(len(pairs) - before)
-    assert [R.cutoff for R in rings] == list(range(3, 9))
+    assert [R.cutoff for R in rings] == list(range(2, 9))
 
-    # past order 3 the series are settled: a ring folds its new degree's
-    # products and renumbers those that name a tag, 480 + 24 of the 1,320
-    # products at cutoff 8 (the full fold of every product before)
-    for old, R in zip(rings[1:], rings[2:]):
+    # order 2's nonzero products change the rules below cutoff 3, so the
+    # ring at cutoff 4 starts from nothing; it is the run's only restart
+    shares = [bool({id(v) for v in old.products.values()}
+                   & {id(v) for v in R.products.values()})
+              for old, R in zip(rings, rings[1:])]
+    assert shares == [True, False, True, True, True, True]
+    # past order 3 the series are settled: a ring keeps each product of the
+    # previous ring, renumbers those that name a tag and folds its new
+    # degree's products, 480 + 24 of the 1,320 products at cutoff 8 (the
+    # full fold of every product before)
+    for old, R in zip(rings[2:], rings[3:]):
+        move = [R.index[label] for label in old.basis]
+        renumbered = 0
+        for (a, b), v in old.products.items():
+            w = R.products[(move[a], move[b])]
+            assert w == {move[k]: c for k, c in v.items()}
+            names_a_tag = any(isinstance(old.basis[k], RelTag) for k in v)
+            assert (w is v) != names_a_tag
+            renumbered += names_a_tag
         kept = {id(v) for v in old.products.values()}
         fresh = [(a, b) for (a, b), v in R.products.items() if id(v) not in kept]
-        new = [(a, b) for a, b in fresh
+        new = [(a, b) for a, b in R.products
                if _degree(R.basis[a]) + _degree(R.basis[b]) >= old.cutoff]
-        tagged_entries = [ab for ab in fresh if any(
-            isinstance(R.basis[k], RelTag) for k in R.products[ab])]
-        assert len(fresh) <= len(new) + len(tagged_entries)
+        assert len(fresh) == len(new) + renumbered
     assert len(rings[-1].products) == 1320
     assert len(fresh) <= 504
     # the four relation classes are projected once, at order 3, and their

@@ -60,7 +60,6 @@ def test_table_numbers_arrows_in_key_order(weyl_table):
             ((i, j, l) for j in range(1, table.p + 1)
              for l in range(1, table.d.get((i, j), 0) + 1)), key=arrow_key)]
         assert table.arrows == sorted(by_source, key=arrow_key) == by_source
-        assert table.all_arrows() == table.arrows
         assert table.number == {a: k for k, a in enumerate(table.arrows)}
         assert table.after == [[k for k, b in enumerate(table.arrows) if b[0] == a[1]]
                                for a in table.arrows]
